@@ -1,16 +1,21 @@
 """Conjugacy machinery: classes, {g, g^-1} pair classes, cyclic-subgroup classes.
 
 Conjugacy classes are computed by orbit expansion under conjugation by the
-group's generating set.  Cyclic-subgroup classes enumerate the subgroups as
-element sets, deduplicate, and orbit the sets under conjugation; restricting
-a census to a few element orders keeps this cheap on large groups.
+group's generating set.  Every coarser count is a power-map merge of those
+classes (`merge_classes`): pair classes {g, g^-1} merge g with g^(e-1), and
+classes of cyclic subgroups merge g with g^t for t running over generators of
+the units modulo the exponent e.  The F-conjugacy blocks of `lowk.fconj` are
+the same merge over a Galois image.  Restricting a census to a few element
+orders keeps it cheap on large groups.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
+from .galois import full_unit_group, minimal_generators, prime_divisors
 from .groups import ElementId, FiniteGroup
 
 
@@ -71,6 +76,36 @@ class ClassCensus:
         return len(self.classes)
 
 
+def merge_classes(
+    group: FiniteGroup,
+    classes: Sequence[tuple[ElementId, ...]],
+    index: dict[ElementId, int],
+    exponents: Iterable[int],
+) -> list[int]:
+    """Merge class(g) with class(g^t) for each exponent t; return each class's root.
+
+    A union-find over class indices.  The exponents must be prime to the
+    orders of the elements in `classes`, so every power map permutes them;
+    the blocks are then the orbits of the group of power maps the exponents
+    generate.  Each root is the least class index in its block.
+    """
+    parent = list(range(len(classes)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    power = group.power
+    for t in exponents:
+        for i, cls in enumerate(classes):
+            ri, rj = find(i), find(index[power(cls[0], t)])
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+    return [find(i) for i in range(len(classes))]
+
+
 def conjugacy_classes(
     group: FiniteGroup,
     *,
@@ -81,56 +116,22 @@ def conjugacy_classes(
     _check_size(group, max_size)
     restricted = frozenset(orders) if orders is not None else None
     elems = group.elements if restricted is None else group.elements_of_orders(restricted)
-    classes, index = _orbit_partition(group, elems)
-    classes = sorted(classes, key=lambda c: (group.order_of(c[0]), c[0]))
-    classes = tuple(classes)
+    classes, _ = _orbit_partition(group, elems)
+    classes = tuple(sorted(classes, key=lambda c: (group.order_of(c[0]), c[0])))
     index = {g: i for i, cls in enumerate(classes) for g in cls}
 
-    by_order: dict[int, list[int]] = {}
-    for i, cls in enumerate(classes):
-        by_order.setdefault(group.order_of(cls[0]), []).append(i)
+    def blocks_by_order(exponents: Iterable[int]) -> dict[int, int]:
+        roots = set(merge_classes(group, classes, index, exponents))
+        return dict(sorted(Counter(group.order_of(classes[r][0]) for r in roots).items()))
 
-    r1: dict[int, int] = {}
-    for d, idxs in by_order.items():
-        pairs = {frozenset((i, index[group.inv(classes[i][0])])) for i in idxs}
-        r1[d] = len(pairs)
-
-    mul, inv = group.mul, group.inv
-    gen_pairs = [(g, inv(g)) for g in group.generators]
-    r2: dict[int, int] = {}
-    for d, idxs in by_order.items():
-        subgroups: dict[frozenset[ElementId], None] = {}
-        for i in idxs:
-            for g in classes[i]:
-                powers = [group.identity]
-                x = g
-                while x != group.identity:
-                    powers.append(x)
-                    x = mul(x, g)
-                subgroups.setdefault(frozenset(powers), None)
-        seen: set[frozenset[ElementId]] = set()
-        count = 0
-        for s in sorted(subgroups, key=lambda s: sorted(s)):
-            if s in seen:
-                continue
-            count += 1
-            orbit = {s}
-            frontier = [s]
-            while frontier:
-                cur = frontier.pop()
-                for a, ai in gen_pairs:
-                    img = frozenset(mul(mul(a, x), ai) for x in cur)
-                    if img not in orbit:
-                        orbit.add(img)
-                        frontier.append(img)
-            seen |= orbit
-        r2[d] = count
-
+    # |g| divides e, so g^(e-1) = g^-1; and the units modulo e map onto the
+    # units modulo |g|, so the g^t for those units t are the generators of <g>
+    e = group.exponent
     return ClassCensus(
         group=group,
         classes=classes,
-        r1_by_order=dict(sorted(r1.items())),
-        r2_by_order=dict(sorted(r2.items())),
+        r1_by_order=blocks_by_order((e - 1,)),
+        r2_by_order=blocks_by_order(minimal_generators(full_unit_group(e))),
         restricted_orders=restricted,
         _index=index,
     )
@@ -145,14 +146,10 @@ def check_p2_condition(group: FiniteGroup, *, max_size: int = 5000) -> bool:
     """No subgroup Z_p x Z_p for any prime p dividing the order."""
     _check_size(group, max_size)
     mul = group.mul
-    for p in _prime_divisors(group.order):
+    for p in prime_divisors(group.order):
         stratum = group.elements_of_orders(frozenset((p,)))
         for x in stratum:
-            gen = {group.identity}
-            y = x
-            while y != group.identity:
-                gen.add(y)
-                y = mul(y, x)
+            gen = {group.power(x, i) for i in range(p)}
             for z in stratum:
                 if z not in gen and mul(x, z) == mul(z, x):
                     return False
@@ -167,16 +164,11 @@ def check_2p_condition(group: FiniteGroup, *, max_size: int = 5000) -> bool:
     is exhaustive.
     """
     _check_size(group, max_size)
-    mul, inv = group.mul, group.inv
     involutions = group.elements_of_orders(frozenset((2,)))
-    for p in _prime_divisors(group.order):
+    for p in prime_divisors(group.order):
         for a in group.elements_of_orders(frozenset((p,))):
-            span = {group.identity}
-            y = a
-            while y != group.identity:
-                span.add(y)
-                y = mul(y, a)
-            a_inv = inv(a)
+            span = {group.power(a, i) for i in range(p)}
+            a_inv = group.inv(a)
             for b in involutions:
                 if b not in span and group.conj(b, a) == a_inv:
                     return False
@@ -193,16 +185,3 @@ def check_milnor(group: FiniteGroup) -> bool:
                 return False
     return True
 
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out

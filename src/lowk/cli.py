@@ -173,6 +173,8 @@ def _cmd_b4_report(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.max_brute_force < 0:
+        parser.error(f"--max-brute-force must be non-negative, got {args.max_brute_force}")
     try:
         if args.command == "group":
             return _cmd_group(args)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .census import _check_size, _orbit_partition
+from .census import _check_size, _orbit_partition, merge_classes
 from .galois import FieldDescriptor, minimal_generators, phi_image
 from .groups import ElementId, FiniteGroup
 
@@ -42,39 +42,28 @@ def regular_modulus(group: FiniteGroup, field: FieldDescriptor) -> int:
     return m
 
 
+def _regular_classes(
+    group: FiniteGroup, field: FieldDescriptor
+) -> tuple[list[tuple[ElementId, ...]], dict[ElementId, int]]:
+    """Conjugacy classes of the elements of order prime to the characteristic."""
+    p = field.characteristic
+    return _orbit_partition(
+        group, [g for g in group.elements if not p or group.order_of(g) % p]
+    )
+
+
 def f_partition(
     group: FiniteGroup, field: FieldDescriptor, *, max_size: int = 5000
 ) -> FPartition:
     _check_size(group, max_size)
-    p = field.characteristic
-    if p:
-        elems = [g for g in group.elements if group.order_of(g) % p != 0]
-    else:
-        elems = list(group.elements)
-    classes, index = _orbit_partition(group, elems)
+    classes, index = _regular_classes(group, field)
     modulus = regular_modulus(group, field)
-    image = phi_image(field, modulus)
-
-    parent = list(range(len(classes)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    for t in minimal_generators(image):
-        for i, cls in enumerate(classes):
-            union(i, index[group.power(cls[0], t)])
-
+    roots = merge_classes(
+        group, classes, index, minimal_generators(phi_image(field, modulus))
+    )
     merged: dict[int, list[ElementId]] = {}
-    for i, cls in enumerate(classes):
-        merged.setdefault(find(i), []).extend(cls)
+    for root, cls in zip(roots, classes):
+        merged.setdefault(root, []).extend(cls)
     blocks = tuple(
         sorted(
             (tuple(sorted(b)) for b in merged.values()),
@@ -98,28 +87,15 @@ def _per_order_blocks(
     convention against the per-order one.
     """
     _check_size(group, max_size)
-    p = field.characteristic
-    if p:
-        elems = [g for g in group.elements if group.order_of(g) % p != 0]
-    else:
-        elems = list(group.elements)
-    classes, index = _orbit_partition(group, elems)
-    parent = list(range(len(classes)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    images: dict[int, tuple[int, ...]] = {}
-    for i, cls in enumerate(classes):
-        d = group.order_of(cls[0])
-        if d not in images:
-            images[d] = minimal_generators(phi_image(field, d))
-        for t in images[d]:
-            j = index[group.power(cls[0], t)]
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    return len({find(i) for i in range(len(classes))})
+    classes, _ = _regular_classes(group, field)
+    strata: dict[int, list[tuple[ElementId, ...]]] = {}
+    for cls in classes:
+        strata.setdefault(group.order_of(cls[0]), []).append(cls)
+    count = 0
+    for d, stratum in strata.items():
+        index = {g: i for i, cls in enumerate(stratum) for g in cls}
+        roots = merge_classes(
+            group, stratum, index, minimal_generators(phi_image(field, d))
+        )
+        count += len(set(roots))
+    return count

@@ -156,13 +156,48 @@ def test_pair_equals_subgroup_count_small_orders():
             assert census.r1_by_order.get(d, 0) == census.r2_by_order.get(d, 0), group.name
 
 
+ORACLE_ROSTER = (
+    [build_cyclic(m) for m in range(1, 61)]
+    + [build_dicyclic(m) for m in range(2, 21)]
+    + [generalized_quaternion(k) for k in (4, 5)]
+    + [build_binary_polyhedral(k) for k in ("T*", "O*", "I*")]
+)
+
+
+def cyclic_subgroup_classes_by_order(group):
+    """Oracle: conjugacy classes of cyclic subgroups, each subgroup an element set."""
+    subgroups = {
+        frozenset(group.power(g, i) for i in range(group.order_of(g)))
+        for g in group.elements
+    }
+    counts = {}
+    seen = set()
+    for sub in sorted(subgroups, key=sorted):
+        if sub in seen:
+            continue
+        seen |= {frozenset(group.conj(a, x) for x in sub) for a in group.elements}
+        counts[len(sub)] = counts.get(len(sub), 0) + 1
+    return dict(sorted(counts.items()))
+
+
+def test_subgroup_counts_match_set_oracle():
+    for group in ORACLE_ROSTER:
+        census = conjugacy_classes(group)
+        assert census.r2_by_order == cyclic_subgroup_classes_by_order(group), group.name
+
+
 def test_restricted_census_matches_full():
-    group = build_dicyclic(9)
-    full = conjugacy_classes(group)
-    restricted = conjugacy_classes(group, orders={1, 2, 3, 4, 6})
-    for d in (1, 2, 3, 4, 6):
-        assert restricted.r1_by_order.get(d, 0) == full.r1_by_order.get(d, 0)
-        assert restricted.r2_by_order.get(d, 0) == full.r2_by_order.get(d, 0)
+    for group in ORACLE_ROSTER:
+        full = conjugacy_classes(group)
+        present = sorted(full.r1_by_order)
+        for orders in ({1, 2, 3, 4, 6}, set(present[::2]), set(present[1::2])):
+            restricted = conjugacy_classes(group, orders=orders)
+            kept = [d for d in present if d in orders]
+            assert list(restricted.r1_by_order) == kept, (group.name, orders)
+            assert list(restricted.r2_by_order) == kept, (group.name, orders)
+            for d in kept:
+                assert restricted.r1_by_order[d] == full.r1_by_order[d], (group.name, d)
+                assert restricted.r2_by_order[d] == full.r2_by_order[d], (group.name, d)
 
 
 def test_size_guard():

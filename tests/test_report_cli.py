@@ -194,10 +194,16 @@ def test_cli_b4_report_deterministic(capsys):
     assert doc["kminus1"] == {"rank": 1, "torsion": [2], "infinite": []}
 
 
-def test_cli_usage_error_exit_code():
+def test_cli_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["group", "nonsense"])
     assert exc.value.code == 2
+    for invariants in ("wh", "kminus1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["group", "cyclic", "--m", "12", "--max-brute-force", "-5",
+                  "--invariants", invariants])
+        assert exc.value.code == 2
+        assert "non-negative" in capsys.readouterr().err
 
 
 def test_cli_unsupported_parameters(capsys):
