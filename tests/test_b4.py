@@ -1,9 +1,12 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from lowk.amalgam import has_finite_order, invert, multiply, power
 from lowk.b4 import (
+    SUITES,
     FreeProductWord,
     build_b4,
     build_gamma_specs,
@@ -18,6 +21,7 @@ from lowk.b4 import (
     _sym3,
     _STANDARD_TRANSVERSAL,
 )
+from lowk.cli import main
 from lowk.groups import build_cyclic
 
 
@@ -228,3 +232,27 @@ def test_verify_suite_dispatch(model):
     assert all(c.ok for c in verify_suite("braid", model))
     with pytest.raises(ValueError):
         verify_suite("nope", model)
+
+
+# -- golden output of `lowk b4 verify` -----------------------------------------
+
+GOLDEN_VERIFY = Path(__file__).parent / "golden" / "b4_verify.json"
+
+
+def _golden_for_suite(suite):
+    """The expected `--suite` output, cut from the `all` golden."""
+    if suite == "all":
+        return GOLDEN_VERIFY.read_text()
+    doc = json.loads(GOLDEN_VERIFY.read_text())
+    checks = [c for c in doc["checks"] if c["check_id"].startswith(suite + ".")]
+    passed = sum(c["status"] == "pass" for c in checks)
+    payload = {"schema": doc["schema"], "suite": suite, "checks": checks,
+               "passed": passed, "failed": len(checks) - passed}
+    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("suite", ("all",) + SUITES)
+def test_verify_json_matches_golden_byte_for_byte(capsys, suite):
+    code = main(["b4", "verify", "--suite", suite, "--format", "json"])
+    assert code == 0
+    assert capsys.readouterr().out == _golden_for_suite(suite)
