@@ -4,13 +4,17 @@ Builds the amalgam with the braid generators named inside it, then verifies
 the braid presentation, the conjugation tables, the quotient maps rho (to
 Z3 * Z2), psi (permutation of the three order-4 core subgroups) and pi (the
 abelianisation onto Z/6), the two Q16 *_{Q8} Q16 amalgams, and the
-Reidemeister-Schreier bases of the two finite-index kernels.  Every claim is
-checked by normal-form equality and reported as pass/fail, never assumed.
+Reidemeister-Schreier bases of the two finite-index kernels.  The factors
+come from `lowk.groups`.  Every equality check is a row whose statement (or
+an equation standing for a prose statement) is parsed as words over the named
+elements and compared by normal form; sampled and structural checks are code.
+Every claim is reported as pass/fail, never assumed.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -23,71 +27,34 @@ from .amalgam import (
     invert,
     multiply,
     power,
-    reduce_word,
 )
 from .groups import (
-    BINARY_TETRAHEDRAL,
     CUSTOM,
     FamilyTag,
     FiniteGroup,
+    build_binary_polyhedral,
+    build_cyclic,
     generalized_quaternion,
 )
 
-# -- quaternion arithmetic ----------------------------------------------------
+# -- the factors, from lowk.groups -------------------------------------------
 
+# Q8 = generalized_quaternion(3) = Dic_8 with ids (a, b) = x^a y^b; the unit
+# quaternions i and j are x and y.
 QUATERNION_NAMES = {
-    (1, 0, 0, 0): "1", (-1, 0, 0, 0): "-1",
-    (0, 1, 0, 0): "i", (0, -1, 0, 0): "-i",
-    (0, 0, 1, 0): "j", (0, 0, -1, 0): "-j",
-    (0, 0, 0, 1): "k", (0, 0, 0, -1): "-k",
+    (0, 0): "1", (2, 0): "-1",
+    (1, 0): "i", (3, 0): "-i",
+    (0, 1): "j", (2, 1): "-j",
+    (1, 1): "k", (3, 1): "-k",
 }
+I_UNIT, J_UNIT, K_UNIT, MINUS_ONE = (1, 0), (0, 1), (1, 1), (2, 0)
 
-
-def _qmul(x, y):
-    a1, b1, c1, d1 = x
-    a2, b2, c2, d2 = y
-    return (
-        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-    )
-
-
-def _hmul(x, y):
-    """Product of Hurwitz units stored with doubled coordinates."""
-    a, b, c, d = _qmul(x, y)
-    return (a // 2, b // 2, c // 2, d // 2)
-
-
-def quaternion_core() -> FiniteGroup:
-    """Q8 as the eight unit quaternions; ids are coordinate 4-tuples."""
-    return FiniteGroup(
-        name="Q8",
-        family=FamilyTag(CUSTOM),
-        elements=QUATERNION_NAMES,
-        identity=(1, 0, 0, 0),
-        generators=((0, 1, 0, 0), (0, 0, 1, 0)),
-        mul=_qmul,
-        inv=lambda q: (q[0], -q[1], -q[2], -q[3]),
-        order_of=lambda q: 1 if q == (1, 0, 0, 0) else (2 if q == (-1, 0, 0, 0) else 4),
-        exponent=4,
-    )
-
-
-def _hurwitz_tstar() -> FiniteGroup:
-    """T* as the 24 Hurwitz unit quaternions (doubled integer coordinates)."""
-    i2, j2 = (0, 2, 0, 0), (0, 0, 2, 0)
-    r = (-1, -1, -1, -1)  # -(1+i+j+k)/2, of order 3; conjugation cycles i->j->k
-    return FiniteGroup.from_closure(
-        name="T*",
-        generators=(i2, j2, r),
-        mul=_hmul,
-        identity=(2, 0, 0, 0),
-        inv=lambda q: (q[0], -q[1], -q[2], -q[3]),
-        family=FamilyTag(BINARY_TETRAHEDRAL),
-        expect_order=24,
-    )
+# T* = SL(2, 3) with flat matrices (a, b, c, d).  i and j go to matrices
+# squaring to -1 and anticommuting; r = -(1+i+j+k)/2 (order 3, conjugation
+# cycles i -> j -> k) goes to 1 + i + j + k, since 1/2 = -1 modulo 3.
+TSTAR_I, TSTAR_J = (0, 1, 2, 0), (1, 1, 1, 2)
+R_REP = (0, 1, 2, 2)
+R2_REP = (2, 2, 1, 0)  # r^2 = (-1+i+j+k)/2
 
 
 def _hom_from_generators(
@@ -112,35 +79,80 @@ def _hom_from_generators(
     return mapping
 
 
-I_UNIT = (0, 1, 0, 0)
-J_UNIT = (0, 0, 1, 0)
-K_UNIT = (0, 0, 0, 1)
-MINUS_ONE = (-1, 0, 0, 0)
-
-R_REP = (-1, -1, -1, -1)
-R2_REP = (-1, 1, 1, 1)
-
-
 def build_b4_spec() -> AmalgamSpec:
     """Q16 *_{Q8} T* with the transversals {1, u} and {1, r, r^2}."""
-    core = quaternion_core()
+    core = generalized_quaternion(3)
     q16 = generalized_quaternion(4)
-    tstar = _hurwitz_tstar()
-    embed1 = _hom_from_generators(core, q16, {I_UNIT: (2, 0), J_UNIT: (0, 1)})
-    embed2 = {q: tuple(2 * c for c in q) for q in core.elements}
+    tstar = build_binary_polyhedral("T*")
     return AmalgamSpec(
         name="B4(S2)",
         g1=q16,
         g2=tstar,
         core=core,
-        embed1=embed1,
-        embed2=embed2,
+        embed1=_hom_from_generators(core, q16, {I_UNIT: (2, 0), J_UNIT: (0, 1)}),
+        embed2=_hom_from_generators(core, tstar, {I_UNIT: TSTAR_I, J_UNIT: TSTAR_J}),
         transversal1=((0, 0), (1, 0)),
-        transversal2=((2, 0, 0, 0), R_REP, R2_REP),
+        transversal2=(tstar.identity, R_REP, R2_REP),
         letter_names={(1, (1, 0)): "u", (2, R_REP): "r", (2, R2_REP): "r2"},
         core_names=QUATERNION_NAMES,
     )
 
+
+# -- words over named elements ------------------------------------------------
+
+_WORD_TOKEN = re.compile(r"-?\d+|\w+|\S")
+
+
+def evaluate_word(
+    text: str, spec: AmalgamSpec, named: dict[str, AmalgamElement]
+) -> AmalgamElement:
+    """Value of a word such as "(sigma1 sigma2)^3 alpha0^-2" over named elements.
+
+    A word is a product of factors; a factor is a name, 1 or a parenthesised
+    word, optionally raised to an integer power ^k (k may be negative).
+    Unknown names and unbalanced parentheses raise ValueError.
+    """
+    tokens = _WORD_TOKEN.findall(text)
+    pos = 0
+
+    def product() -> AmalgamElement:
+        nonlocal pos
+        value = None
+        while pos < len(tokens) and tokens[pos] != ")":
+            tok = tokens[pos]
+            pos += 1
+            if tok == "(":
+                factor = product()
+                if pos == len(tokens):
+                    raise ValueError(f"unbalanced '(' in {text!r}")
+                pos += 1
+            elif tok == "1":
+                factor = spec.identity()
+            elif tok in named:
+                factor = named[tok]
+            else:
+                raise ValueError(f"unknown name {tok!r} in {text!r}")
+            if pos < len(tokens) and tokens[pos] == "^":
+                if pos + 1 == len(tokens) or not tokens[pos + 1].lstrip("-").isdigit():
+                    raise ValueError(f"'^' needs an integer exponent in {text!r}")
+                k = int(tokens[pos + 1])
+                pos += 2
+                if k == -1:
+                    factor = invert(factor)
+                elif k != 1:
+                    factor = power(factor, k)
+            value = factor if value is None else multiply(value, factor)
+        if value is None:
+            raise ValueError(f"empty word in {text!r}")
+        return value
+
+    value = product()
+    if pos != len(tokens):
+        raise ValueError(f"unbalanced ')' in {text!r}")
+    return value
+
+
+# -- the model -----------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class B4Model:
@@ -167,60 +179,55 @@ def _element_order(a: AmalgamElement, cap: int = 64) -> int | None:
     return None
 
 
+# each braid element is a word in the elements named before it
+_DEFINITIONS = (
+    ("sigma3", "alpha0^-1 alpha1"),
+    ("sigma2", "alpha0^-1 sigma3 alpha0"),
+    ("sigma1", "alpha0^-1 sigma2 alpha0"),
+    ("x", "alpha0^2 delta4 sigma1^2"),
+    ("y", "delta4 sigma2^2"),
+    ("z", "sigma2^7 sigma1"),
+)
+_ORDERS = {"alpha0": 8, "alpha1": 6, "delta4": 4, "ft": 2}
+_SELF_CHECKS = (
+    "delta4 alpha0 delta4^-1 = alpha0^-1",
+    "alpha0^4 = ft",
+    "alpha0^-2 delta4 = sigma1 sigma3^-1",
+)
+
+
 def build_b4() -> B4Model:
     """Construct the model and run the order/relation self-checks."""
     spec = build_b4_spec()
-    u = spec.from_factor(1, (1, 0))
-    r = spec.from_factor(2, R_REP)
     ft = spec.from_core(MINUS_ONE)
-    alpha0 = invert(u)
-    delta4 = spec.from_core(J_UNIT)
-    alpha1 = multiply(ft, invert(r))
-    sigma3 = multiply(invert(alpha0), alpha1)
-    sigma2 = multiply(multiply(invert(alpha0), sigma3), alpha0)
-    sigma1 = multiply(multiply(invert(alpha0), sigma2), alpha0)
-    alpha0_sq = multiply(alpha0, alpha0)
-    x = multiply(multiply(alpha0_sq, delta4), power(sigma1, 2))
-    y = multiply(delta4, power(sigma2, 2))
-    z = multiply(power(sigma2, 7), sigma1)
-
     named = {
-        "alpha0": alpha0,
-        "alpha1": alpha1,
-        "delta4": delta4,
+        "alpha0": invert(spec.from_factor(1, (1, 0))),
+        "alpha1": multiply(ft, invert(spec.from_factor(2, R_REP))),
+        "delta4": spec.from_core(J_UNIT),
         "ft": ft,
-        "sigma1": sigma1,
-        "sigma2": sigma2,
-        "sigma3": sigma3,
-        "x": x,
-        "y": y,
-        "z": z,
     }
+    for name, word in _DEFINITIONS:
+        named[name] = evaluate_word(word, spec, named)
+    for name, n in _ORDERS.items():
+        if _element_order(named[name]) != n:
+            raise AmalgamError(f"{name} does not have order {n}")
+    for equation in _SELF_CHECKS:
+        if not check_row(("b4.self_check", equation), spec, named).ok:
+            raise AmalgamError(f"self-check failed: {equation}")
 
-    # self-checks: orders and the defining identities of the named elements
-    if _element_order(alpha0) != 8:
-        raise AmalgamError("alpha0 does not have order 8")
-    if _element_order(alpha1) != 6:
-        raise AmalgamError("alpha1 does not have order 6")
-    if _element_order(delta4) != 4 or _element_order(ft) != 2:
-        raise AmalgamError("delta4/full twist have wrong orders")
-    if multiply(multiply(delta4, alpha0), invert(delta4)) != invert(alpha0):
-        raise AmalgamError("half twist does not invert alpha0")
-    if power(alpha0, 4) != ft:
-        raise AmalgamError("alpha0^4 is not the full twist")
-    if multiply(alpha0_sq.inverse(), delta4) != multiply(sigma1, invert(sigma3)):
-        raise AmalgamError("alpha0^-2 delta4 != sigma1 sigma3^-1")
-
-    q_prime = _subgroup_closure(spec, [alpha0_sq, multiply(alpha0, delta4)])
-    h1 = frozenset(((1, 0, 0, 0), MINUS_ONE, J_UNIT, (0, 0, -1, 0)))
-    h2 = frozenset(((1, 0, 0, 0), MINUS_ONE, I_UNIT, (0, -1, 0, 0)))
-    h3 = frozenset(((1, 0, 0, 0), MINUS_ONE, K_UNIT, (0, 0, 0, -1)))
+    core = spec.core
+    q_prime = _subgroup_closure(
+        spec, [evaluate_word(w, spec, named) for w in ("alpha0^2", "alpha0 delta4")]
+    )
     return B4Model(
         spec=spec,
         named=named,
-        q_core=tuple(sorted(spec.core.elements)),
+        q_core=tuple(sorted(core.elements)),
         q_prime=tuple(q_prime),
-        h_subgroups=(h1, h2, h3),
+        h_subgroups=tuple(
+            frozenset(core.power(q, n) for n in range(4))
+            for q in (J_UNIT, I_UNIT, K_UNIT)
+        ),
     )
 
 
@@ -358,135 +365,140 @@ class CheckResult:
         }
 
 
-def _eq(cid: str, statement: str, lhs: AmalgamElement, rhs: AmalgamElement) -> CheckResult:
-    fmt = lhs.spec.format_element
-    if lhs == rhs:
-        return CheckResult(cid, statement, "pass", fmt(lhs))
-    return CheckResult(cid, statement, "fail", f"lhs={fmt(lhs)} rhs={fmt(rhs)}")
-
-
 def _cond(cid: str, statement: str, ok: bool, witness: str = "") -> CheckResult:
     return CheckResult(cid, statement, "pass" if ok else "fail", witness)
 
 
-def _conj(a: AmalgamElement, g: AmalgamElement) -> AmalgamElement:
-    return multiply(multiply(a, g), invert(a))
+# quotient maps a row may apply to a word, with how their values print
+_QUOTIENT_FORMAT = {"psi": perm_cycles, "rho": str, "pi": str}
+_QUOTIENT_CALL = re.compile(r"\s*(psi|rho|pi)\((.*)\)\s*")
 
 
-def verify_braid_presentation(model: B4Model) -> list[CheckResult]:
-    s1, s2, s3 = model["sigma1"], model["sigma2"], model["sigma3"]
-    ft = model["ft"]
-    ident = model.spec.identity()
-    word = multiply(multiply(multiply(multiply(s1, s2), power(s3, 2)), s2), s1)
-    checks = [
-        _eq("braid.commute_13", "sigma1 sigma3 = sigma3 sigma1",
-            multiply(s1, s3), multiply(s3, s1)),
-        _eq("braid.braid_12", "sigma1 sigma2 sigma1 = sigma2 sigma1 sigma2",
-            multiply(multiply(s1, s2), s1), multiply(multiply(s2, s1), s2)),
-        _eq("braid.braid_23", "sigma2 sigma3 sigma2 = sigma3 sigma2 sigma3",
-            multiply(multiply(s2, s3), s2), multiply(multiply(s3, s2), s3)),
-        _eq("braid.surface", "sigma1 sigma2 sigma3^2 sigma2 sigma1 = 1", word, ident),
-        _eq("braid.fulltwist_121", "(sigma1 sigma2 sigma1)^2 = full twist",
-            power(multiply(multiply(s1, s2), s1), 2), ft),
-        _eq("braid.fulltwist_12", "(sigma1 sigma2)^3 = full twist",
-            power(multiply(s1, s2), 3), ft),
-        _eq("braid.fulltwist_21", "(sigma2 sigma1)^3 = full twist",
-            power(multiply(s2, s1), 3), ft),
-        _eq("braid.fulltwist_13", "(sigma1 sigma3^-1)^2 = full twist",
-            power(multiply(s1, invert(s3)), 2), ft),
-    ]
-    return checks
+def check_row(
+    row: tuple[str, ...],
+    spec: AmalgamSpec,
+    named: dict[str, AmalgamElement],
+    model: B4Model | None = None,
+) -> CheckResult:
+    """Evaluate one check row: (check_id, statement) or (check_id, statement, equation).
+
+    The equation (the statement itself when no equation is given) is
+    "word = word", compared by normal form, or "f(word) = value" for f one
+    of the quotient maps psi, rho, pi, compared by the printed value.
+    """
+    check_id, statement, *rest = row
+    equation = rest[0] if rest else statement
+    if equation.count("=") != 1:
+        raise ValueError(f"{check_id}: expected one '=' in {equation!r}")
+    lhs_text, _, rhs_text = equation.partition("=")
+    call = _QUOTIENT_CALL.fullmatch(lhs_text)
+    if call:
+        fn, arg = call.groups()
+        if model is None:
+            raise ValueError(f"{check_id}: {fn} needs the B4 model")
+        # looked up at call time, so wrappers installed on the module are seen
+        value = _QUOTIENT_FORMAT[fn](globals()[fn](model, evaluate_word(arg, spec, named)))
+        return _cond(check_id, statement, value == rhs_text.strip(), value)
+    lhs = evaluate_word(lhs_text, spec, named)
+    rhs = evaluate_word(rhs_text, spec, named)
+    fmt = spec.format_element
+    if lhs == rhs:
+        return CheckResult(check_id, statement, "pass", fmt(lhs))
+    return CheckResult(check_id, statement, "fail", f"lhs={fmt(lhs)} rhs={fmt(rhs)}")
 
 
-def verify_action_tables(model: B4Model) -> list[CheckResult]:
-    s1, s2, s3 = model["sigma1"], model["sigma2"], model["sigma3"]
-    a0, d4, ft = model["alpha0"], model["delta4"], model["ft"]
-    x, y = model["x"], model["y"]
-    a0sq = power(a0, 2)
-    a0sq_d4 = multiply(a0sq, d4)
-    checks = [
-        _eq("actions.alpha0_on_sigma1", "alpha0 sigma1 alpha0^-1 = sigma2",
-            _conj(a0, s1), s2),
-        _eq("actions.alpha0_on_sigma2", "alpha0 sigma2 alpha0^-1 = sigma3",
-            _conj(a0, s2), s3),
-        _eq("actions.alpha0sq_on_sigma3", "alpha0^2 sigma3 alpha0^-2 = sigma1",
-            _conj(a0sq, s3), s1),
-        _eq("actions.halftwist_on_sigma1", "delta4 sigma1 delta4^-1 = sigma3",
-            _conj(d4, s1), s3),
-        _eq("actions.halftwist_on_sigma2", "delta4 sigma2 delta4^-1 = sigma2",
-            _conj(d4, s2), s2),
-        _eq("actions.halftwist_on_sigma3", "delta4 sigma3 delta4^-1 = sigma1",
-            _conj(d4, s3), s1),
-        _eq("actions.halftwist_inverts_alpha0", "delta4 alpha0 delta4^-1 = alpha0^-1",
-            _conj(d4, a0), invert(a0)),
-        _eq("actions.alpha0_fourth_fulltwist", "alpha0^4 = full twist",
-            power(a0, 4), ft),
-        _eq("actions.s1s3inv", "alpha0^-2 delta4 = sigma1 sigma3^-1",
-            multiply(invert(a0sq), d4), multiply(s1, invert(s3))),
-        _eq("actions.sigma1_on_alpha0sq", "sigma1 alpha0^2 sigma1^-1 = delta4^-1",
-            _conj(s1, a0sq), invert(d4)),
-        _eq("actions.sigma1_on_halftwist_inv", "sigma1 delta4^-1 sigma1^-1 = alpha0^-2",
-            _conj(s1, invert(d4)), invert(a0sq)),
-        _eq("actions.sigma1_on_halftwist", "sigma1 delta4 sigma1^-1 = alpha0^2",
-            _conj(s1, d4), a0sq),
-        _eq("actions.sigma1_fixes_a0sq_d4", "sigma1 (alpha0^2 delta4) sigma1^-1 = alpha0^2 delta4",
-            _conj(s1, a0sq_d4), a0sq_d4),
-        _eq("actions.sigma2_on_alpha0sq", "sigma2 alpha0^2 sigma2^-1 = (alpha0^2 delta4)^-1",
-            _conj(s2, a0sq), invert(a0sq_d4)),
-        _eq("actions.sigma2_fixes_halftwist", "sigma2 delta4 sigma2^-1 = delta4",
-            _conj(s2, d4), d4),
-        _eq("actions.sigma2_on_a0sq_d4", "sigma2 (alpha0^2 delta4) sigma2^-1 = alpha0^2",
-            _conj(s2, a0sq_d4), a0sq),
-    ]
-    taus = {
-        "sigma1": s1,
-        "sigma2": s2,
-        "s121": multiply(multiply(s1, s2), s1),
-        "s12": multiply(s1, s2),
-        "s21": multiply(s2, s1),
-    }
-    x_targets = {
-        "sigma1": x,
-        "sigma2": multiply(ft, multiply(invert(x), invert(y))),
-        "s121": multiply(ft, y),
-        "s12": multiply(ft, y),
-        "s21": multiply(ft, multiply(invert(x), invert(y))),
-    }
-    y_targets = {
-        "sigma1": multiply(invert(y), invert(x)),
-        "sigma2": y,
-        "s121": multiply(ft, x),
-        "s12": multiply(invert(y), invert(x)),
-        "s21": multiply(ft, x),
-    }
-    for name, tau in taus.items():
-        checks.append(
-            _eq(f"actions.tau_{name}_on_x", f"{name} x {name}^-1 matches the table",
-                _conj(tau, x), x_targets[name])
-        )
-        checks.append(
-            _eq(f"actions.tau_{name}_on_y", f"{name} y {name}^-1 matches the table",
-                _conj(tau, y), y_targets[name])
-        )
-    return checks
+def _check_rows(model: B4Model, rows: Iterable[tuple[str, ...]]) -> list[CheckResult]:
+    return [check_row(row, model.spec, model.named, model) for row in rows]
+
+
+BRAID_ROWS = (
+    ("braid.commute_13", "sigma1 sigma3 = sigma3 sigma1"),
+    ("braid.braid_12", "sigma1 sigma2 sigma1 = sigma2 sigma1 sigma2"),
+    ("braid.braid_23", "sigma2 sigma3 sigma2 = sigma3 sigma2 sigma3"),
+    ("braid.surface", "sigma1 sigma2 sigma3^2 sigma2 sigma1 = 1"),
+    ("braid.fulltwist_121", "(sigma1 sigma2 sigma1)^2 = full twist",
+     "(sigma1 sigma2 sigma1)^2 = ft"),
+    ("braid.fulltwist_12", "(sigma1 sigma2)^3 = full twist", "(sigma1 sigma2)^3 = ft"),
+    ("braid.fulltwist_21", "(sigma2 sigma1)^3 = full twist", "(sigma2 sigma1)^3 = ft"),
+    ("braid.fulltwist_13", "(sigma1 sigma3^-1)^2 = full twist", "(sigma1 sigma3^-1)^2 = ft"),
+)
+
+# tau: (tau as a word, tau x tau^-1, tau y tau^-1)
+_TAU_TABLE = {
+    "sigma1": ("sigma1", "x", "y^-1 x^-1"),
+    "sigma2": ("sigma2", "ft x^-1 y^-1", "y"),
+    "s121": ("(sigma1 sigma2 sigma1)", "ft y", "ft x"),
+    "s12": ("(sigma1 sigma2)", "ft y", "y^-1 x^-1"),
+    "s21": ("(sigma2 sigma1)", "ft x^-1 y^-1", "ft x"),
+}
+
+ACTION_ROWS = (
+    ("actions.alpha0_on_sigma1", "alpha0 sigma1 alpha0^-1 = sigma2"),
+    ("actions.alpha0_on_sigma2", "alpha0 sigma2 alpha0^-1 = sigma3"),
+    ("actions.alpha0sq_on_sigma3", "alpha0^2 sigma3 alpha0^-2 = sigma1"),
+    ("actions.halftwist_on_sigma1", "delta4 sigma1 delta4^-1 = sigma3"),
+    ("actions.halftwist_on_sigma2", "delta4 sigma2 delta4^-1 = sigma2"),
+    ("actions.halftwist_on_sigma3", "delta4 sigma3 delta4^-1 = sigma1"),
+    ("actions.halftwist_inverts_alpha0", "delta4 alpha0 delta4^-1 = alpha0^-1"),
+    ("actions.alpha0_fourth_fulltwist", "alpha0^4 = full twist", "alpha0^4 = ft"),
+    ("actions.s1s3inv", "alpha0^-2 delta4 = sigma1 sigma3^-1"),
+    ("actions.sigma1_on_alpha0sq", "sigma1 alpha0^2 sigma1^-1 = delta4^-1"),
+    ("actions.sigma1_on_halftwist_inv", "sigma1 delta4^-1 sigma1^-1 = alpha0^-2"),
+    ("actions.sigma1_on_halftwist", "sigma1 delta4 sigma1^-1 = alpha0^2"),
+    ("actions.sigma1_fixes_a0sq_d4",
+     "sigma1 (alpha0^2 delta4) sigma1^-1 = alpha0^2 delta4"),
+    ("actions.sigma2_on_alpha0sq", "sigma2 alpha0^2 sigma2^-1 = (alpha0^2 delta4)^-1"),
+    ("actions.sigma2_fixes_halftwist", "sigma2 delta4 sigma2^-1 = delta4"),
+    ("actions.sigma2_on_a0sq_d4", "sigma2 (alpha0^2 delta4) sigma2^-1 = alpha0^2"),
+) + tuple(
+    (f"actions.tau_{name}_on_{w}", f"{name} {w} {name}^-1 matches the table",
+     f"{tau} {w} {tau}^-1 = {image}")
+    for name, (tau, *images) in _TAU_TABLE.items()
+    for w, image in zip(("x", "y"), images)
+)
+
+PSI_ROWS = (
+    ("kernel.psi_sigma1", "psi(sigma1) = (1,2)"),
+    ("kernel.psi_sigma2", "psi(sigma2) = (2,3)"),
+    ("kernel.psi_alpha0", "psi(alpha0) = (1,3)"),
+    ("kernel.psi_alpha1", "psi(alpha1) cycles H1 -> H2 -> H3", "psi(alpha1) = (1,2,3)"),
+)
+RHO_ROWS = (
+    ("kernel.rho_sigma1", "rho(sigma1) = ba"),
+    ("kernel.rho_sigma1_sq", "rho(sigma1^2) = (ba)^2", "rho(sigma1^2) = baba"),
+    ("kernel.rho_sigma2_sq", "rho(sigma2^2) = (ab)^2", "rho(sigma2^2) = abab"),
+)
+Z_CYCLE_ROWS = (
+    ("kernel.z_cycle_1", "z alpha0^2 z^-1 = delta4^-1"),
+    ("kernel.z_cycle_2", "z delta4^-1 z^-1 = (alpha0^2 delta4)^-1"),
+    ("kernel.z_cycle_3", "z (alpha0^2 delta4)^-1 z^-1 = alpha0^2"),
+)
+
+# in both Q16 *_{Q8} Q16 presentations a^2 = i and b = j in the core
+GAMMA1_ROWS = (
+    ("gamma.g1_actxa_a2", "a^-1 x fixes a^2", "(a^-1 x) a^2 (a^-1 x)^-1 = a^2"),
+    ("gamma.g1_actxa_b", "a^-1 x fixes b", "(a^-1 x) b (a^-1 x)^-1 = b"),
+    ("gamma.g1_actxa_a2b", "a^-1 x fixes a^2 b", "(a^-1 x) a^2 b (a^-1 x)^-1 = a^2 b"),
+    ("gamma.g1_actxax_a2", "x a^-1 x fixes a^2", "(x a^-1 x) a^2 (x a^-1 x)^-1 = a^2"),
+    ("gamma.g1_actxax_b", "x a^-1 x maps b to a^2 b",
+     "(x a^-1 x) b (x a^-1 x)^-1 = a^2 b"),
+    ("gamma.g1_actxax_a2b", "x a^-1 x maps a^2 b to b^-1",
+     "(x a^-1 x) a^2 b (x a^-1 x)^-1 = b^-1"),
+)
+GAMMA2_ROWS = (
+    ("gamma.g2_cycle_a2", "a^-1 x maps a^2 to b^-1", "(a^-1 x) a^2 (a^-1 x)^-1 = b^-1"),
+    ("gamma.g2_cycle_binv", "a^-1 x maps b^-1 to a^-2 b^-1",
+     "(a^-1 x) b^-1 (a^-1 x)^-1 = a^-2 b^-1"),
+    ("gamma.g2_cycle_a2inv_binv", "a^-1 x maps a^-2 b^-1 to a^2",
+     "(a^-1 x) a^-2 b^-1 (a^-1 x)^-1 = a^2"),
+)
 
 
 def verify_kernel_facts(model: B4Model, seed: int = 0xB4) -> list[CheckResult]:
     spec = model.spec
     s1, s2, s3 = model["sigma1"], model["sigma2"], model["sigma3"]
     x, y = model["x"], model["y"]
-    checks: list[CheckResult] = []
-
-    checks.append(_cond("kernel.psi_sigma1", "psi(sigma1) = (1,2)",
-                        psi(model, s1) == (2, 1, 3), perm_cycles(psi(model, s1))))
-    checks.append(_cond("kernel.psi_sigma2", "psi(sigma2) = (2,3)",
-                        psi(model, s2) == (1, 3, 2), perm_cycles(psi(model, s2))))
-    checks.append(_cond("kernel.psi_alpha0", "psi(alpha0) = (1,3)",
-                        psi(model, model["alpha0"]) == (3, 2, 1),
-                        perm_cycles(psi(model, model["alpha0"]))))
-    checks.append(_cond("kernel.psi_alpha1", "psi(alpha1) cycles H1 -> H2 -> H3",
-                        psi(model, model["alpha1"]) == (2, 3, 1),
-                        perm_cycles(psi(model, model["alpha1"]))))
+    checks = _check_rows(model, PSI_ROWS)
     checks.append(_cond(
         "kernel.psi_trivial_on_core", "psi(q) = id for every core element q",
         all(psi(model, spec.from_core(q)) == (1, 2, 3) for q in model.q_core),
@@ -517,24 +529,17 @@ def verify_kernel_facts(model: B4Model, seed: int = 0xB4) -> list[CheckResult]:
         "kernel.rho_kills_core", "rho(q) = e for every core element q",
         all(rho(model, spec.from_core(q)).is_identity for q in model.q_core),
     ))
-    checks.append(_cond("kernel.rho_sigma1", "rho(sigma1) = ba",
-                        rho(model, s1) == FreeProductWord(("b", "a")),
-                        str(rho(model, s1))))
-    checks.append(_cond("kernel.rho_sigma1_sq", "rho(sigma1^2) = (ba)^2",
-                        rho(model, power(s1, 2)) == FreeProductWord(("b", "a", "b", "a")),
-                        str(rho(model, power(s1, 2)))))
-    checks.append(_cond("kernel.rho_sigma2_sq", "rho(sigma2^2) = (ab)^2",
-                        rho(model, power(s2, 2)) == FreeProductWord(("a", "b", "a", "b")),
-                        str(rho(model, power(s2, 2)))))
+    checks += _check_rows(model, RHO_ROWS)
 
+    # these three print no witness, unlike a psi/rho/pi row
     checks.append(_cond("kernel.pi_alpha0", "pi(alpha0) = 3",
                         pi(model, model["alpha0"]) == 3))
     checks.append(_cond("kernel.pi_halftwist", "pi(delta4) = 0",
                         pi(model, model["delta4"]) == 0))
     checks.append(_cond("kernel.pi_sigma1", "pi(sigma1) = 1", pi(model, s1) == 1))
+    pi_xy3 = pi(model, evaluate_word("x y^3", spec, model.named))
     checks.append(_cond("kernel.pi_x_y_cubed", "pi(x y^3) lies outside {0, 3}",
-                        pi(model, multiply(x, power(y, 3))) not in (0, 3),
-                        str(pi(model, multiply(x, power(y, 3))))))
+                        pi_xy3 not in (0, 3), str(pi_xy3)))
 
     sigma_pool = [(s1, 1), (s2, 1), (s3, 1), (invert(s1), -1), (invert(s2), -1), (invert(s3), -1)]
     oracle_ok = True
@@ -585,8 +590,9 @@ def verify_kernel_facts(model: B4Model, seed: int = 0xB4) -> list[CheckResult]:
     normal_ok = True
     for side, gen in ((1, (1, 0)), (2, R_REP)):
         g = spec.from_factor(side, gen)
+        g_inv = invert(g)
         for q in model.q_core:
-            if _conj(g, spec.from_core(q)).letters:
+            if multiply(multiply(g, spec.from_core(q)), g_inv).letters:
                 normal_ok = False
     checks.append(_cond("kernel.core_normal",
                         "conjugates of the core by the factor generators stay in the core",
@@ -600,26 +606,17 @@ def verify_z_infinite(model: B4Model) -> list[CheckResult]:
     """z = sigma2^7 sigma1: order-3 action on the core, itself of infinite order."""
     spec = model.spec
     z = model["z"]
-    a0sq = power(model["alpha0"], 2)
-    d4 = model["delta4"]
-    a0sq_d4 = multiply(a0sq, d4)
-    checks = [
-        _cond("kernel.z_psi_three_cycle", "psi(z) is a 3-cycle",
-              sorted(psi(model, z)) == [1, 2, 3] and psi(model, z) != (1, 2, 3)
-              and perm_cycles(psi(model, z)).count(",") == 2,
-              perm_cycles(psi(model, z))),
-        _eq("kernel.z_cycle_1", "z alpha0^2 z^-1 = delta4^-1",
-            _conj(z, a0sq), invert(d4)),
-        _eq("kernel.z_cycle_2", "z delta4^-1 z^-1 = (alpha0^2 delta4)^-1",
-            _conj(z, invert(d4)), invert(a0sq_d4)),
-        _eq("kernel.z_cycle_3", "z (alpha0^2 delta4)^-1 z^-1 = alpha0^2",
-            _conj(z, invert(a0sq_d4)), a0sq),
+    cycles = perm_cycles(psi(model, z))
+    checks = [_cond("kernel.z_psi_three_cycle", "psi(z) is a 3-cycle",
+                    cycles.count(",") == 2, cycles)]
+    checks += _check_rows(model, Z_CYCLE_ROWS)
+    checks += [
         _cond("kernel.z_infinite_order", "z has infinite order",
               not has_finite_order(z), spec.format_element(z)),
         _cond("kernel.z_cube_nontrivial", "z^3 is not the identity",
               not power(z, 3).is_identity, spec.format_element(power(z, 3))),
-        _cond("kernel.z_pi", "pi(z) = 2", pi(model, z) == 2, str(pi(model, z))),
     ]
+    checks += _check_rows(model, (("kernel.z_pi", "pi(z) = 2"),))
     return checks
 
 
@@ -627,88 +624,53 @@ def verify_z_infinite(model: B4Model) -> list[CheckResult]:
 
 def build_gamma_specs() -> tuple[AmalgamSpec, AmalgamSpec]:
     """The two isomorphism classes of Q16 *_{Q8} Q16, with transversals {1,a} and {1,x}."""
-    core = quaternion_core()
+    core = generalized_quaternion(3)
     g1 = generalized_quaternion(4)
     g2 = generalized_quaternion(4)
     embed_a = _hom_from_generators(core, g1, {I_UNIT: (2, 0), J_UNIT: (0, 1)})
-    letter_names = {(1, (1, 0)): "a", (2, (1, 0)): "x"}
-    spec1 = AmalgamSpec(
-        name="Gamma1",
-        g1=g1,
-        g2=g2,
-        core=core,
-        embed1=embed_a,
-        embed2=_hom_from_generators(core, g2, {I_UNIT: (2, 0), J_UNIT: (0, 1)}),
-        transversal1=((0, 0), (1, 0)),
-        transversal2=((0, 0), (1, 0)),
-        letter_names=letter_names,
-        core_names=QUATERNION_NAMES,
-    )
-    spec2 = AmalgamSpec(
-        name="Gamma2",
-        g1=g1,
-        g2=g2,
-        core=core,
-        embed1=embed_a,
-        embed2=_hom_from_generators(core, g2, {J_UNIT: (2, 0), K_UNIT: (0, 1)}),
-        transversal1=((0, 0), (1, 0)),
-        transversal2=((0, 0), (1, 0)),
-        letter_names=letter_names,
-        core_names=QUATERNION_NAMES,
-    )
-    return spec1, spec2
+
+    def gamma(name: str, gen_map: dict) -> AmalgamSpec:
+        return AmalgamSpec(
+            name=name,
+            g1=g1,
+            g2=g2,
+            core=core,
+            embed1=embed_a,
+            embed2=_hom_from_generators(core, g2, gen_map),
+            transversal1=((0, 0), (1, 0)),
+            transversal2=((0, 0), (1, 0)),
+            letter_names={(1, (1, 0)): "a", (2, (1, 0)): "x"},
+            core_names=QUATERNION_NAMES,
+        )
+
+    return (gamma("Gamma1", {I_UNIT: (2, 0), J_UNIT: (0, 1)}),
+            gamma("Gamma2", {J_UNIT: (2, 0), K_UNIT: (0, 1)}))
 
 
 def verify_gamma_identities() -> list[CheckResult]:
     spec1, spec2 = build_gamma_specs()
-    checks: list[CheckResult] = []
-
-    # In both presentations a^2 = i, b = j, a^2 b = k as core elements.
-    for spec, tag in ((spec1, "g1"), (spec2, "g2")):
-        a_inv_x = reduce_word(spec, [(1, (7, 0)), (2, (1, 0))])
-        i_el = spec.from_core(I_UNIT)
-        j_el = spec.from_core(J_UNIT)
-        k_el = spec.from_core(K_UNIT)
-        if tag == "g1":
-            checks += [
-                _eq("gamma.g1_actxa_a2", "a^-1 x fixes a^2", _conj(a_inv_x, i_el), i_el),
-                _eq("gamma.g1_actxa_b", "a^-1 x fixes b", _conj(a_inv_x, j_el), j_el),
-                _eq("gamma.g1_actxa_a2b", "a^-1 x fixes a^2 b", _conj(a_inv_x, k_el), k_el),
-            ]
-            x_ainv_x = reduce_word(spec, [(2, (1, 0)), (1, (7, 0)), (2, (1, 0))])
-            checks += [
-                _eq("gamma.g1_actxax_a2", "x a^-1 x fixes a^2", _conj(x_ainv_x, i_el), i_el),
-                _eq("gamma.g1_actxax_b", "x a^-1 x maps b to a^2 b", _conj(x_ainv_x, j_el), k_el),
-                _eq("gamma.g1_actxax_a2b", "x a^-1 x maps a^2 b to b^-1",
-                    _conj(x_ainv_x, k_el), invert(j_el)),
-            ]
-            checks.append(_cond("gamma.g1_ax_infinite_order",
-                                "a^-1 x has infinite order in Gamma1",
-                                not has_finite_order(a_inv_x)))
-        else:
-            b_inv = invert(j_el)
-            a2inv_binv = multiply(invert(i_el), b_inv)
-            checks += [
-                _eq("gamma.g2_cycle_a2", "a^-1 x maps a^2 to b^-1",
-                    _conj(a_inv_x, i_el), b_inv),
-                _eq("gamma.g2_cycle_binv", "a^-1 x maps b^-1 to a^-2 b^-1",
-                    _conj(a_inv_x, b_inv), a2inv_binv),
-                _eq("gamma.g2_cycle_a2inv_binv", "a^-1 x maps a^-2 b^-1 to a^2",
-                    _conj(a_inv_x, a2inv_binv), i_el),
-            ]
-            orbit = {i_el}
-            cur = i_el
-            for _ in range(6):
-                cur = _conj(a_inv_x, cur)
-                if cur in orbit:
-                    break
-                orbit.add(cur)
-            checks.append(_cond("gamma.g2_orbit_size_3",
-                                "the a^-1 x conjugation orbit of a^2 has size 3",
-                                len(orbit) == 3, f"orbit size {len(orbit)}"))
-            checks.append(_cond("gamma.g2_ax_infinite_order",
-                                "a^-1 x has infinite order in Gamma2",
-                                not has_finite_order(a_inv_x)))
+    named1, named2 = (
+        {"a": spec.from_factor(1, (1, 0)), "x": spec.from_factor(2, (1, 0)),
+         "b": spec.from_core(J_UNIT)}
+        for spec in (spec1, spec2)
+    )
+    ax1 = evaluate_word("a^-1 x", spec1, named1)
+    ax2 = evaluate_word("a^-1 x", spec2, named2)
+    checks = [check_row(row, spec1, named1) for row in GAMMA1_ROWS]
+    checks.append(_cond("gamma.g1_ax_infinite_order", "a^-1 x has infinite order in Gamma1",
+                        not has_finite_order(ax1)))
+    checks += [check_row(row, spec2, named2) for row in GAMMA2_ROWS]
+    a2 = cur = evaluate_word("a^2", spec2, named2)
+    orbit = {a2}
+    for _ in range(6):
+        cur = multiply(multiply(ax2, cur), invert(ax2))
+        if cur in orbit:
+            break
+        orbit.add(cur)
+    checks.append(_cond("gamma.g2_orbit_size_3", "the a^-1 x conjugation orbit of a^2 has size 3",
+                        len(orbit) == 3, f"orbit size {len(orbit)}"))
+    checks.append(_cond("gamma.g2_ax_infinite_order", "a^-1 x has infinite order in Gamma2",
+                        not has_finite_order(ax2)))
     return checks
 
 
@@ -825,8 +787,6 @@ def verify_reidemeister_schreier() -> list[CheckResult]:
         "; ".join(str(g) for g in rs1.generators),
     ))
 
-    from .groups import build_cyclic
-
     z6 = build_cyclic(6)
     rs2 = reidemeister_schreier(z6, 4, 3, _STANDARD_TRANSVERSAL)
     checks.append(_cond("rs.abelianized_index", "the abelianised quotient has index 6",
@@ -856,9 +816,9 @@ def verify_suite(name: str, model: B4Model | None = None) -> list[CheckResult]:
     if name in ("braid", "actions", "kernel") and model is None:
         model = build_b4()
     if name == "braid":
-        return verify_braid_presentation(model)  # type: ignore[arg-type]
+        return _check_rows(model, BRAID_ROWS)  # type: ignore[arg-type]
     if name == "actions":
-        return verify_action_tables(model)  # type: ignore[arg-type]
+        return _check_rows(model, ACTION_ROWS)  # type: ignore[arg-type]
     if name == "kernel":
         return verify_kernel_facts(model)  # type: ignore[arg-type]
     if name == "gamma":

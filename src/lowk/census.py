@@ -5,14 +5,16 @@ group's generating set.  Every coarser count is a power-map merge of those
 classes (`merge_classes`): pair classes {g, g^-1} merge g with g^(e-1), and
 classes of cyclic subgroups merge g with g^t for t running over generators of
 the units modulo the exponent e.  The F-conjugacy blocks of `lowk.fconj` are
-the same merge over a Galois image.  Restricting a census to a few element
-orders keeps it cheap on large groups.
+the same merge over a Galois image, and all of them share one partition of
+the group, kept on it.  Restricting a census to a few element orders keeps
+it cheap on large groups.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .galois import full_unit_group, minimal_generators, prime_divisors
@@ -32,14 +34,18 @@ def _check_size(group: FiniteGroup, max_size: int) -> None:
 
 def _orbit_partition(
     group: FiniteGroup, elems: Iterable[ElementId]
-) -> tuple[list[tuple[ElementId, ...]], dict[ElementId, int]]:
-    """Partition `elems` into conjugacy classes (closed under conjugation)."""
+) -> tuple[tuple[tuple[ElementId, ...], ...], dict[ElementId, int]]:
+    """Partition `elems` (closed under conjugation) into conjugacy classes.
+
+    Returns the classes sorted by (element order, least element) and each
+    element's class index.
+    """
     mul = group.mul
     gen_pairs = [(g, group.inv(g)) for g in group.generators]
-    index: dict[ElementId, int] = {}
+    seen: set[ElementId] = set()
     classes: list[tuple[ElementId, ...]] = []
     for e in sorted(elems):
-        if e in index:
+        if e in seen:
             continue
         orbit = {e}
         frontier = [e]
@@ -50,23 +56,32 @@ def _orbit_partition(
                 if h not in orbit:
                     orbit.add(h)
                     frontier.append(h)
-        cls = tuple(sorted(orbit))
-        idx = len(classes)
-        classes.append(cls)
-        for h in cls:
-            index[h] = idx
-    return classes, index
+        seen |= orbit
+        classes.append(tuple(sorted(orbit)))
+    classes.sort(key=lambda c: (group.order_of(c[0]), c[0]))
+    return tuple(classes), {g: i for i, cls in enumerate(classes) for g in cls}
+
+
+def class_partition(
+    group: FiniteGroup,
+) -> tuple[tuple[tuple[ElementId, ...], ...], dict[ElementId, int]]:
+    """`_orbit_partition` of the whole group, made once and kept on the group."""
+    if group._class_partition is None:
+        group._class_partition = _orbit_partition(group, group.elements)
+    return group._class_partition
 
 
 @dataclass(frozen=True, eq=False)
 class ClassCensus:
-    """Conjugacy classes plus the per-order pair/subgroup class counts r1, r2."""
+    """Conjugacy classes plus the per-order pair/subgroup class counts r1, r2.
+
+    r1 and r2 are merged on first access.  |g| divides the exponent e, so
+    g^(e-1) = g^-1; and the units modulo e map onto the units modulo |g|, so
+    the g^t for those units t are the generators of <g>.
+    """
 
     group: FiniteGroup
     classes: tuple[tuple[ElementId, ...], ...]
-    r1_by_order: dict[int, int]
-    r2_by_order: dict[int, int]
-    restricted_orders: frozenset[int] | None = None
     _index: dict[ElementId, int] = field(default_factory=dict, repr=False)
 
     def class_of(self, g: ElementId) -> tuple[ElementId, ...]:
@@ -74,6 +89,19 @@ class ClassCensus:
 
     def class_count(self) -> int:
         return len(self.classes)
+
+    def _blocks_by_order(self, exponents: Iterable[int]) -> dict[int, int]:
+        order_of, classes = self.group.order_of, self.classes
+        roots = set(merge_classes(self.group, classes, self._index, exponents))
+        return dict(sorted(Counter(order_of(classes[r][0]) for r in roots).items()))
+
+    @cached_property
+    def r1_by_order(self) -> dict[int, int]:
+        return self._blocks_by_order((self.group.exponent - 1,))
+
+    @cached_property
+    def r2_by_order(self) -> dict[int, int]:
+        return self._blocks_by_order(minimal_generators(full_unit_group(self.group.exponent)))
 
 
 def merge_classes(
@@ -114,27 +142,11 @@ def conjugacy_classes(
 ) -> ClassCensus:
     """Full census, or a census restricted to elements of the given orders."""
     _check_size(group, max_size)
-    restricted = frozenset(orders) if orders is not None else None
-    elems = group.elements if restricted is None else group.elements_of_orders(restricted)
-    classes, _ = _orbit_partition(group, elems)
-    classes = tuple(sorted(classes, key=lambda c: (group.order_of(c[0]), c[0])))
-    index = {g: i for i, cls in enumerate(classes) for g in cls}
-
-    def blocks_by_order(exponents: Iterable[int]) -> dict[int, int]:
-        roots = set(merge_classes(group, classes, index, exponents))
-        return dict(sorted(Counter(group.order_of(classes[r][0]) for r in roots).items()))
-
-    # |g| divides e, so g^(e-1) = g^-1; and the units modulo e map onto the
-    # units modulo |g|, so the g^t for those units t are the generators of <g>
-    e = group.exponent
-    return ClassCensus(
-        group=group,
-        classes=classes,
-        r1_by_order=blocks_by_order((e - 1,)),
-        r2_by_order=blocks_by_order(minimal_generators(full_unit_group(e))),
-        restricted_orders=restricted,
-        _index=index,
-    )
+    if orders is None:
+        classes, index = class_partition(group)
+    else:
+        classes, index = _orbit_partition(group, group.elements_of_orders(frozenset(orders)))
+    return ClassCensus(group=group, classes=classes, _index=index)
 
 
 def centralizer(group: FiniteGroup, g: ElementId) -> tuple[ElementId, ...]:

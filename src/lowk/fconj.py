@@ -10,8 +10,9 @@ regular part of the group exponent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .census import _check_size, _orbit_partition, merge_classes
+from .census import _check_size, class_partition, merge_classes
 from .galois import FieldDescriptor, minimal_generators, phi_image
 from .groups import ElementId, FiniteGroup
 
@@ -44,12 +45,14 @@ def regular_modulus(group: FiniteGroup, field: FieldDescriptor) -> int:
 
 def _regular_classes(
     group: FiniteGroup, field: FieldDescriptor
-) -> tuple[list[tuple[ElementId, ...]], dict[ElementId, int]]:
+) -> tuple[Sequence[tuple[ElementId, ...]], dict[ElementId, int]]:
     """Conjugacy classes of the elements of order prime to the characteristic."""
+    classes, index = class_partition(group)
     p = field.characteristic
-    return _orbit_partition(
-        group, [g for g in group.elements if not p or group.order_of(g) % p]
-    )
+    if not p:
+        return classes, index
+    regular = [c for c in classes if group.order_of(c[0]) % p]
+    return regular, {g: i for i, cls in enumerate(regular) for g in cls}
 
 
 def f_partition(

@@ -56,18 +56,23 @@ def prime_divisors(n: int) -> list[int]:
 
 
 def mult_order(a: int, n: int) -> int:
-    """Least k >= 1 with a^k = 1 mod n.  Requires gcd(a, n) = 1."""
+    """Least k >= 1 with a^k = 1 mod n.  Requires gcd(a, n) = 1.
+
+    Starts from phi(n), which a^k = 1 divides, and strips each prime factor
+    q while a^(k/q) = 1 still holds: O(log n) modular powers once phi(n) is
+    factored.
+    """
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
     if math.gcd(a, n) != 1:
         raise ValueError(f"{a} is not a unit modulo {n}")
-    if n == 1:
-        return 1
-    a %= n
-    k, x = 1, a
-    while x != 1:
-        x = x * a % n
-        k += 1
+    phi = n
+    for p in prime_divisors(n):
+        phi = phi // p * (p - 1)
+    k = phi
+    for q in prime_divisors(phi):
+        while k % q == 0 and pow(a, k // q, n) == 1:
+            k //= q
     return k
 
 

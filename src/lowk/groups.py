@@ -71,6 +71,7 @@ class FiniteGroup:
         self._exponent = exponent
         self._order_strata = order_strata
         self._element_set = frozenset(self.elements)
+        self._class_partition = None  # (classes, index), kept by census.class_partition
 
     @property
     def order(self) -> int:

@@ -15,10 +15,9 @@ from .census import GroupTooLargeError, conjugacy_classes
 from .fconj import r_f
 from .galois import (
     FieldDescriptor,
-    contains_minus_one,
     divisors,
-    generated_subgroup,
     is_prime,
+    mult_order,
     prime_divisors,
 )
 from .groups import (
@@ -270,13 +269,15 @@ def sk1_is_trivial(group: FiniteGroup) -> bool:
 
 
 def lambda_value(m: int) -> int:
-    """(m-1)/|<2>| if -1 lies in <2> mod m, else (m-1)/(2|<2>|); m an odd prime."""
+    """(m-1)/|<2>| if -1 lies in <2> mod m, else (m-1)/(2|<2>|); m an odd prime.
+
+    |<2>| = k = ord_m(2), and for m prime -1 lies in <2> exactly when k is
+    even (the cyclic group (Z/m)^* has one element of order 2).
+    """
     if m == 2 or not is_prime(m):
         raise ValueError(f"lambda is defined for odd primes, got {m}")
-    sub = generated_subgroup(m, [2])
-    if contains_minus_one(sub):
-        return (m - 1) // len(sub)
-    return (m - 1) // (2 * len(sub))
+    k = mult_order(2, m)
+    return (m - 1) // k if k % 2 == 0 else (m - 1) // (2 * k)
 
 
 def carter_rank(group: FiniteGroup, *, max_size: int = 5000) -> int:

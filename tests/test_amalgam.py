@@ -11,7 +11,7 @@ from lowk.amalgam import (
     power,
     reduce_word,
 )
-from lowk.b4 import I_UNIT, J_UNIT, R_REP, build_b4_spec, build_gamma_specs
+from lowk.b4 import I_UNIT, J_UNIT, R2_REP, R_REP, build_b4_spec, build_gamma_specs
 
 
 @pytest.fixture(scope="module")
@@ -172,14 +172,14 @@ def test_cross_spec_multiplication_rejected(spec):
 
 def test_transversal_validation_catches_bad_cosets():
     from lowk.amalgam import AmalgamSpec
-    from lowk.b4 import quaternion_core, _hurwitz_tstar, _hom_from_generators
-    from lowk.groups import generalized_quaternion
+    from lowk.b4 import TSTAR_I, TSTAR_J, _hom_from_generators
+    from lowk.groups import build_binary_polyhedral, generalized_quaternion
 
-    core = quaternion_core()
+    core = generalized_quaternion(3)
     q16 = generalized_quaternion(4)
-    tstar = _hurwitz_tstar()
+    tstar = build_binary_polyhedral("T*")
     embed1 = _hom_from_generators(core, q16, {I_UNIT: (2, 0), J_UNIT: (0, 1)})
-    embed2 = {q: tuple(2 * c for c in q) for q in core.elements}
+    embed2 = _hom_from_generators(core, tstar, {I_UNIT: TSTAR_I, J_UNIT: TSTAR_J})
     with pytest.raises(AmalgamError):
         AmalgamSpec(
             name="bad",
@@ -189,5 +189,5 @@ def test_transversal_validation_catches_bad_cosets():
             embed1=embed1,
             embed2=embed2,
             transversal1=((0, 0), (2, 0)),  # (2,0) lies in the core image
-            transversal2=((2, 0, 0, 0), R_REP, (-1, 1, 1, 1)),
+            transversal2=(tstar.identity, R_REP, R2_REP),
         )

@@ -6,10 +6,17 @@ import pytest
 
 from lowk.amalgam import has_finite_order, invert, multiply, power
 from lowk.b4 import (
+    QUATERNION_NAMES,
+    R2_REP,
+    R_REP,
     SUITES,
+    TSTAR_I,
+    TSTAR_J,
     FreeProductWord,
     build_b4,
     build_gamma_specs,
+    check_row,
+    evaluate_word,
     perm_cycles,
     pi,
     pi_tilde,
@@ -18,11 +25,12 @@ from lowk.b4 import (
     rho,
     verify_all,
     verify_suite,
+    _hom_from_generators,
     _sym3,
     _STANDARD_TRANSVERSAL,
 )
 from lowk.cli import main
-from lowk.groups import build_cyclic
+from lowk.groups import FiniteGroup, build_cyclic
 
 
 @pytest.fixture(scope="module")
@@ -256,3 +264,104 @@ def test_verify_json_matches_golden_byte_for_byte(capsys, suite):
     code = main(["b4", "verify", "--suite", suite, "--format", "json"])
     assert code == 0
     assert capsys.readouterr().out == _golden_for_suite(suite)
+
+
+# -- the row evaluator ---------------------------------------------------------
+
+def test_row_that_holds_passes_with_its_normal_form(model):
+    result = check_row(("t.braid", "sigma1 sigma2 sigma1 = sigma2 sigma1 sigma2"),
+                       model.spec, model.named, model)
+    assert result.status == "pass"
+    assert result.witness_normal_form == model.spec.format_element(
+        multiply(multiply(model["sigma1"], model["sigma2"]), model["sigma1"]))
+
+
+def test_false_row_fails_with_both_sides(model):
+    result = check_row(("t.false", "sigma1 = sigma2"), model.spec, model.named, model)
+    fmt = model.spec.format_element
+    assert result.to_json() == {
+        "check_id": "t.false",
+        "statement": "sigma1 = sigma2",
+        "status": "fail",
+        "witness_normal_form": f"lhs={fmt(model['sigma1'])} rhs={fmt(model['sigma2'])}",
+    }
+
+
+def test_prose_row_evaluates_its_equation(model):
+    row = ("t.prose", "full twist is trivial", "ft = 1")
+    result = check_row(row, model.spec, model.named, model)
+    assert result.statement == "full twist is trivial"
+    assert result.status == "fail"
+    assert result.witness_normal_form == "lhs=-1 rhs=1"
+
+
+def test_quotient_row_compares_printed_values(model):
+    ok = check_row(("t.psi", "psi(sigma1) = (1,2)"), model.spec, model.named, model)
+    bad = check_row(("t.psi", "psi(sigma1) = (2,3)"), model.spec, model.named, model)
+    assert (ok.status, ok.witness_normal_form) == ("pass", "(1,2)")
+    assert (bad.status, bad.witness_normal_form) == ("fail", "(1,2)")
+
+
+def test_word_powers_and_parentheses(model):
+    spec, named = model.spec, model.named
+    s1, s2 = model["sigma1"], model["sigma2"]
+    assert evaluate_word("1", spec, named).is_identity
+    assert evaluate_word("(sigma1 sigma2)^3", spec, named) == power(multiply(s1, s2), 3)
+    assert evaluate_word("sigma1^-2 sigma2^0", spec, named) == power(invert(s1), 2)
+    assert evaluate_word("((sigma1))^-1", spec, named) == invert(s1)
+
+
+@pytest.mark.parametrize("word", [
+    "sigma4", "sigma1 q", "(sigma1 sigma2", "sigma1 sigma2)", "()", "", "sigma1^",
+    "sigma1^x", "2",
+])
+def test_malformed_words_raise(model, word):
+    with pytest.raises(ValueError):
+        evaluate_word(word, model.spec, model.named)
+
+
+def test_malformed_rows_raise(model):
+    for row in (("t.none", "sigma1 sigma2"), ("t.two", "sigma1 = sigma2 = sigma3"),
+                ("t.name", "sigma1 = tau")):
+        with pytest.raises(ValueError):
+            check_row(row, model.spec, model.named, model)
+
+
+# -- the factors are the groups of lowk.groups ---------------------------------
+
+def _quaternion_mul(x, y):
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (
+        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+        a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+        a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+        a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+    )
+
+
+def test_core_names_follow_quaternion_multiplication(model):
+    unit = {"1": (1, 0, 0, 0), "i": (0, 1, 0, 0), "j": (0, 0, 1, 0), "k": (0, 0, 0, 1)}
+    for name, q in list(unit.items()):
+        unit["-" + name] = tuple(-c for c in q)
+    core = model.spec.core
+    for a in core:
+        for b in core:
+            product = QUATERNION_NAMES[core.mul(a, b)]
+            assert unit[product] == _quaternion_mul(unit[QUATERNION_NAMES[a]],
+                                                    unit[QUATERNION_NAMES[b]])
+
+
+def test_tstar_is_the_hurwitz_unit_group(model):
+    # the 24 Hurwitz units with doubled coordinates; i, j and
+    # r = -(1+i+j+k)/2 must go to TSTAR_I, TSTAR_J and R_REP isomorphically
+    def hmul(x, y):
+        return tuple(c // 2 for c in _quaternion_mul(x, y))
+
+    i2, j2, r2 = (0, 2, 0, 0), (0, 0, 2, 0), (-1, -1, -1, -1)
+    hurwitz = FiniteGroup.from_closure("Hurwitz", (i2, j2, r2), hmul, (2, 0, 0, 0),
+                                       expect_order=24)
+    tstar = model.spec.factors[1]
+    iso = _hom_from_generators(hurwitz, tstar, {i2: TSTAR_I, j2: TSTAR_J, r2: R_REP})
+    assert len(set(iso.values())) == 24
+    assert iso[hmul(r2, r2)] == R2_REP

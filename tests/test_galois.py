@@ -25,6 +25,18 @@ def test_mult_order_basics():
     assert mult_order(2, 257) == 16
 
 
+def test_mult_order_matches_repeated_multiplication():
+    for n in range(1, 300):
+        for a in range(n + 2):
+            if math.gcd(a, n) != 1:
+                continue
+            k, x = 1, a % n
+            while x != 1 % n:
+                x = x * a % n
+                k += 1
+            assert mult_order(a, n) == k, (a, n)
+
+
 def test_mult_order_rejects_non_units():
     with pytest.raises(ValueError):
         mult_order(2, 8)

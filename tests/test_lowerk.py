@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from lowk.census import GroupTooLargeError
@@ -26,7 +28,7 @@ from lowk.lowerk import (
     whitehead_rank,
 )
 from lowk.fconj import r_f
-from lowk.galois import FieldDescriptor
+from lowk.galois import FieldDescriptor, is_prime
 
 
 # -- abelian group expressions -------------------------------------------------
@@ -68,6 +70,26 @@ def test_lambda_known_values():
     assert lambda_value(127) == 9
     assert lambda_value(8191) == 315
     assert lambda_value(5) == 1  # <2> = all units mod 5
+
+
+def test_lambda_matches_the_residue_subgroup():
+    # the definition itself: <2> mod m as a residue set, and whether -1 is in it
+    for m in range(3, 3000, 2):
+        if not is_prime(m):
+            continue
+        powers, x = {1}, 2
+        while x != 1:
+            powers.add(x)
+            x = x * 2 % m
+        expected = (m - 1) // len(powers) if m - 1 in powers else (m - 1) // (2 * len(powers))
+        assert lambda_value(m) == expected, m
+
+
+def test_lambda_of_primes_past_a_billion_is_fast():
+    start = time.perf_counter()
+    assert lambda_value(2**31 - 1) == (2**31 - 2) // (2 * 31)  # ord(2) = 31, odd
+    assert lambda_value(1_000_000_007) == 1  # ord(2) = (m - 1)/2 = 500000003, odd
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("m", [2, 9, 15, 1])

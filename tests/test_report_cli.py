@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -210,3 +211,25 @@ def test_cli_unsupported_parameters(capsys):
     code, _, err = run_cli(capsys, "group", "dicyclic", "--m", "1")
     assert code == 2
     assert err
+
+
+def test_group_report_partitions_the_group_once(monkeypatch):
+    from lowk import census
+
+    calls = []
+    partition = census._orbit_partition
+
+    def counting(group, elems):
+        calls.append(group.name)
+        return partition(group, elems)
+
+    # patch every lowk module that binds the partition, not only census
+    for name, module in list(sys.modules.items()):
+        if name.startswith("lowk"):
+            for attr, value in list(vars(module).items()):
+                if value is partition:
+                    monkeypatch.setattr(module, attr, counting)
+    report = group_report("cyclic", m=1830, invariants=("wh", "kminus1", "rf"),
+                          field_descriptor=FieldDescriptor.p_adic(3))
+    assert calls == ["Z_1830"]
+    assert report.rf["field"] == "Q_3"
