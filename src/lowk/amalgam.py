@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .groups import ElementId, FiniteGroup
+from .groups import ElementId, FiniteGroup, binary_power
 
 Letter = tuple[int, ElementId]  # (side 1|2, transversal representative)
 Word = Sequence[tuple[int, ElementId]]  # arbitrary factor elements tagged by side
@@ -242,14 +242,7 @@ def invert(a: AmalgamElement) -> AmalgamElement:
 def power(a: AmalgamElement, k: int) -> AmalgamElement:
     if k < 0:
         a, k = invert(a), -k
-    result = a.spec.identity()
-    base = a
-    while k:
-        if k & 1:
-            result = multiply(result, base)
-        base = multiply(base, base)
-        k >>= 1
-    return result
+    return binary_power(a, k, multiply, a.spec.identity())
 
 
 def has_finite_order(a: AmalgamElement) -> bool:

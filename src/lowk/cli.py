@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 failed verification checks, 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -39,7 +40,13 @@ def _common(parser: argparse.ArgumentParser, top_level: bool = False) -> None:
                         **({"default": 5000} if top_level else default))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `lowk` argument parser, built once per process.
+
+    `parse_args` fills a fresh namespace on every call, so one parser serves
+    every `main` call.
+    """
     parser = argparse.ArgumentParser(
         prog="lowk",
         description="Lower algebraic K-theory of the finite subgroups of sphere "

@@ -41,18 +41,29 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def prime_divisors(n: int) -> list[int]:
+def factorization(n: int) -> list[tuple[int, int]]:
+    """(p, e) for each prime power p^e exactly dividing n, p ascending.
+
+    Trial division whose bound shrinks as factors are stripped out, so a
+    number with small factors, such as 2^k, costs O(log n) divisions.
+    """
     out = []
     f = 2
     while f * f <= n:
         if n % f == 0:
-            out.append(f)
+            e = 0
             while n % f == 0:
                 n //= f
+                e += 1
+            out.append((f, e))
         f += 1
     if n > 1:
-        out.append(n)
+        out.append((n, 1))
     return out
+
+
+def prime_divisors(n: int) -> list[int]:
+    return [p for p, _ in factorization(n)]
 
 
 def mult_order(a: int, n: int) -> int:

@@ -1,16 +1,20 @@
 """Exact models of finite group families: cyclic, dicyclic, binary polyhedral.
 
 Element ids are canonical hashable values (ints or int tuples) and equality is
-structural, so hashing and output ordering are reproducible.  Multiplication
-is closed-form wherever the family allows it; dicyclic groups in particular
-never materialise a multiplication table, which keeps Dic_{4*8191} cheap.
+structural, so hashing and output ordering are reproducible.  Multiplication,
+inversion and element orders are closed-form wherever the family allows it,
+and no group keeps a multiplication table.  A group stores its order as an
+integer; its sorted element list is materialised only when something reads
+it, such as a class census.  So a closed-form answer for Z_m, Dic_4m or
+Q_{2^k} costs nothing proportional to the group order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from functools import cached_property
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 ElementId = Any
 
@@ -40,18 +44,44 @@ class FamilyTag:
         return self.kind if self.param is None else f"{self.kind}({self.param})"
 
 
+def binary_power(
+    g: ElementId, k: int, mul: Callable[[ElementId, ElementId], ElementId], identity: ElementId
+) -> ElementId:
+    """g^k for k >= 0 by repeated squaring.
+
+    Starts from g itself, not the identity, and squares only while higher
+    bits remain: bit_length(k) + popcount(k) - 2 products for k >= 1.
+    """
+    if k == 0:
+        return identity
+    while not k & 1:
+        g = mul(g, g)
+        k >>= 1
+    result = g
+    k >>= 1
+    while k:
+        g = mul(g, g)
+        if k & 1:
+            result = mul(result, g)
+        k >>= 1
+    return result
+
+
 class FiniteGroup:
     """A concrete finite group over opaque element ids.
 
     All state is fixed at construction; operations are pure.  `generators`
-    must generate the group (conjugacy machinery relies on it).
+    must generate the group (conjugacy machinery relies on it).  `elements`
+    is an iterable of the element ids, or a zero-argument function returning
+    one; it is sorted into the `elements` tuple on first access only, so
+    `order` must then be given.
     """
 
     def __init__(
         self,
         name: str,
         family: FamilyTag,
-        elements: Sequence[ElementId],
+        elements: Iterable[ElementId] | Callable[[], Iterable[ElementId]],
         identity: ElementId,
         generators: Sequence[ElementId],
         mul: Callable[[ElementId, ElementId], ElementId],
@@ -59,10 +89,12 @@ class FiniteGroup:
         order_of: Callable[[ElementId], int],
         exponent: int | None = None,
         order_strata: Callable[[frozenset[int]], list[ElementId]] | None = None,
+        order: int | None = None,
     ) -> None:
         self.name = name
         self.family = family
-        self.elements = tuple(sorted(elements))
+        self._element_source = elements
+        self._order = len(elements) if order is None else order
         self.identity = identity
         self.generators = tuple(generators)
         self.mul = mul
@@ -70,12 +102,27 @@ class FiniteGroup:
         self.order_of = order_of
         self._exponent = exponent
         self._order_strata = order_strata
-        self._element_set = frozenset(self.elements)
         self._class_partition = None  # (classes, index), kept by census.class_partition
+
+    @cached_property
+    def elements(self) -> tuple[ElementId, ...]:
+        """All element ids, sorted; built on first access."""
+        source = self._element_source
+        elements = tuple(sorted(source() if callable(source) else source))
+        if len(elements) != self._order:
+            raise GroupConstructionError(
+                f"{self.name}: {len(elements)} elements, expected order {self._order}"
+            )
+        self._element_source = None
+        return elements
+
+    @cached_property
+    def _element_set(self) -> frozenset[ElementId]:
+        return frozenset(self.elements)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return self._order
 
     @property
     def exponent(self) -> int:
@@ -86,14 +133,7 @@ class FiniteGroup:
     def power(self, g: ElementId, k: int) -> ElementId:
         if k < 0:
             g, k = self.inv(g), -k
-        result = self.identity
-        base = g
-        while k:
-            if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return result
+        return binary_power(g, k, self.mul, self.identity)
 
     def conj(self, a: ElementId, g: ElementId) -> ElementId:
         """a * g * a^-1."""
@@ -105,7 +145,7 @@ class FiniteGroup:
         return [g for g in self.elements if self.order_of(g) in orders]
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self._order
 
     def __iter__(self) -> Iterator[ElementId]:
         return iter(self.elements)
@@ -192,6 +232,7 @@ def build_cyclic(m: int) -> FiniteGroup:
         name=f"Z_{m}",
         family=FamilyTag(CYCLIC, m),
         elements=range(m),
+        order=m,
         identity=0,
         generators=(1 % m,),
         mul=lambda a, b: (a + b) % m,
@@ -239,7 +280,8 @@ def _dicyclic(name: str, m: int, family: FamilyTag) -> FiniteGroup:
     return FiniteGroup(
         name=name,
         family=family,
-        elements=[(a, b) for a in range(two_m) for b in (0, 1)],
+        elements=lambda: [(a, b) for a in range(two_m) for b in (0, 1)],
+        order=2 * two_m,
         identity=(0, 0),
         generators=((1, 0), (0, 1)),
         mul=mul,

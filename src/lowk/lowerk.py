@@ -8,6 +8,7 @@ shapes of the rational group algebras, and the Bass-Heller-Swan splitting.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -16,6 +17,7 @@ from .fconj import r_f
 from .galois import (
     FieldDescriptor,
     divisors,
+    factorization,
     is_prime,
     mult_order,
     prime_divisors,
@@ -203,8 +205,10 @@ def _real_cyclotomic(d: int) -> str:
 
 
 def delta(q: int) -> int:
-    """Number of divisors of q."""
-    return len(divisors(q))
+    """Number of divisors of q: the product of e + 1 over the prime powers p^e of q."""
+    if q < 1:
+        raise ValueError(f"divisors of {q} undefined")
+    return math.prod(e + 1 for _, e in factorization(q))
 
 
 def _whitehead_closed_form(group: FiniteGroup) -> int | None:

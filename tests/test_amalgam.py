@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import lowk.amalgam
 from lowk.amalgam import (
     AmalgamError,
     conjugate_subgroup,
@@ -191,3 +192,24 @@ def test_transversal_validation_catches_bad_cosets():
             transversal1=((0, 0), (2, 0)),  # (2,0) lies in the core image
             transversal2=(tstar.identity, R_REP, R2_REP),
         )
+
+
+def test_power_uses_the_fewest_multiplies(spec, monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append(None)
+        return multiply(a, b)
+
+    monkeypatch.setattr(lowk.amalgam, "multiply", counting)
+    el = reduce_word(spec, [(1, spec.factors[0].generators[0]), (2, R_REP)])
+    for k in [*range(0, 9), *range(-4, 0)]:
+        calls.clear()
+        got = power(el, k)
+        n = abs(k)
+        assert len(calls) == (n.bit_length() + bin(n).count("1") - 2 if n else 0)
+        base = el if k >= 0 else invert(el)
+        expected = spec.identity()
+        for _ in range(n):
+            expected = multiply(expected, base)
+        assert got == expected

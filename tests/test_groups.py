@@ -178,3 +178,69 @@ def test_closure_size_guard():
         FiniteGroup.from_closure(
             "big", [1], lambda a, b: (a + b) % 10**6, 0, max_size=100
         )
+
+
+LAZY_ROSTER = (
+    [build_cyclic(m) for m in range(1, 61)]
+    + [build_dicyclic(m) for m in range(2, 21)]
+    + [generalized_quaternion(k) for k in range(3, 8)]
+    + [build_binary_polyhedral(kind) for kind in ("T*", "O*", "I*")]
+)
+
+
+@pytest.mark.parametrize("group", LAZY_ROSTER, ids=lambda g: g.name)
+def test_lazy_elements_match_the_stored_order(group):
+    els = group.elements
+    assert group.order == len(group) == len(els)
+    assert list(els) == sorted(set(els))
+    assert all(g in group for g in els)
+    present = sorted({group.order_of(g) for g in els})
+    for orders in [{d} for d in present] + [set(present[::2]), set(present)]:
+        fast = sorted(group.elements_of_orders(frozenset(orders)))
+        assert fast == [g for g in els if group.order_of(g) in orders]
+
+
+def test_family_groups_build_no_element_list():
+    for group, order in ((build_cyclic(10**12), 10**12), (build_dicyclic(10**12), 4 * 10**12),
+                         (generalized_quaternion(200), 2**200)):
+        assert "elements" not in vars(group)
+        assert group.order == order
+        assert group.power(group.generators[0], group.exponent) == group.identity
+        assert "elements" not in vars(group)
+
+
+def test_lazy_element_count_is_checked_against_the_order():
+    from lowk.groups import CUSTOM, FamilyTag, FiniteGroup
+
+    group = FiniteGroup(
+        name="bad", family=FamilyTag(CUSTOM), elements=lambda: [0, 1], order=3,
+        identity=0, generators=(1,), mul=lambda a, b: (a + b) % 3,
+        inv=lambda a: -a % 3, order_of=lambda a: 1 if a == 0 else 3,
+    )
+    assert group.order == 3
+    with pytest.raises(GroupConstructionError):
+        group.elements
+
+
+@pytest.mark.parametrize("group", [build_dicyclic(7), build_binary_polyhedral("T*")],
+                         ids=lambda g: g.name)
+def test_power_uses_the_fewest_square_and_multiply_steps(group):
+    calls = []
+    mul = group.mul
+
+    def counting(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    group.mul = counting
+    for g in group.generators:
+        for k in [*range(0, 9), *range(-4, 0)]:
+            calls.clear()
+            got = group.power(g, k)
+            n = abs(k)
+            assert len(calls) == (n.bit_length() + bin(n).count("1") - 2 if n else 0)
+            base = g if k >= 0 else group.inv(g)
+            expected = group.identity
+            for _ in range(n):
+                expected = mul(expected, base)
+            assert got == expected

@@ -28,7 +28,7 @@ from lowk.lowerk import (
     whitehead_rank,
 )
 from lowk.fconj import r_f
-from lowk.galois import FieldDescriptor, is_prime
+from lowk.galois import FieldDescriptor, divisors, is_prime
 
 
 # -- abelian group expressions -------------------------------------------------
@@ -90,6 +90,31 @@ def test_lambda_of_primes_past_a_billion_is_fast():
     assert lambda_value(2**31 - 1) == (2**31 - 2) // (2 * 31)  # ord(2) = 31, odd
     assert lambda_value(1_000_000_007) == 1  # ord(2) = (m - 1)/2 = 500000003, odd
     assert time.perf_counter() - start < 1.0
+
+
+def test_delta_counts_every_divisor():
+    for n in range(1, 5000):
+        assert delta(n) == len(divisors(n)), n
+    with pytest.raises(ValueError):
+        delta(0)
+
+
+def test_quaternion_closed_forms_at_k_200_are_fast(capsys):
+    import json
+
+    from lowk.cli import main
+
+    start = time.perf_counter()
+    code = main(["group", "quaternion", "--k", "200",
+                 "--invariants", "wh,k0,wedderburn", "--format", "json"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    m = 2**198
+    assert doc["wh"]["rank"] == m + 1 - 200  # delta(2m) = delta(2^199) = 200
+    assert doc["k0"] == "unknown"
+    assert len(doc["wedderburn"]) == 4 + (200 - 3) + 1
+
 
 
 @pytest.mark.parametrize("m", [2, 9, 15, 1])

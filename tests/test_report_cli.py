@@ -1,9 +1,14 @@
 import json
+import os
+import resource
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import lowk
+from lowk import report as report_module
 from lowk.cli import main
 from lowk.lowerk import UNKNOWN, AbelianGroupExpr, Z2_INF, W_NAME
 from lowk.galois import FieldDescriptor
@@ -15,6 +20,7 @@ from lowk.report import (
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = str(Path(lowk.__file__).resolve().parents[1])
 
 
 def test_group_report_dic20():
@@ -233,3 +239,73 @@ def test_group_report_partitions_the_group_once(monkeypatch):
                           field_descriptor=FieldDescriptor.p_adic(3))
     assert calls == ["Z_1830"]
     assert report.rf["field"] == "Q_3"
+
+
+# -- bounded cost for closed-form paths -------------------------------------------
+
+def test_closed_form_reports_leave_elements_unbuilt(monkeypatch):
+    built = []
+    build = report_module._build_group
+
+    def capture(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(report_module, "_build_group", capture)
+    group_report("dicyclic", m=200891)
+    group_report("quaternion", k=18, invariants=("wh", "k0"))
+    assert [g.name for g in built] == ["Dic_803564", "Q_262144"]
+    for group in built:
+        assert "elements" not in vars(group)
+
+
+CHILD_ADDRESS_SPACE = 1 << 30
+
+
+def _cli_in_child(*argv):
+    """Run `python -m lowk.cli argv` in a child capped at 1 GiB of address space."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run(
+        [sys.executable, "-m", "lowk.cli", *argv], capture_output=True, text=True,
+        timeout=10, preexec_fn=cap, env=env,
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ("group", "dicyclic", "--m", "1000003"),
+    ("group", "quaternion", "--k", "40", "--invariants", "wh,k0"),
+])
+def test_huge_closed_form_answers_in_bounded_memory(argv):
+    done = _cli_in_child(*argv, "--format", "json")
+    assert done.returncode == 0, done.stderr
+    assert "wh: family closed form" in json.loads(done.stdout)["provenance"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("group", "cyclic", "--m", "1000000007"),
+    ("group", "quaternion", "--k", "40"),
+])
+def test_huge_census_only_query_exits_2_in_bounded_memory(argv):
+    done = _cli_in_child(*argv)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "Traceback" not in done.stderr
+
+
+def test_cli_main_twice_matches_a_fresh_process(capsys):
+    first = ["group", "cyclic", "--m", "12", "--max-brute-force", "4",
+             "--invariants", "wh", "--format", "json"]
+    second = ["group", "dicyclic", "--m", "5"]
+    assert main(first) == 0
+    capsys.readouterr()
+    assert main(second) == 0
+    out = capsys.readouterr().out
+    fresh = _cli_in_child(*second)
+    assert fresh.returncode == 0
+    assert out == fresh.stdout
+    assert "census" in out
