@@ -29,11 +29,10 @@ from .amalgam import (
     power,
 )
 from .groups import (
-    CUSTOM,
-    FamilyTag,
     FiniteGroup,
     build_binary_polyhedral,
     build_cyclic,
+    closure,
     generalized_quaternion,
 )
 
@@ -60,20 +59,19 @@ R2_REP = (2, 2, 1, 0)  # r^2 = (-1+i+j+k)/2
 def _hom_from_generators(
     src: FiniteGroup, dst: FiniteGroup, gen_map: dict
 ) -> dict:
-    """Extend generator images to a homomorphism; fails on inconsistency."""
-    mapping = {src.identity: dst.identity}
-    frontier = [src.identity]
-    while frontier:
-        x = frontier.pop()
-        for g, img in gen_map.items():
-            y = src.mul(x, g)
-            iy = dst.mul(mapping[x], img)
-            if y in mapping:
-                if mapping[y] != iy:
-                    raise AmalgamError("generator images do not define a homomorphism")
-            else:
-                mapping[y] = iy
-                frontier.append(y)
+    """Extend generator images to a homomorphism; fails on inconsistency.
+
+    The pairs (g, image of g) generate a subgroup of src x dst; it is the
+    graph of a homomorphism exactly when no source element occurs twice.
+    """
+    graph = closure(
+        (src.identity, dst.identity),
+        gen_map.items(),
+        lambda x, g: (src.mul(x[0], g[0]), dst.mul(x[1], g[1])),
+    )
+    mapping = dict(graph)
+    if len(mapping) != len(graph):
+        raise AmalgamError("generator images do not define a homomorphism")
     if len(mapping) != src.order:
         raise AmalgamError("generator map does not cover the source group")
     return mapping
@@ -216,34 +214,18 @@ def build_b4() -> B4Model:
             raise AmalgamError(f"self-check failed: {equation}")
 
     core = spec.core
-    q_prime = _subgroup_closure(
-        spec, [evaluate_word(w, spec, named) for w in ("alpha0^2", "alpha0 delta4")]
-    )
+    q_prime_gens = [evaluate_word(w, spec, named) for w in ("alpha0^2", "alpha0 delta4")]
+    q_prime = closure(spec.identity(), q_prime_gens, multiply)
     return B4Model(
         spec=spec,
         named=named,
         q_core=tuple(sorted(core.elements)),
-        q_prime=tuple(q_prime),
+        q_prime=tuple(sorted(q_prime, key=lambda e: (e.letters, e.core))),
         h_subgroups=tuple(
             frozenset(core.power(q, n) for n in range(4))
             for q in (J_UNIT, I_UNIT, K_UNIT)
         ),
     )
-
-
-def _subgroup_closure(
-    spec: AmalgamSpec, gens: Sequence[AmalgamElement]
-) -> list[AmalgamElement]:
-    elems = {spec.identity()}
-    frontier = [spec.identity()]
-    while frontier:
-        a = frontier.pop()
-        for g in gens:
-            b = multiply(a, g)
-            if b not in elems:
-                elems.add(b)
-                frontier.append(b)
-    return sorted(elems, key=lambda e: (e.letters, e.core))
 
 
 # -- the quotient Z3 * Z2 -----------------------------------------------------
@@ -699,15 +681,7 @@ def reidemeister_schreier(
         raise ValueError(
             "kernel is not torsion-free: the images of a and b must have orders 3 and 2"
         )
-    image = {quotient.identity}
-    frontier = [quotient.identity]
-    while frontier:
-        g = frontier.pop()
-        for h in (a_image, b_image):
-            y = quotient.mul(g, h)
-            if y not in image:
-                image.add(y)
-                frontier.append(y)
+    image = closure(quotient.identity, (a_image, b_image), quotient.mul)
     index = len(image)
     if len(transversal) != index:
         raise ValueError(f"transversal has {len(transversal)} words, index is {index}")
@@ -758,7 +732,6 @@ def _sym3() -> FiniteGroup:
         generators=((2, 0, 1), (2, 1, 0)),
         mul=compose,
         identity=(0, 1, 2),
-        family=FamilyTag(CUSTOM),
         expect_order=6,
     )
 

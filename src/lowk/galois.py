@@ -2,42 +2,60 @@
 
 `phi_image` computes the image of the Galois group of F(zeta_n)/F inside
 (Z/n)^* for F one of Q, Q_p, F_p.  Only the image set matters downstream,
-so no cyclotomic arithmetic is ever performed.
+so no cyclotomic arithmetic is ever performed.  Subgroups generated by
+residues are enumerated by `groups.closure`.  Primality, factorisation and
+divisors use trial division up to TRIAL_BOUND: an input that needs more,
+such as a prime past 10^14, raises ValueError with the reason instead of
+running unbounded.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
+from .groups import closure
+
+# Trial division stops here: past it, is_prime, factorization and divisors
+# raise ValueError instead of running for hours.
+TRIAL_BOUND = 10**7
+
 
 def is_prime(n: int) -> bool:
+    """Trial division by odd f <= sqrt(n); raises past TRIAL_BOUND."""
     if n < 2:
         return False
     if n < 4:
         return True
     if n % 2 == 0:
         return False
-    f = 3
-    while f * f <= n:
+    root = math.isqrt(n)
+    for f in range(3, min(root, TRIAL_BOUND) + 1, 2):
         if n % f == 0:
             return False
-        f += 2
+    if root > TRIAL_BOUND:
+        raise ValueError(
+            f"cannot test {n} for primality: trial division stops at {TRIAL_BOUND}"
+        )
     return True
 
 
 def divisors(n: int) -> list[int]:
-    """All positive divisors of n, sorted."""
+    """All positive divisors of n, sorted; raises when sqrt(n) > TRIAL_BOUND."""
     if n < 1:
         raise ValueError(f"divisors of {n} undefined")
+    root = math.isqrt(n)
+    if root > TRIAL_BOUND:
+        raise ValueError(
+            f"cannot list the divisors of {n}: trial division stops at {TRIAL_BOUND}"
+        )
     small, large = [], []
-    f = 1
-    while f * f <= n:
+    for f in range(1, root + 1):
         if n % f == 0:
             small.append(f)
             if f != n // f:
                 large.append(n // f)
-        f += 1
     return small + large[::-1]
 
 
@@ -46,17 +64,22 @@ def factorization(n: int) -> list[tuple[int, int]]:
 
     Trial division whose bound shrinks as factors are stripped out, so a
     number with small factors, such as 2^k, costs O(log n) divisions.
+    Raises when the cofactor left after trial division up to TRIAL_BOUND
+    could still be composite, that is, when its square root passes the bound.
     """
     out = []
-    f = 2
-    while f * f <= n:
+    for f in itertools.chain((2,), range(3, TRIAL_BOUND + 1, 2)):
+        if f * f > n:
+            break
         if n % f == 0:
             e = 0
             while n % f == 0:
                 n //= f
                 e += 1
             out.append((f, e))
-        f += 1
+    else:
+        if math.isqrt(n) > TRIAL_BOUND:
+            raise ValueError(f"cannot factor {n}: trial division stops at {TRIAL_BOUND}")
     if n > 1:
         out.append((n, 1))
     return out
@@ -131,16 +154,7 @@ def generated_subgroup(n: int, gens: list[int] | tuple[int, ...]) -> UnitSubgrou
     for g in gens:
         if math.gcd(g, n) != 1:
             raise ValueError(f"generator {g} is not a unit modulo {n}")
-    have = {1}
-    frontier = [1]
-    gens_mod = [g % n for g in gens]
-    while frontier:
-        x = frontier.pop()
-        for g in gens_mod:
-            y = x * g % n
-            if y not in have:
-                have.add(y)
-                frontier.append(y)
+    have = closure(1, [g % n for g in gens], lambda x, g: x * g % n)
     return UnitSubgroup(n, tuple(sorted(have)))
 
 

@@ -6,7 +6,10 @@ inversion and element orders are closed-form wherever the family allows it,
 and no group keeps a multiplication table.  A group stores its order as an
 integer; its sorted element list is materialised only when something reads
 it, such as a class census.  So a closed-form answer for Z_m, Dic_4m or
-Q_{2^k} costs nothing proportional to the group order.
+Q_{2^k} costs nothing proportional to the group order.  `closure` is the one
+loop that enumerates a group from generators; the binary polyhedral groups
+T*, O* and I* come from it as 2x2 matrices over the fields of 3, 7 and 5
+elements.
 """
 
 from __future__ import annotations
@@ -65,6 +68,34 @@ def binary_power(
             result = mul(result, g)
         k >>= 1
     return result
+
+
+def closure(
+    identity: ElementId,
+    generators: Iterable[ElementId],
+    mul: Callable[[ElementId, ElementId], ElementId],
+    limit: int | None = None,
+) -> set[ElementId]:
+    """The subgroup the generators generate: {identity} closed under x -> mul(x, g).
+
+    In a finite group every product of generators is reached this way.  With
+    a limit, the search stops once the set holds more than `limit` elements,
+    so a caller tells an overflow by len(result) > limit.
+    """
+    generators = tuple(generators)
+    cap = math.inf if limit is None else limit
+    elements = {identity}
+    frontier = [identity]
+    while frontier:
+        x = frontier.pop()
+        for g in generators:
+            y = mul(x, g)
+            if y not in elements:
+                elements.add(y)
+                if len(elements) > cap:
+                    return elements
+                frontier.append(y)
+    return elements
 
 
 class FiniteGroup:
@@ -169,19 +200,9 @@ class FiniteGroup:
         max_size: int = 100_000,
     ) -> "FiniteGroup":
         """Generate a group as the closure of `generators` under `mul`."""
-        elements = {identity}
-        frontier = [identity]
-        while frontier:
-            x = frontier.pop()
-            for g in generators:
-                y = mul(x, g)
-                if y not in elements:
-                    if len(elements) >= max_size:
-                        raise GroupConstructionError(
-                            f"{name}: closure exceeded {max_size} elements"
-                        )
-                    elements.add(y)
-                    frontier.append(y)
+        elements = closure(identity, generators, mul, limit=max_size)
+        if len(elements) > max_size:
+            raise GroupConstructionError(f"{name}: closure exceeded {max_size} elements")
         if expect_order is not None and len(elements) != expect_order:
             raise GroupConstructionError(
                 f"{name}: closure has {len(elements)} elements, expected {expect_order}"
@@ -317,7 +338,7 @@ def dicyclic_parameter(group: FiniteGroup) -> int | None:
     return None
 
 
-# 2x2 determinant-1 matrices over small fields; matrices are flat tuples (a, b, c, d).
+# 2x2 determinant-1 matrices over the p-element field; matrices are flat tuples (a, b, c, d).
 
 def _matmul_prime(p: int):
     def mul(x, y):
@@ -335,75 +356,36 @@ def _matinv_prime(p: int):
     return inv
 
 
-# F9 = F3[t]/(t^2 + 1), elements encoded as x + 3*y for x + y*t.
-
-def _f9_mul(u: int, v: int) -> int:
-    x1, y1 = u % 3, u // 3
-    x2, y2 = v % 3, v // 3
-    return (x1 * x2 - y1 * y2) % 3 + 3 * ((x1 * y2 + y1 * x2) % 3)
-
-
-def _f9_add(u: int, v: int) -> int:
-    return (u + v) % 3 + 3 * ((u // 3 + v // 3) % 3)
-
-
-def _f9_neg(u: int) -> int:
-    return (-u) % 3 + 3 * ((-(u // 3)) % 3)
-
-
-def _matmul_f9(x, y):
-    a, b, c, d = x
-    e, f, g, h = y
-    return (
-        _f9_add(_f9_mul(a, e), _f9_mul(b, g)),
-        _f9_add(_f9_mul(a, f), _f9_mul(b, h)),
-        _f9_add(_f9_mul(c, e), _f9_mul(d, g)),
-        _f9_add(_f9_mul(c, f), _f9_mul(d, h)),
-    )
-
-
-def _matinv_f9(x):
-    a, b, c, d = x
-    return (d, _f9_neg(b), _f9_neg(c), a)
+# kind -> (p, generators in SL(2, p), order, family).  T* and I* are all of
+# SL(2, 3) and SL(2, 5).  O* lies in SL(2, 7): the first generator has trace
+# 3, a square root of 2 modulo 7, so order 8; the second has order 4.
+_BINARY_POLYHEDRAL = {
+    "T*": (3, ((1, 1, 0, 1), (0, 1, 2, 0)), 24, BINARY_TETRAHEDRAL),
+    "O*": (7, ((0, 1, 6, 3), (0, 2, 3, 0)), 48, BINARY_OCTAHEDRAL),
+    "I*": (5, ((1, 1, 0, 1), (0, 1, 4, 0)), 120, BINARY_ICOSAHEDRAL),
+}
 
 
 def build_binary_polyhedral(kind: str) -> FiniteGroup:
     """The binary tetrahedral/octahedral/icosahedral group, as T*, O* or I*.
 
-    T* and I* are the determinant-1 2x2 matrix groups over the 3- and
-    5-element fields; O* is generated inside the determinant-1 matrices over
-    the 9-element field.  Construction self-checks the order and the
-    uniqueness of the order-2 element.
+    Each is generated by two determinant-1 2x2 matrices over a prime field:
+    T* = SL(2, 3), I* = SL(2, 5), and O* is an order-48 subgroup of SL(2, 7).
+    Construction self-checks the order and the uniqueness of the order-2
+    element.
     """
-    if kind in ("T*", "I*"):
-        p = 3 if kind == "T*" else 5
-        expect = 24 if kind == "T*" else 120
-        tag = BINARY_TETRAHEDRAL if kind == "T*" else BINARY_ICOSAHEDRAL
-        gens = [(1, 1, 0, 1), (0, 1, p - 1, 0)]
-        group = FiniteGroup.from_closure(
-            name=kind,
-            generators=gens,
-            mul=_matmul_prime(p),
-            identity=(1, 0, 0, 1),
-            inv=_matinv_prime(p),
-            family=FamilyTag(tag),
-            expect_order=expect,
-        )
-    elif kind == "O*":
-        # Images of (1+i)/sqrt(2), j, and the order-3 rotation of i, j, k
-        # under the quaternion-to-matrix embedding over F9.
-        gens = [(7, 0, 0, 8), (0, 1, 2, 0), (7, 8, 7, 4)]
-        group = FiniteGroup.from_closure(
-            name="O*",
-            generators=gens,
-            mul=_matmul_f9,
-            identity=(1, 0, 0, 1),
-            inv=_matinv_f9,
-            family=FamilyTag(BINARY_OCTAHEDRAL),
-            expect_order=48,
-        )
-    else:
+    if kind not in _BINARY_POLYHEDRAL:
         raise ValueError(f"unknown binary polyhedral kind {kind!r} (want T*, O* or I*)")
+    p, gens, order, tag = _BINARY_POLYHEDRAL[kind]
+    group = FiniteGroup.from_closure(
+        name=kind,
+        generators=gens,
+        mul=_matmul_prime(p),
+        identity=(1, 0, 0, 1),
+        inv=_matinv_prime(p),
+        family=FamilyTag(tag),
+        expect_order=order,
+    )
     involutions = [g for g in group if g != group.identity and group.order_of(g) == 2]
     if len(involutions) != 1:
         raise GroupConstructionError(

@@ -4,8 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from lowk.amalgam import has_finite_order, invert, multiply, power
+from lowk.amalgam import AmalgamError, has_finite_order, invert, multiply, power
 from lowk.b4 import (
+    I_UNIT,
+    J_UNIT,
     QUATERNION_NAMES,
     R2_REP,
     R_REP,
@@ -30,7 +32,12 @@ from lowk.b4 import (
     _STANDARD_TRANSVERSAL,
 )
 from lowk.cli import main
-from lowk.groups import FiniteGroup, build_cyclic
+from lowk.groups import (
+    FiniteGroup,
+    build_binary_polyhedral,
+    build_cyclic,
+    generalized_quaternion,
+)
 
 
 @pytest.fixture(scope="module")
@@ -365,3 +372,49 @@ def test_tstar_is_the_hurwitz_unit_group(model):
     iso = _hom_from_generators(hurwitz, tstar, {i2: TSTAR_I, j2: TSTAR_J, r2: R_REP})
     assert len(set(iso.values())) == 24
     assert iso[hmul(r2, r2)] == R2_REP
+
+
+# the order-48 model of O* inside SL(2) over F9 = F3[t]/(t^2 + 1), entries
+# x + y*t encoded as x + 3*y
+
+def _f9_mul(u, v):
+    x1, y1, x2, y2 = u % 3, u // 3, v % 3, v // 3
+    return (x1 * x2 - y1 * y2) % 3 + 3 * ((x1 * y2 + y1 * x2) % 3)
+
+
+def _f9_add(u, v):
+    return (u + v) % 3 + 3 * ((u // 3 + v // 3) % 3)
+
+
+def _f9_matmul(x, y):
+    a, b, c, d = x
+    e, f, g, h = y
+    return (
+        _f9_add(_f9_mul(a, e), _f9_mul(b, g)),
+        _f9_add(_f9_mul(a, f), _f9_mul(b, h)),
+        _f9_add(_f9_mul(c, e), _f9_mul(d, g)),
+        _f9_add(_f9_mul(c, f), _f9_mul(d, h)),
+    )
+
+
+def test_ostar_is_the_binary_octahedral_group_over_f9():
+    # images of (1+i)/sqrt(2), j and the order-3 rotation of i, j, k; found
+    # once by search over elements of the same orders
+    f9_gens = ((7, 0, 0, 8), (0, 1, 2, 0), (7, 8, 7, 4))
+    images = ((0, 1, 6, 3), (1, 5, 1, 6), (4, 0, 5, 2))
+    over_f9 = FiniteGroup.from_closure("O* over F9", f9_gens, _f9_matmul, (1, 0, 0, 1),
+                                       expect_order=48)
+    ostar = build_binary_polyhedral("O*")
+    iso = _hom_from_generators(over_f9, ostar, dict(zip(f9_gens, images)))
+    assert sorted(iso.values()) == list(ostar.elements)
+
+
+@pytest.mark.parametrize("gen_map, message", [
+    # j i j^-1 = i^-1 fails on the images: x^2 is not x^-2 in Q16
+    ({I_UNIT: (2, 0), J_UNIT: (2, 0)}, "generator images do not define a homomorphism"),
+    ({I_UNIT: (2, 0)}, "generator map does not cover the source group"),
+], ids=["not_a_homomorphism", "not_covering"])
+def test_hom_from_generators_rejects_bad_generator_maps(gen_map, message):
+    q8, q16 = generalized_quaternion(3), generalized_quaternion(4)
+    with pytest.raises(AmalgamError, match=message):
+        _hom_from_generators(q8, q16, gen_map)

@@ -2,11 +2,13 @@ import math
 
 import pytest
 
+from lowk import galois
 from lowk.galois import (
     FieldDescriptor,
     UnitSubgroup,
     contains_minus_one,
     divisors,
+    factorization,
     full_unit_group,
     generated_subgroup,
     is_prime,
@@ -137,6 +139,30 @@ def test_is_prime_and_divisors():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]
+
+
+def test_trial_division_stops_at_the_bound(monkeypatch):
+    m61 = 2**61 - 1  # prime, so no trial divisor up to the bound finds a factor
+    with pytest.raises(ValueError, match="trial division stops"):
+        factorization(m61)
+    with pytest.raises(ValueError, match="trial division stops"):
+        divisors(10**17 + 3)
+    # small factors still answer however large the number
+    assert not is_prime(3 * m61)
+    assert factorization(2**100 * 3) == [(2, 100), (3, 1)]
+    # at a bound of 100, numbers below 101^2 are settled (97^2 composite,
+    # 10193 prime); 10211 and 101 * 103 are not, having no factor up to 100
+    monkeypatch.setattr(galois, "TRIAL_BOUND", 100)
+    assert not is_prime(97 * 97)
+    assert is_prime(10193) and factorization(2**5 * 10193) == [(2, 5), (10193, 1)]
+    for n in (101 * 103, 10211):
+        with pytest.raises(ValueError, match="trial division stops"):
+            is_prime(n)
+        with pytest.raises(ValueError, match="trial division stops"):
+            factorization(2 * n)
+    assert divisors(10000)[-1] == 10000
+    with pytest.raises(ValueError, match="trial division stops"):
+        divisors(101 * 101)
 
 
 def test_trivial_modulus_unit_group():

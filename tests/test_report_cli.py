@@ -288,6 +288,10 @@ def test_huge_closed_form_answers_in_bounded_memory(argv):
 @pytest.mark.parametrize("argv", [
     ("group", "cyclic", "--m", "1000000007"),
     ("group", "quaternion", "--k", "40"),
+    # 2^61 - 1 and 10^17 + 3 are past the trial division bound
+    ("lambda", "--m", "2305843009213693951"),
+    ("group", "dicyclic", "--m", "2305843009213693951", "--invariants", "wh"),
+    ("classify", "--n", "100000000000000003", "--vc"),
 ])
 def test_huge_census_only_query_exits_2_in_bounded_memory(argv):
     done = _cli_in_child(*argv)
@@ -295,6 +299,16 @@ def test_huge_census_only_query_exits_2_in_bounded_memory(argv):
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("lambda", "--m", "2147483647"),
+    ("group", "quaternion", "--k", "200", "--invariants", "wh,k0,wedderburn"),
+])
+def test_inputs_under_the_trial_division_bound_still_answer(argv):
+    done = _cli_in_child(*argv, "--format", "json")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["schema"] == "lowk/1"
 
 
 def test_cli_main_twice_matches_a_fresh_process(capsys):
