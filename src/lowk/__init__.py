@@ -30,7 +30,6 @@ from .b4 import (
 from .census import (
     ClassCensus,
     GroupTooLargeError,
-    centralizer,
     check_2p_condition,
     check_milnor,
     check_p2_condition,
@@ -47,7 +46,6 @@ from .fconj import FPartition, f_partition, r_f, regular_modulus
 from .galois import (
     FieldDescriptor,
     UnitSubgroup,
-    contains_minus_one,
     divisors,
     full_unit_group,
     generated_subgroup,
@@ -59,13 +57,10 @@ from .groups import (
     FamilyTag,
     FiniteGroup,
     GroupConstructionError,
-    build_abelian,
     build_binary_polyhedral,
     build_cyclic,
     build_dicyclic,
-    center,
     generalized_quaternion,
-    order_census,
 )
 from .lowerk import (
     COUNTABLE,
@@ -81,7 +76,6 @@ from .lowerk import (
     k_minus_one,
     k_minus_one_torsion,
     lambda_value,
-    sk1_is_trivial,
     wedderburn_shape,
     whitehead_rank,
 )

@@ -6,8 +6,8 @@ classes (`merge_classes`): pair classes {g, g^-1} merge g with g^(e-1), and
 classes of cyclic subgroups merge g with g^t for t running over generators of
 the units modulo the exponent e.  The F-conjugacy blocks of `lowk.fconj` are
 the same merge over a Galois image, and all of them share one partition of
-the group, kept on it.  Restricting a census to a few element orders keeps
-it cheap on large groups.
+the group, kept on it.  A census restricted to a few element orders scans
+the element list once and partitions only the elements of those orders.
 """
 
 from __future__ import annotations
@@ -87,9 +87,6 @@ class ClassCensus:
     def class_of(self, g: ElementId) -> tuple[ElementId, ...]:
         return self.classes[self._index[g]]
 
-    def class_count(self) -> int:
-        return len(self.classes)
-
     def _blocks_by_order(self, exponents: Iterable[int]) -> dict[int, int]:
         order_of, classes = self.group.order_of, self.classes
         roots = set(merge_classes(self.group, classes, self._index, exponents))
@@ -147,11 +144,6 @@ def conjugacy_classes(
     else:
         classes, index = _orbit_partition(group, group.elements_of_orders(frozenset(orders)))
     return ClassCensus(group=group, classes=classes, _index=index)
-
-
-def centralizer(group: FiniteGroup, g: ElementId) -> tuple[ElementId, ...]:
-    mul = group.mul
-    return tuple(x for x in group.elements if mul(x, g) == mul(g, x))
 
 
 def check_p2_condition(group: FiniteGroup, *, max_size: int = 5000) -> bool:

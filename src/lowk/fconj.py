@@ -22,15 +22,11 @@ class FPartition:
     """Partition of the (p-regular) elements into F-conjugacy classes."""
 
     field: FieldDescriptor
-    modulus_used: int
     blocks: tuple[tuple[ElementId, ...], ...]
 
     @property
     def block_count(self) -> int:
         return len(self.blocks)
-
-    def blocks_of_order(self, group: FiniteGroup, d: int) -> list[tuple[ElementId, ...]]:
-        return [b for b in self.blocks if group.order_of(b[0]) == d]
 
 
 def regular_modulus(group: FiniteGroup, field: FieldDescriptor) -> int:
@@ -73,32 +69,9 @@ def f_partition(
             key=lambda b: (group.order_of(b[0]), b[0]),
         )
     )
-    return FPartition(field=field, modulus_used=modulus, blocks=blocks)
+    return FPartition(field=field, blocks=blocks)
 
 
 def r_f(group: FiniteGroup, field: FieldDescriptor, *, max_size: int = 5000) -> int:
     """Number of irreducible F-representations (Witt-Berman count)."""
     return f_partition(group, field, max_size=max_size).block_count
-
-
-def _per_order_blocks(
-    group: FiniteGroup, field: FieldDescriptor, *, max_size: int = 5000
-) -> int:
-    """Diagnostic variant: recompute the Galois image modulo each element order.
-
-    Not used by the public counts; kept to compare the single-modulus
-    convention against the per-order one.
-    """
-    _check_size(group, max_size)
-    classes, _ = _regular_classes(group, field)
-    strata: dict[int, list[tuple[ElementId, ...]]] = {}
-    for cls in classes:
-        strata.setdefault(group.order_of(cls[0]), []).append(cls)
-    count = 0
-    for d, stratum in strata.items():
-        index = {g: i for i, cls in enumerate(stratum) for g in cls}
-        roots = merge_classes(
-            group, stratum, index, minimal_generators(phi_image(field, d))
-        )
-        count += len(set(roots))
-    return count

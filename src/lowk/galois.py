@@ -120,21 +120,8 @@ class UnitSubgroup:
     modulus: int
     residues: tuple[int, ...]
 
-    def __contains__(self, r: int) -> bool:
-        return r % self.modulus in self.residues if self.modulus > 1 else True
-
     def __len__(self) -> int:
         return len(self.residues)
-
-    def is_subgroup(self) -> bool:
-        """Closure / identity / inverse check, used by the test suite."""
-        n = self.modulus
-        if n == 1:
-            return self.residues == (0,)
-        rs = set(self.residues)
-        if 1 not in rs:
-            return False
-        return all(a * b % n in rs for a in rs for b in rs)
 
 
 def full_unit_group(n: int) -> UnitSubgroup:
@@ -156,12 +143,6 @@ def generated_subgroup(n: int, gens: list[int] | tuple[int, ...]) -> UnitSubgrou
             raise ValueError(f"generator {g} is not a unit modulo {n}")
     have = closure(1, [g % n for g in gens], lambda x, g: x * g % n)
     return UnitSubgroup(n, tuple(sorted(have)))
-
-
-def contains_minus_one(s: UnitSubgroup) -> bool:
-    if s.modulus == 1:
-        return True
-    return (s.modulus - 1) in s.residues
 
 
 def minimal_generators(s: UnitSubgroup) -> tuple[int, ...]:
@@ -230,7 +211,11 @@ class FieldDescriptor:
             return cls.rational()
         for prefix, kind in (("Qp:", "Qp"), ("Fp:", "Fp")):
             if text.startswith(prefix):
-                return cls(kind, int(text[len(prefix):]))
+                try:
+                    p = int(text[len(prefix):])
+                except ValueError:
+                    break
+                return cls(kind, p)
         raise ValueError(f"cannot parse field {text!r} (expected Q, Qp:<p> or Fp:<p>)")
 
 

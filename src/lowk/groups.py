@@ -29,8 +29,6 @@ BINARY_OCTAHEDRAL = "binary_octahedral"
 BINARY_ICOSAHEDRAL = "binary_icosahedral"
 CUSTOM = "custom"
 
-BINARY_POLYHEDRAL_KINDS = (BINARY_TETRAHEDRAL, BINARY_OCTAHEDRAL, BINARY_ICOSAHEDRAL)
-
 
 class GroupConstructionError(Exception):
     """A family constructor failed its own closure/order self-checks."""
@@ -101,11 +99,13 @@ def closure(
 class FiniteGroup:
     """A concrete finite group over opaque element ids.
 
-    All state is fixed at construction; operations are pure.  `generators`
-    must generate the group (conjugacy machinery relies on it).  `elements`
-    is an iterable of the element ids, or a zero-argument function returning
-    one; it is sorted into the `elements` tuple on first access only, so
-    `order` must then be given.
+    Operations are pure.  `generators` must generate the group (conjugacy
+    machinery relies on it).  `elements` is an iterable of the element ids,
+    or a zero-argument function returning one; it is sorted into the
+    `elements` tuple on first access only, so `order` must then be given.
+    The element tuple, the exponent and the class partition are filled in
+    on first use, so no result depends on the order of calls.
+    `elements_of_orders` scans that tuple.
     """
 
     def __init__(
@@ -119,7 +119,6 @@ class FiniteGroup:
         inv: Callable[[ElementId], ElementId],
         order_of: Callable[[ElementId], int],
         exponent: int | None = None,
-        order_strata: Callable[[frozenset[int]], list[ElementId]] | None = None,
         order: int | None = None,
     ) -> None:
         self.name = name
@@ -132,7 +131,6 @@ class FiniteGroup:
         self.inv = inv
         self.order_of = order_of
         self._exponent = exponent
-        self._order_strata = order_strata
         self._class_partition = None  # (classes, index), kept by census.class_partition
 
     @cached_property
@@ -171,8 +169,6 @@ class FiniteGroup:
         return self.mul(self.mul(a, g), self.inv(a))
 
     def elements_of_orders(self, orders: frozenset[int]) -> list[ElementId]:
-        if self._order_strata is not None:
-            return self._order_strata(orders)
         return [g for g in self.elements if self.order_of(g) in orders]
 
     def __len__(self) -> int:
@@ -241,14 +237,6 @@ def build_cyclic(m: int) -> FiniteGroup:
     if m < 1:
         raise ValueError(f"cyclic order must be >= 1, got {m}")
 
-    def strata(orders: frozenset[int]) -> list[int]:
-        out = []
-        for d in sorted(orders):
-            if m % d == 0:
-                step = m // d
-                out.extend(step * u for u in range(d) if math.gcd(u, d) == 1)
-        return sorted(out)
-
     return FiniteGroup(
         name=f"Z_{m}",
         family=FamilyTag(CYCLIC, m),
@@ -260,7 +248,6 @@ def build_cyclic(m: int) -> FiniteGroup:
         inv=lambda a: (-a) % m,
         order_of=lambda a: m // math.gcd(a, m),
         exponent=m,
-        order_strata=strata,
     )
 
 
@@ -288,16 +275,6 @@ def _dicyclic(name: str, m: int, family: FamilyTag) -> FiniteGroup:
             return 4
         return two_m // math.gcd(a, two_m)
 
-    def strata(orders: frozenset[int]) -> list[tuple[int, int]]:
-        out: list[tuple[int, int]] = []
-        for d in sorted(orders):
-            if two_m % d == 0:
-                step = two_m // d
-                out.extend((step * u, 0) for u in range(d) if math.gcd(u, d) == 1)
-        if 4 in orders:
-            out.extend((c, 1) for c in range(two_m))
-        return sorted(out)
-
     return FiniteGroup(
         name=name,
         family=family,
@@ -309,7 +286,6 @@ def _dicyclic(name: str, m: int, family: FamilyTag) -> FiniteGroup:
         inv=inv,
         order_of=order_of,
         exponent=math.lcm(two_m, 4),
-        order_strata=strata,
     )
 
 
@@ -392,54 +368,3 @@ def build_binary_polyhedral(kind: str) -> FiniteGroup:
             f"{kind}: expected a unique order-2 element, found {len(involutions)}"
         )
     return group
-
-
-def build_abelian(factors: Sequence[int]) -> FiniteGroup:
-    """Direct product of cyclic groups (family `custom`), e.g. Z_2 x Z_2."""
-    factors = tuple(int(f) for f in factors)
-    if not factors or any(f < 1 for f in factors):
-        raise ValueError(f"factors must be positive integers, got {factors}")
-    n = len(factors)
-
-    def mul(a, b):
-        return tuple((a[i] + b[i]) % factors[i] for i in range(n))
-
-    def inv(a):
-        return tuple(-a[i] % factors[i] for i in range(n))
-
-    def order_of(a):
-        return math.lcm(*(factors[i] // math.gcd(a[i], factors[i]) for i in range(n)))
-
-    elements = [()]
-    for f in factors:
-        elements = [e + (v,) for e in elements for v in range(f)]
-    gens = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    return FiniteGroup(
-        name=" x ".join(f"Z_{f}" for f in factors),
-        family=FamilyTag(CUSTOM),
-        elements=elements,
-        identity=(0,) * n,
-        generators=gens,
-        mul=mul,
-        inv=inv,
-        order_of=order_of,
-        exponent=math.lcm(*factors),
-    )
-
-
-def center(group: FiniteGroup) -> tuple[ElementId, ...]:
-    """Elements commuting with everything (checked against the generators)."""
-    mul = group.mul
-    return tuple(
-        g for g in group.elements
-        if all(mul(g, h) == mul(h, g) for h in group.generators)
-    )
-
-
-def order_census(group: FiniteGroup) -> dict[int, int]:
-    """Map element order -> number of elements of that order."""
-    census: dict[int, int] = {}
-    for g in group.elements:
-        d = group.order_of(g)
-        census[d] = census.get(d, 0) + 1
-    return dict(sorted(census.items()))

@@ -25,11 +25,8 @@ from .galois import (
 from .groups import (
     BINARY_ICOSAHEDRAL,
     BINARY_OCTAHEDRAL,
-    BINARY_POLYHEDRAL_KINDS,
     BINARY_TETRAHEDRAL,
     CYCLIC,
-    DICYCLIC,
-    GENERALIZED_QUATERNION,
     FiniteGroup,
     dicyclic_parameter,
 )
@@ -253,23 +250,6 @@ def whitehead_rank(group: FiniteGroup, *, max_size: int = 5000) -> int:
             f"{group.name}: no closed form and order {group.order} > {max_size}"
         )
     return result
-
-
-SK1_FAMILIES = (
-    CYCLIC,
-    DICYCLIC,
-    GENERALIZED_QUATERNION,
-) + BINARY_POLYHEDRAL_KINDS
-
-
-def sk1_is_trivial(group: FiniteGroup) -> bool:
-    """SK_1 vanishes for every supported family (cyclic/dicyclic/binary polyhedral)."""
-    if group.family.kind not in SK1_FAMILIES:
-        raise UnsupportedFamilyError(
-            f"SK_1 triviality is only recorded for the five supported families, "
-            f"not {group.family}"
-        )
-    return True
 
 
 def lambda_value(m: int) -> int:

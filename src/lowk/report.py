@@ -19,6 +19,7 @@ from .groups import (
     generalized_quaternion,
 )
 from .lowerk import (
+    COUNTABLE,
     AbelianGroupExpr,
     UnsupportedFamilyError,
     Unknown,
@@ -57,7 +58,7 @@ class KReport:
     kminus1: AbelianGroupExpr | None = None
     rf: dict | None = None
     wedderburn: tuple[WedderburnComponent, ...] | None = None
-    nil_terms: dict | None = None
+    nil_terms: dict[str, AbelianGroupExpr] | None = None
     definitions: dict | None = None
     provenance: tuple[str, ...] = ()
 
@@ -74,7 +75,10 @@ class KReport:
         if self.wedderburn is not None:
             out["wedderburn"] = [c.to_json() for c in self.wedderburn]
         if self.nil_terms is not None:
-            out["nil"] = self.nil_terms
+            out["nil"] = {
+                name: {"copies": COUNTABLE, "summand": expr.to_json()}
+                for name, expr in self.nil_terms.items()
+            }
         if self.definitions is not None:
             out["definitions"] = self.definitions
         out["provenance"] = list(self.provenance)
@@ -94,15 +98,8 @@ class KReport:
         if self.wedderburn is not None:
             lines.append("Q[G] components: " + ", ".join(c.symbol() for c in self.wedderburn))
         if self.nil_terms is not None:
-            for name, term in self.nil_terms.items():
-                block = AbelianGroupExpr(
-                    free_rank=term["summand"]["rank"],
-                    torsion=tuple(term["summand"]["torsion"]),
-                    infinite=tuple(
-                        (s["name"], s["copies"]) for s in term["summand"]["infinite"]
-                    ),
-                )
-                lines.append(f"{name} = (+)_oo [{block.render()}]")
+            for name, expr in self.nil_terms.items():
+                lines.append(f"{name} = (+)_oo [{expr.render()}]")
         for p in self.provenance:
             lines.append(f"  [{p}]")
         return "\n".join(lines)
@@ -265,10 +262,7 @@ def b4_lower_k_report(*, max_size: int = 5000) -> KReport:
     nil_block = (
         nil_groups_q8(1, 1).times(2) + nil_groups_q8(1, 2).times(2)
     )
-    nil_terms = {
-        name: {"copies": "countable", "summand": nil_block.to_json()}
-        for name in ("Nil_0", "Nil_1")
-    }
+    nil_terms = {name: nil_block for name in ("Nil_0", "Nil_1")}
     wh = wh_cokernel + AbelianGroupExpr.summand("Nil_1")
     k0 = k0_assembled + AbelianGroupExpr.summand("Nil_0")
 

@@ -241,8 +241,9 @@ def test_criterion_8_b4_report(capsys):
                 {"name": "W", "copies": 2},
             ],
         }
+        nil = report.to_json()["nil"]
         for name in ("Nil_0", "Nil_1"):
-            assert report.nil_terms[name] == {"copies": "countable", "summand": block}
+            assert nil[name] == {"copies": "countable", "summand": block}
         code1 = main(["b4", "report", "--format", "json"])
         out1 = capsys.readouterr().out
         code2 = main(["b4", "report", "--format", "json"])

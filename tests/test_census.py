@@ -2,19 +2,19 @@ import pytest
 
 from lowk.census import (
     GroupTooLargeError,
-    centralizer,
     check_2p_condition,
     check_milnor,
     check_p2_condition,
     conjugacy_classes,
 )
 from lowk.groups import (
-    build_abelian,
     build_binary_polyhedral,
     build_cyclic,
     build_dicyclic,
     generalized_quaternion,
 )
+
+from helpers import build_abelian, centralizer
 
 
 def test_dicyclic_rotation_classes_are_inverse_pairs():

@@ -14,8 +14,9 @@ from lowk.groups import (
     build_binary_polyhedral,
     build_cyclic,
     build_dicyclic,
-    order_census,
 )
+
+from helpers import order_census
 
 GOLDEN = Path(__file__).parent / "golden"
 

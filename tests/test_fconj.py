@@ -1,7 +1,7 @@
 import pytest
 
 from lowk.census import conjugacy_classes
-from lowk.fconj import _per_order_blocks, f_partition, r_f, regular_modulus
+from lowk.fconj import f_partition, r_f, regular_modulus
 from lowk.galois import FieldDescriptor
 from lowk.groups import (
     build_binary_polyhedral,
@@ -10,6 +10,8 @@ from lowk.groups import (
     generalized_quaternion,
 )
 from lowk.lowerk import lambda_value
+
+from helpers import blocks_of_order, per_order_blocks
 
 Q = FieldDescriptor.rational()
 Q2 = FieldDescriptor.p_adic(2)
@@ -46,7 +48,7 @@ def test_q8_order_four_blocks_match_classes():
     g = generalized_quaternion(3)
     census = conjugacy_classes(g)
     part = f_partition(g, Q2)
-    order4_blocks = part.blocks_of_order(g, 4)
+    order4_blocks = blocks_of_order(g, part, 4)
     order4_classes = [c for c in census.classes if g.order_of(c[0]) == 4]
     assert sorted(order4_blocks) == sorted(order4_classes)
 
@@ -54,7 +56,7 @@ def test_q8_order_four_blocks_match_classes():
 def test_dic20_single_two_adic_class_of_order_four():
     g = build_dicyclic(5)
     part = f_partition(g, Q2)
-    assert len(part.blocks_of_order(g, 4)) == 1
+    assert len(blocks_of_order(g, part, 4)) == 1
 
 
 def test_rational_partition_counts_cyclic_subgroup_classes():
@@ -125,6 +127,6 @@ def test_per_order_diagnostic_agrees_on_small_roster():
     fields = [Q, Q2, F2, FieldDescriptor.p_adic(3), FieldDescriptor.p_adic(5)]
     for group in groups:
         for field in fields:
-            assert _per_order_blocks(group, field) == r_f(group, field), (
+            assert per_order_blocks(group, field) == r_f(group, field), (
                 group.name, field.label,
             )

@@ -6,7 +6,6 @@ from lowk import galois
 from lowk.galois import (
     FieldDescriptor,
     UnitSubgroup,
-    contains_minus_one,
     divisors,
     factorization,
     full_unit_group,
@@ -16,6 +15,8 @@ from lowk.galois import (
     mult_order,
     phi_image,
 )
+
+from helpers import is_unit_subgroup
 
 Q = FieldDescriptor.rational()
 
@@ -50,12 +51,6 @@ def test_generated_subgroup():
     assert generated_subgroup(35, [1]).residues == (1,)
     with pytest.raises(ValueError):
         generated_subgroup(6, [3])
-
-
-def test_contains_minus_one():
-    assert contains_minus_one(generated_subgroup(5, [2]))
-    assert not contains_minus_one(generated_subgroup(7, [2]))
-    assert contains_minus_one(generated_subgroup(257, [2]))
 
 
 def test_phi_image_padic_two_at_four():
@@ -100,7 +95,7 @@ def test_phi_image_is_subgroup_sweep():
             if f.kind == "Fp" and n % f.p == 0:
                 continue
             img = phi_image(f, n)
-            assert img.is_subgroup(), (f.label, n)
+            assert is_unit_subgroup(img), (f.label, n)
             assert set(img.residues) <= rational, (f.label, n)
 
 
@@ -131,8 +126,13 @@ def test_field_descriptor_validation_and_parse():
     assert FieldDescriptor.parse("Qp:5") == FieldDescriptor.p_adic(5)
     assert FieldDescriptor.parse("Fp:3") == FieldDescriptor.finite_prime(3)
     assert FieldDescriptor.parse("Qp:5").label == "Q_5"
-    with pytest.raises(ValueError):
-        FieldDescriptor.parse("R")
+    for text in ("R", "Qp:", "Fp:2.5", "Fp:", "Qp:x"):
+        expected = f"cannot parse field {text!r} (expected Q, Qp:<p> or Fp:<p>)"
+        with pytest.raises(ValueError) as exc:
+            FieldDescriptor.parse(text)
+        assert str(exc.value) == expected
+    with pytest.raises(ValueError, match="requires a prime"):
+        FieldDescriptor.parse("Qp:4")
 
 
 def test_is_prime_and_divisors():
@@ -167,4 +167,3 @@ def test_trial_division_stops_at_the_bound(monkeypatch):
 
 def test_trivial_modulus_unit_group():
     assert phi_image(Q, 1) == UnitSubgroup(1, (0,))
-    assert contains_minus_one(UnitSubgroup(1, (0,)))

@@ -4,7 +4,6 @@ import pytest
 
 from lowk.census import GroupTooLargeError
 from lowk.groups import (
-    build_abelian,
     build_binary_polyhedral,
     build_cyclic,
     build_dicyclic,
@@ -23,12 +22,13 @@ from lowk.lowerk import (
     k_minus_one,
     k_minus_one_torsion,
     lambda_value,
-    sk1_is_trivial,
     wedderburn_shape,
     whitehead_rank,
 )
 from lowk.fconj import r_f
 from lowk.galois import FieldDescriptor, divisors, is_prime
+
+from helpers import build_abelian
 
 
 # -- abelian group expressions -------------------------------------------------
@@ -143,14 +143,6 @@ def test_whitehead_closed_form_only_for_large_groups():
 
 def test_whitehead_custom_family_uses_census():
     assert whitehead_rank(build_abelian([2, 2])) == 0
-
-
-def test_sk1():
-    assert sk1_is_trivial(generalized_quaternion(3))
-    assert sk1_is_trivial(build_binary_polyhedral("I*"))
-    assert sk1_is_trivial(build_cyclic(30))
-    with pytest.raises(UnsupportedFamilyError):
-        sk1_is_trivial(build_abelian([2, 2]))
 
 
 # -- Carter rank and torsion -----------------------------------------------------

@@ -89,13 +89,14 @@ def test_b4_report_values():
     assert report.wh == AbelianGroupExpr(1, (), (("Nil_1", 1),))
     assert report.k0 == AbelianGroupExpr(0, (2,), (("Nil_0", 1),))
     assert report.kminus1 == AbelianGroupExpr(1, (2,))
-    block = report.nil_terms["Nil_0"]["summand"]
+    nil = report.to_json()["nil"]
+    block = nil["Nil_0"]["summand"]
     assert block["infinite"] == [
         {"name": Z2_INF, "copies": 2},
         {"name": W_NAME, "copies": 2},
     ]
-    assert report.nil_terms["Nil_0"]["copies"] == "countable"
-    assert report.nil_terms["Nil_1"] == report.nil_terms["Nil_0"]
+    assert nil["Nil_0"]["copies"] == "countable"
+    assert nil["Nil_1"] == nil["Nil_0"]
 
 
 def test_b4_report_byte_identical_and_matches_golden():
@@ -112,6 +113,12 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_b4_report_text_matches_golden_byte_for_byte(capsys):
+    code, out, err = run_cli(capsys, "b4", "report", "--format", "text")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "b4_report.txt").read_text()
 
 
 def test_cli_group_json(capsys):
@@ -299,6 +306,16 @@ def test_huge_census_only_query_exits_2_in_bounded_memory(argv):
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("field", ["Qp:", "Fp:2.5"])
+def test_unparsable_field_exits_2_naming_the_field(field):
+    done = _cli_in_child("group", "dicyclic", "--m", "6", "--invariants", "rf", "--field", field)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == (
+        f"error: cannot parse field {field!r} (expected Q, Qp:<p> or Fp:<p>)\n"
+    )
 
 
 @pytest.mark.parametrize("argv", [
