@@ -92,7 +92,7 @@ def _emit_json(payload: dict) -> None:
 
 
 def _cmd_group(args: argparse.Namespace) -> int:
-    invariants = tuple(s.strip() for s in args.invariants.split(",") if s.strip())
+    invariants = tuple(s.strip() for s in args.invariants.split(","))
     field_descriptor = None
     if args.field is not None:
         field_descriptor = FieldDescriptor.parse(args.field)

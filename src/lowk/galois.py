@@ -210,12 +210,9 @@ class FieldDescriptor:
         if text == "Q":
             return cls.rational()
         for prefix, kind in (("Qp:", "Qp"), ("Fp:", "Fp")):
-            if text.startswith(prefix):
-                try:
-                    p = int(text[len(prefix):])
-                except ValueError:
-                    break
-                return cls(kind, p)
+            digits = text[len(prefix):]
+            if text.startswith(prefix) and digits.isascii() and digits.isdigit():
+                return cls(kind, int(digits))
         raise ValueError(f"cannot parse field {text!r} (expected Q, Qp:<p> or Fp:<p>)")
 
 

@@ -4,13 +4,20 @@ Whitehead rank (pair classes minus cyclic-subgroup classes, with per-family
 closed forms), the Carter rank of K_-1 from Witt-Berman counts, rule-based
 K_-1 torsion, the Swan lookup table for reduced K_0, symbolic Wedderburn
 shapes of the rational group algebras, and the Bass-Heller-Swan splitting.
+
+Each rule states the path it took (census, closed form, family rule or
+lookup table) where it takes it; inside a `provenance()` block those lines
+are collected, outside one they are dropped.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import Iterator, NamedTuple
 
 from .census import GroupTooLargeError, conjugacy_classes
 from .fconj import r_f
@@ -59,6 +66,25 @@ class Unknown:
 
 
 UNKNOWN = Unknown()
+
+_LINES: ContextVar[list[str] | None] = ContextVar("provenance", default=None)
+
+
+@contextmanager
+def provenance() -> Iterator[list[str]]:
+    """Collect, in call order, the path line of every rule run inside the block."""
+    lines: list[str] = []
+    token = _LINES.set(lines)
+    try:
+        yield lines
+    finally:
+        _LINES.reset(token)
+
+
+def _record(line: str) -> None:
+    lines = _LINES.get()
+    if lines is not None:
+        lines.append(line)
 
 
 def _merge_infinite(
@@ -208,6 +234,29 @@ def delta(q: int) -> int:
     return math.prod(e + 1 for _, e in factorization(q))
 
 
+class _Polyhedral(NamedTuple):
+    wh_rank: int
+    kminus1_torsion: int  # Z_2 summands
+    k0: AbelianGroupExpr
+    wedderburn: tuple[WedderburnComponent, ...]
+
+
+_POLYHEDRAL = {
+    BINARY_TETRAHEDRAL: _Polyhedral(0, 0, AbelianGroupExpr.torsion_group(2), (
+        _field("Q"), _field("Q(zeta_3)"), _matrix(3, "Q"), _skew(4),
+        _algebra("H(Q(zeta_3))"),
+    )),
+    BINARY_OCTAHEDRAL: _Polyhedral(1, 1, AbelianGroupExpr.torsion_group(2, 2), (
+        _field("Q"), _field("Q"), _matrix(2, "Q"), _matrix(3, "Q"), _matrix(3, "Q"),
+        _skew(8), _matrix(2, "H_hat"),
+    )),
+    BINARY_ICOSAHEDRAL: _Polyhedral(2, 1, AbelianGroupExpr.torsion_group(2, 2, 2), (
+        _field("Q"), _matrix(4, "Q"), _skew(5), _matrix(2, "H_hat"), _matrix(5, "Q"),
+        _matrix(3, "H(Q)"), _matrix(3, "Q(sqrt5)"),
+    )),
+}
+
+
 def _whitehead_closed_form(group: FiniteGroup) -> int | None:
     kind = group.family.kind
     if kind == CYCLIC:
@@ -217,13 +266,8 @@ def _whitehead_closed_form(group: FiniteGroup) -> int | None:
     m = dicyclic_parameter(group)
     if m is not None:
         return m + 1 - delta(2 * m)
-    if kind == BINARY_TETRAHEDRAL:
-        return 0
-    if kind == BINARY_OCTAHEDRAL:
-        return 1
-    if kind == BINARY_ICOSAHEDRAL:
-        return 2
-    return None
+    row = _POLYHEDRAL.get(kind)
+    return None if row is None else row.wh_rank
 
 
 def whitehead_rank(group: FiniteGroup, *, max_size: int = 5000) -> int:
@@ -233,23 +277,25 @@ def whitehead_rank(group: FiniteGroup, *, max_size: int = 5000) -> int:
     census, both are computed and must agree.
     """
     closed = _whitehead_closed_form(group)
-    census_rank = None
-    if group.order <= max_size:
-        census = conjugacy_classes(group, max_size=max_size)
-        census_rank = sum(
-            census.r1_by_order[d] - census.r2_by_order[d] for d in census.r1_by_order
-        )
-    if closed is not None and census_rank is not None and closed != census_rank:
-        raise ConsistencyError(
-            f"whitehead rank mismatch for {group.name}: "
-            f"closed form {closed} != census {census_rank}"
-        )
-    result = census_rank if census_rank is not None else closed
-    if result is None:
-        raise GroupTooLargeError(
-            f"{group.name}: no closed form and order {group.order} > {max_size}"
-        )
-    return result
+    if group.order > max_size:
+        if closed is None:
+            raise GroupTooLargeError(
+                f"{group.name}: no closed form and order {group.order} > {max_size}"
+            )
+        _record("wh: family closed form")
+        return closed
+    census = conjugacy_classes(group, max_size=max_size)
+    rank = sum(census.r1_by_order[d] - census.r2_by_order[d] for d in census.r1_by_order)
+    line = "wh: class census sum of r1(d) - r2(d)"
+    if closed is not None:
+        if closed != rank:
+            raise ConsistencyError(
+                f"whitehead rank mismatch for {group.name}: "
+                f"closed form {closed} != census {rank}"
+            )
+        line += ", cross-checked against the family closed form"
+    _record(line)
+    return rank
 
 
 def lambda_value(m: int) -> int:
@@ -273,9 +319,14 @@ def carter_rank(group: FiniteGroup, *, max_size: int = 5000) -> int:
             rank -= r_f(group, FieldDescriptor.finite_prime(p), max_size=max_size)
         if rank < 0:
             raise ConsistencyError(f"negative Carter rank {rank} for {group.name}")
+        _record(
+            "kminus1 rank: Carter formula 1 - r_Q + sum_p (r_Qp - r_Fp) "
+            "from Witt-Berman counts"
+        )
         return rank
     m = dicyclic_parameter(group)
     if m is not None and m % 2 == 1 and is_prime(m):
+        _record("kminus1 rank: dicyclic odd-prime closed form via |<2>| mod m")
         return lambda_value(m)
     raise GroupTooLargeError(
         f"{group.name}: order {group.order} > {max_size} and no closed form applies"
@@ -286,17 +337,20 @@ def k_minus_one_torsion(group: FiniteGroup) -> int:
     """Number of Z_2 summands (0 or 1) in the torsion of K_-1(Z[G]), by family rule."""
     kind = group.family.kind
     if kind == CYCLIC:
+        _record("kminus1 torsion: trivial for abelian groups")
         return 0
-    if kind == BINARY_TETRAHEDRAL:
-        return 0
-    if kind in (BINARY_OCTAHEDRAL, BINARY_ICOSAHEDRAL):
-        return 1
+    row = _POLYHEDRAL.get(kind)
+    if row is not None:
+        _record("kminus1 torsion: binary polyhedral induction/restriction rule")
+        return row.kminus1_torsion
     m = dicyclic_parameter(group)
     if m is not None:
         if m & (m - 1) == 0:  # power of two: generalized quaternion Q_{2^k}
+            _record("kminus1 torsion: quaternion 2-group rule")
             k = (4 * m).bit_length() - 1
             return 0 if k == 3 else 1
         if m % 2 == 1 and is_prime(m):
+            _record(f"kminus1 torsion: dicyclic odd-prime rule, m = {m} = {m % 4} mod 4")
             return 1 if m % 4 == 1 else 0
         raise UnsupportedFamilyError(
             f"no torsion rule for Dic_{4 * m} with m={m}; "
@@ -319,71 +373,43 @@ _CYCLIC_TRIVIAL_K0 = frozenset(range(1, 12)) | {13, 14, 17, 19}
 def k0_tilde_lookup(group: FiniteGroup) -> AbelianGroupExpr | Unknown:
     """Reduced K_0 from the Swan tables; Unknown outside them."""
     kind = group.family.kind
-    if kind == BINARY_TETRAHEDRAL:
-        return AbelianGroupExpr.torsion_group(2)
-    if kind == BINARY_OCTAHEDRAL:
-        return AbelianGroupExpr.torsion_group(2, 2)
-    if kind == BINARY_ICOSAHEDRAL:
-        return AbelianGroupExpr.torsion_group(2, 2, 2)
-    if kind == CYCLIC:
-        m = group.family.param
-        return AbelianGroupExpr.zero() if m in _CYCLIC_TRIVIAL_K0 else UNKNOWN
-    m = dicyclic_parameter(group)
-    if m is not None:
-        copies = _SWAN_DICYCLIC.get(m)
-        return UNKNOWN if copies is None else AbelianGroupExpr.torsion_group(*(2,) * copies)
-    return UNKNOWN
+    row = _POLYHEDRAL.get(kind)
+    if row is not None:
+        value: AbelianGroupExpr | Unknown = row.k0
+    elif kind == CYCLIC:
+        value = AbelianGroupExpr.zero() if group.family.param in _CYCLIC_TRIVIAL_K0 else UNKNOWN
+    else:
+        copies = _SWAN_DICYCLIC.get(dicyclic_parameter(group))
+        value = UNKNOWN if copies is None else AbelianGroupExpr.torsion_group(*(2,) * copies)
+    _record("k0: outside the Swan lookup tables -> unknown" if value is UNKNOWN
+            else "k0: Swan lookup table")
+    return value
 
 
 def wedderburn_shape(group: FiniteGroup) -> tuple[WedderburnComponent, ...]:
     """Symbolic simple components of Q[G] for the supported families."""
-    kind = group.family.kind
-    if kind == BINARY_TETRAHEDRAL:
-        return (
-            _field("Q"),
-            _field("Q(zeta_3)"),
-            _matrix(3, "Q"),
-            _skew(4),
-            _algebra("H(Q(zeta_3))"),
-        )
-    if kind == BINARY_OCTAHEDRAL:
-        return (
-            _field("Q"),
-            _field("Q"),
-            _matrix(2, "Q"),
-            _matrix(3, "Q"),
-            _matrix(3, "Q"),
-            _skew(8),
-            _matrix(2, "H_hat"),
-        )
-    if kind == BINARY_ICOSAHEDRAL:
-        return (
-            _field("Q"),
-            _matrix(4, "Q"),
-            _skew(5),
-            _matrix(2, "H_hat"),
-            _matrix(5, "Q"),
-            _matrix(3, "H(Q)"),
-            _matrix(3, "Q(sqrt5)"),
-        )
+    row = _POLYHEDRAL.get(group.family.kind)
     m = dicyclic_parameter(group)
-    if m is None:
+    if row is not None:
+        comps = list(row.wedderburn)
+    elif m is None:
         raise UnsupportedFamilyError(f"no Wedderburn shape for family {group.family}")
-    if m % 2 == 1:
+    elif m % 2 == 1:
         comps = [_field("Q"), _field("Q")]
         comps += [_matrix(2, _real_cyclotomic(d)) for d in divisors(m) if d > 2]
         comps.append(_field("Q(i)"))
         comps += [_skew(2 * d0) for d0 in divisors(m) if d0 > 1]
-        return tuple(comps)
-    if m & (m - 1) == 0:
+    elif m & (m - 1) == 0:
         k = (4 * m).bit_length() - 1
         comps = [_field("Q")] * 4
         comps += [_matrix(2, _real_cyclotomic(2 ** i)) for i in range(2, k - 1)]
         comps.append(_skew(2 ** (k - 1)))
-        return tuple(comps)
-    raise UnsupportedFamilyError(
-        f"no Wedderburn shape rule for Dic_{4 * m} with even m={m} not a power of two"
-    )
+    else:
+        raise UnsupportedFamilyError(
+            f"no Wedderburn shape rule for Dic_{4 * m} with even m={m} not a power of two"
+        )
+    _record("wedderburn: rational group algebra decomposition table")
+    return tuple(comps)
 
 
 _BHS_INPUTS = {1: ("wh", "k0", "nk1"), 0: ("k0", "kminus1", "nk0")}

@@ -1,6 +1,8 @@
 """Per-group invariant reports and the assembled n = 4 lower-K report.
 
-Reports serialise to canonical JSON (fixed key order, sorted torsion and
+A group report's provenance is what the `lowerk` rules recorded while they
+ran, plus the lines that involve no choice of path (SK_1, r_F).  Reports
+serialise to canonical JSON (fixed key order, sorted torsion and
 summands), so identical inputs produce byte-identical output.
 """
 
@@ -15,7 +17,6 @@ from .groups import (
     build_binary_polyhedral,
     build_cyclic,
     build_dicyclic,
-    dicyclic_parameter,
     generalized_quaternion,
 )
 from .lowerk import (
@@ -28,6 +29,7 @@ from .lowerk import (
     Z2_INF,
     k0_tilde_lookup,
     k_minus_one,
+    provenance,
     wedderburn_shape,
     whitehead_rank,
 )
@@ -137,18 +139,6 @@ def _group_info(group: FiniteGroup) -> dict:
     return info
 
 
-def _torsion_provenance(group: FiniteGroup) -> str:
-    kind = group.family.kind
-    if kind == "cyclic":
-        return "kminus1 torsion: trivial for abelian groups"
-    m = dicyclic_parameter(group)
-    if m is not None:
-        if m & (m - 1) == 0:
-            return "kminus1 torsion: quaternion 2-group rule"
-        return f"kminus1 torsion: dicyclic odd-prime rule, m = {m} = {m % 4} mod 4"
-    return "kminus1 torsion: binary polyhedral induction/restriction rule"
-
-
 def group_report(
     family: str,
     *,
@@ -166,50 +156,27 @@ def group_report(
             )
     group = _build_group(family, m, k)
     wh = k0 = kminus1 = rf = wedderburn = None
-    provenance: list[str] = []
     try:
-        if "wh" in invariants:
-            rank = whitehead_rank(group, max_size=max_size)
-            wh = AbelianGroupExpr.free(rank)
-            if group.order <= max_size:
-                provenance.append(
-                    "wh: class census sum of r1(d) - r2(d), cross-checked against "
-                    "the family closed form"
+        with provenance() as lines:
+            if "wh" in invariants:
+                wh = AbelianGroupExpr.free(whitehead_rank(group, max_size=max_size))
+                lines.append("wh torsion: SK_1 vanishes for the supported families")
+            if "k0" in invariants:
+                k0 = k0_tilde_lookup(group)
+            if "kminus1" in invariants:
+                kminus1 = k_minus_one(group, max_size=max_size)
+            if "rf" in invariants:
+                if field_descriptor is None:
+                    raise UnsupportedParameterError("the rf invariant needs --field")
+                rf = {
+                    "field": field_descriptor.label,
+                    "value": r_f(group, field_descriptor, max_size=max_size),
+                }
+                lines.append(
+                    f"r_F: Witt-Berman count of {field_descriptor.label}-conjugacy classes"
                 )
-            else:
-                provenance.append("wh: family closed form")
-            provenance.append("wh torsion: SK_1 vanishes for the supported families")
-        if "k0" in invariants:
-            k0 = k0_tilde_lookup(group)
-            if isinstance(k0, Unknown):
-                provenance.append("k0: outside the Swan lookup tables -> unknown")
-            else:
-                provenance.append("k0: Swan lookup table")
-        if "kminus1" in invariants:
-            kminus1 = k_minus_one(group, max_size=max_size)
-            if group.order <= max_size:
-                provenance.append(
-                    "kminus1 rank: Carter formula 1 - r_Q + sum_p (r_Qp - r_Fp) "
-                    "from Witt-Berman counts"
-                )
-            else:
-                provenance.append(
-                    "kminus1 rank: dicyclic odd-prime closed form via |<2>| mod m"
-                )
-            provenance.append(_torsion_provenance(group))
-        if "rf" in invariants:
-            if field_descriptor is None:
-                raise UnsupportedParameterError("the rf invariant needs --field")
-            rf = {
-                "field": field_descriptor.label,
-                "value": r_f(group, field_descriptor, max_size=max_size),
-            }
-            provenance.append(
-                f"r_F: Witt-Berman count of {field_descriptor.label}-conjugacy classes"
-            )
-        if "wedderburn" in invariants:
-            wedderburn = wedderburn_shape(group)
-            provenance.append("wedderburn: rational group algebra decomposition table")
+            if "wedderburn" in invariants:
+                wedderburn = wedderburn_shape(group)
     except UnsupportedFamilyError as exc:
         raise UnsupportedParameterError(str(exc)) from exc
     return KReport(
@@ -219,7 +186,7 @@ def group_report(
         kminus1=kminus1,
         rf=rf,
         wedderburn=wedderburn,
-        provenance=tuple(provenance),
+        provenance=tuple(lines),
     )
 
 

@@ -126,7 +126,10 @@ def test_field_descriptor_validation_and_parse():
     assert FieldDescriptor.parse("Qp:5") == FieldDescriptor.p_adic(5)
     assert FieldDescriptor.parse("Fp:3") == FieldDescriptor.finite_prime(3)
     assert FieldDescriptor.parse("Qp:5").label == "Q_5"
-    for text in ("R", "Qp:", "Fp:2.5", "Fp:", "Qp:x"):
+    # only ASCII digits follow the prefix: int() alone would take " 3", "3_0", "+3"
+    # and the Arabic-Indic digit three
+    for text in ("R", "Qp:", "Fp:2.5", "Fp:", "Qp:x",
+                 "Qp: 3", "Qp:3_0", "Qp:+3", "Qp:\u0663"):
         expected = f"cannot parse field {text!r} (expected Q, Qp:<p> or Fp:<p>)"
         with pytest.raises(ValueError) as exc:
             FieldDescriptor.parse(text)

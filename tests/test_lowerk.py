@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from lowk import lowerk
 from lowk.census import GroupTooLargeError
 from lowk.groups import (
     build_binary_polyhedral,
@@ -143,6 +144,34 @@ def test_whitehead_closed_form_only_for_large_groups():
 
 def test_whitehead_custom_family_uses_census():
     assert whitehead_rank(build_abelian([2, 2])) == 0
+
+
+def test_rules_record_their_path_only_inside_a_provenance_block():
+    q16 = generalized_quaternion(4)
+
+    def run_rules():
+        whitehead_rank(build_abelian([2, 2]))
+        whitehead_rank(q16, max_size=8)
+        k_minus_one(q16)
+        k0_tilde_lookup(build_cyclic(23))
+        wedderburn_shape(q16)
+
+    with lowerk.provenance() as lines:
+        run_rules()
+    assert lines == [
+        "wh: class census sum of r1(d) - r2(d)",  # no closed form to cross-check
+        "wh: family closed form",
+        "kminus1 rank: Carter formula 1 - r_Q + sum_p (r_Qp - r_Fp) "
+        "from Witt-Berman counts",  # one line, however many r_F it took
+        "kminus1 torsion: quaternion 2-group rule",
+        "k0: outside the Swan lookup tables -> unknown",
+        "wedderburn: rational group algebra decomposition table",
+    ]
+    run_rules()  # after the block closes, the same calls record nothing
+    assert len(lines) == 6
+    with lowerk.provenance() as inner:
+        k0_tilde_lookup(q16)
+    assert inner == ["k0: Swan lookup table"] and len(lines) == 6
 
 
 # -- Carter rank and torsion -----------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import lowk
-from lowk import report as report_module
+from lowk import lowerk, report as report_module
 from lowk.cli import main
 from lowk.lowerk import UNKNOWN, AbelianGroupExpr, Z2_INF, W_NAME
 from lowk.galois import FieldDescriptor
@@ -220,10 +220,55 @@ def test_cli_usage_error_exit_code(capsys):
         assert "non-negative" in capsys.readouterr().err
 
 
+GROUP_REPORTS = json.loads((GOLDEN / "group_reports.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(GROUP_REPORTS))
+def test_group_report_matches_golden_byte_for_byte(capsys, command):
+    code, out, err = run_cli(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert out == GROUP_REPORTS[command]
+
+
+CENSUS_WH = "wh: class census sum of r1(d) - r2(d)"
+CROSS_CHECKED = CENSUS_WH + ", cross-checked against the family closed form"
+CARTER = ("kminus1 rank: Carter formula 1 - r_Q + sum_p (r_Qp - r_Fp) "
+          "from Witt-Berman counts")
+LAMBDA = "kminus1 rank: dicyclic odd-prime closed form via |<2>| mod m"
+SK1 = "wh torsion: SK_1 vanishes for the supported families"
+
+
+@pytest.mark.parametrize("max_size, wh_line, rank_line", [
+    (20, CROSS_CHECKED, CARTER),   # |Dic_20| = 20: census
+    (19, "wh: family closed form", LAMBDA),
+])
+def test_provenance_follows_the_path_taken(max_size, wh_line, rank_line):
+    report = group_report("dicyclic", m=5, invariants=("wh", "kminus1"),
+                          max_size=max_size)
+    torsion = "kminus1 torsion: dicyclic odd-prime rule, m = 5 = 1 mod 4"
+    assert report.provenance == (wh_line, SK1, rank_line, torsion)
+
+
+def test_no_cross_check_claimed_without_a_closed_form(monkeypatch, capsys):
+    monkeypatch.setattr(lowerk, "_whitehead_closed_form", lambda group: None)
+    report = group_report("cyclic", m=12, invariants=("wh",))
+    assert report.provenance == (CENSUS_WH, SK1)
+    code, _, err = run_cli(capsys, "group", "cyclic", "--m", "12",
+                           "--invariants", "wh", "--max-brute-force", "4")
+    assert code == 2
+    assert "no closed form" in err
+
+
 def test_cli_unsupported_parameters(capsys):
     code, _, err = run_cli(capsys, "group", "dicyclic", "--m", "1")
     assert code == 2
     assert err
+    # an empty invariant list, or an empty item in one, is not skipped
+    for invariants in ("", "wh,,k0"):
+        code, out, err = run_cli(capsys, "group", "dicyclic", "--m", "6",
+                                 "--invariants", invariants)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: unknown invariant ''")
 
 
 def test_group_report_partitions_the_group_once(monkeypatch):
