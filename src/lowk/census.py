@@ -4,14 +4,19 @@ Conjugacy classes are computed by orbit expansion under conjugation by the
 group's generating set.  Every coarser count is a power-map merge of those
 classes (`merge_classes`): pair classes {g, g^-1} merge g with g^(e-1), and
 classes of cyclic subgroups merge g with g^t for t running over generators of
-the units modulo the exponent e.  The F-conjugacy blocks of `lowk.fconj` are
-the same merge over a Galois image, and all of them share one partition of
-the group, kept on it.  A census restricted to a few element orders scans
-the element list once and partitions only the elements of those orders.
+the units modulo the exponent e.  The power maps come from `power_tables`:
+one walk g, g^2, ..., g^d = e per class of cyclic subgroups, after which
+class(c^t) is a list lookup, so a merge multiplies no group elements.  The
+F-conjugacy blocks of `lowk.fconj` are the same merge over a Galois image,
+and all of them share one partition of the group and one set of power
+tables, both kept on it.  A census restricted to a few element orders scans
+the element list once and partitions, and tabulates, only the elements of
+those orders.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -71,6 +76,50 @@ def class_partition(
     return group._class_partition
 
 
+# A class's slot (table, s): the class is class(g^s) for the element g whose
+# powers the table lists, so class(c^t) = table[s * t % len(table)].
+Slot = tuple[list[int], int]
+
+
+def power_tables(
+    group: FiniteGroup,
+    classes: Sequence[tuple[ElementId, ...]],
+    index: dict[ElementId, int],
+) -> list[Slot]:
+    """Each class's slot in the power table of its class of cyclic subgroups.
+
+    `classes` must be closed under g -> g^t for t prime to |g|.  The first
+    class without a slot gives g, its least element, of order d; walking g,
+    g^2, ..., g^d = e (d products) records table[t] = index of class(g^t)
+    for every t prime to d (other entries are -1), and each class so reached
+    without a slot gets (table, t).  If c is conjugate to g^s, c^t is
+    conjugate to g^(st), so class(c^t) = table[s * t % d].
+    """
+    mul = group.mul
+    slots: list[Slot | None] = [None] * len(classes)
+    for i, cls in enumerate(classes):
+        if slots[i] is not None:
+            continue
+        g = cls[0]
+        d = group.order_of(g)
+        table = [-1] * d
+        x = group.identity
+        for t in range(d):
+            if math.gcd(t, d) == 1:
+                j = table[t] = index[x]
+                if slots[j] is None:
+                    slots[j] = (table, t)
+            x = mul(x, g)
+    return slots  # type: ignore[return-value]
+
+
+def class_power_tables(group: FiniteGroup) -> list[Slot]:
+    """`power_tables` of the whole-group partition, made once and kept on the group."""
+    if group._power_tables is None:
+        group._power_tables = power_tables(group, *class_partition(group))
+    return group._power_tables
+
+
 @dataclass(frozen=True, eq=False)
 class ClassCensus:
     """Conjugacy classes plus the per-order pair/subgroup class counts r1, r2.
@@ -83,14 +132,15 @@ class ClassCensus:
     group: FiniteGroup
     classes: tuple[tuple[ElementId, ...], ...]
     _index: dict[ElementId, int] = field(default_factory=dict, repr=False)
+    _slots: list[Slot] = field(default_factory=list, repr=False)
 
     def class_of(self, g: ElementId) -> tuple[ElementId, ...]:
         return self.classes[self._index[g]]
 
     def _blocks_by_order(self, exponents: Iterable[int]) -> dict[int, int]:
-        order_of, classes = self.group.order_of, self.classes
-        roots = set(merge_classes(self.group, classes, self._index, exponents))
-        return dict(sorted(Counter(order_of(classes[r][0]) for r in roots).items()))
+        slots = self._slots
+        roots = set(merge_classes(slots, exponents))
+        return dict(sorted(Counter(len(slots[r][0]) for r in roots).items()))
 
     @cached_property
     def r1_by_order(self) -> dict[int, int]:
@@ -102,33 +152,38 @@ class ClassCensus:
 
 
 def merge_classes(
-    group: FiniteGroup,
-    classes: Sequence[tuple[ElementId, ...]],
-    index: dict[ElementId, int],
+    slots: Sequence[Slot],
     exponents: Iterable[int],
+    members: Sequence[int] | None = None,
 ) -> list[int]:
-    """Merge class(g) with class(g^t) for each exponent t; return each class's root.
+    """Merge class(c) with class(c^t) for each exponent t; return each member's root.
 
-    A union-find over class indices.  The exponents must be prime to the
-    orders of the elements in `classes`, so every power map permutes them;
-    the blocks are then the orbits of the group of power maps the exponents
-    generate.  Each root is the least class index in its block.
+    The exponents must be prime to the orders of the merged classes, so every
+    power map permutes them; the blocks are then the orbits of the group of
+    power maps the exponents generate.  Each orbit is walked from its least
+    class index, its root, with class(c^t) read from the class's power-table
+    slot (`power_tables`).  `members` (default: every class) lists the
+    classes to merge and must be a union of orbits, e.g. the classes of
+    p-regular elements.
     """
-    parent = list(range(len(classes)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    power = group.power
-    for t in exponents:
-        for i, cls in enumerate(classes):
-            ri, rj = find(i), find(index[power(cls[0], t)])
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    return [find(i) for i in range(len(classes))]
+    exponents = tuple(exponents)
+    root = [-1] * len(slots)
+    if members is None:
+        members = range(len(slots))
+    for i in members:
+        if root[i] >= 0:
+            continue
+        root[i] = i
+        frontier = [i]
+        while frontier:
+            table, s = slots[frontier.pop()]
+            d = len(table)
+            for t in exponents:
+                j = table[s * t % d]
+                if root[j] < 0:
+                    root[j] = i
+                    frontier.append(j)
+    return [root[i] for i in members]
 
 
 def conjugacy_classes(
@@ -141,9 +196,11 @@ def conjugacy_classes(
     _check_size(group, max_size)
     if orders is None:
         classes, index = class_partition(group)
+        slots = class_power_tables(group)
     else:
         classes, index = _orbit_partition(group, group.elements_of_orders(frozenset(orders)))
-    return ClassCensus(group=group, classes=classes, _index=index)
+        slots = power_tables(group, classes, index)
+    return ClassCensus(group=group, classes=classes, _index=index, _slots=slots)
 
 
 def check_p2_condition(group: FiniteGroup, *, max_size: int = 5000) -> bool:

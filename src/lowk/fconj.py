@@ -10,23 +10,43 @@ regular part of the group exponent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
-from .census import _check_size, class_partition, merge_classes
+from .census import _check_size, class_partition, class_power_tables, merge_classes
 from .galois import FieldDescriptor, minimal_generators, phi_image
 from .groups import ElementId, FiniteGroup
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FPartition:
-    """Partition of the (p-regular) elements into F-conjugacy classes."""
+    """Partition of the (p-regular) elements into F-conjugacy classes.
+
+    Holds the merge root of each (p-regular) conjugacy class; the blocks, as
+    sorted element tuples, are built on first access.
+    """
 
     field: FieldDescriptor
-    blocks: tuple[tuple[ElementId, ...], ...]
+    group: FiniteGroup
+    _members: Sequence[int]
+    _roots: list[int]
 
-    @property
+    @cached_property
     def block_count(self) -> int:
-        return len(self.blocks)
+        return len(set(self._roots))
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[ElementId, ...], ...]:
+        classes, _ = class_partition(self.group)
+        merged: dict[int, list[ElementId]] = {}
+        for root, i in zip(self._roots, self._members):
+            merged.setdefault(root, []).extend(classes[i])
+        return tuple(
+            sorted(
+                (tuple(sorted(b)) for b in merged.values()),
+                key=lambda b: (self.group.order_of(b[0]), b[0]),
+            )
+        )
 
 
 def regular_modulus(group: FiniteGroup, field: FieldDescriptor) -> int:
@@ -39,37 +59,24 @@ def regular_modulus(group: FiniteGroup, field: FieldDescriptor) -> int:
     return m
 
 
-def _regular_classes(
-    group: FiniteGroup, field: FieldDescriptor
-) -> tuple[Sequence[tuple[ElementId, ...]], dict[ElementId, int]]:
-    """Conjugacy classes of the elements of order prime to the characteristic."""
-    classes, index = class_partition(group)
+def _regular_classes(group: FiniteGroup, field: FieldDescriptor) -> Sequence[int]:
+    """Indices of the classes of elements of order prime to the characteristic."""
+    slots = class_power_tables(group)
     p = field.characteristic
     if not p:
-        return classes, index
-    regular = [c for c in classes if group.order_of(c[0]) % p]
-    return regular, {g: i for i, cls in enumerate(regular) for g in cls}
+        return range(len(slots))
+    # a power table is as long as the order of its classes' elements
+    return [i for i, (table, _) in enumerate(slots) if len(table) % p]
 
 
 def f_partition(
     group: FiniteGroup, field: FieldDescriptor, *, max_size: int = 5000
 ) -> FPartition:
     _check_size(group, max_size)
-    classes, index = _regular_classes(group, field)
-    modulus = regular_modulus(group, field)
-    roots = merge_classes(
-        group, classes, index, minimal_generators(phi_image(field, modulus))
-    )
-    merged: dict[int, list[ElementId]] = {}
-    for root, cls in zip(roots, classes):
-        merged.setdefault(root, []).extend(cls)
-    blocks = tuple(
-        sorted(
-            (tuple(sorted(b)) for b in merged.values()),
-            key=lambda b: (group.order_of(b[0]), b[0]),
-        )
-    )
-    return FPartition(field=field, blocks=blocks)
+    members = _regular_classes(group, field)
+    exponents = minimal_generators(phi_image(field, regular_modulus(group, field)))
+    roots = merge_classes(class_power_tables(group), exponents, members)
+    return FPartition(field=field, group=group, _members=members, _roots=roots)
 
 
 def r_f(group: FiniteGroup, field: FieldDescriptor, *, max_size: int = 5000) -> int:

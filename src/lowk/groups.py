@@ -103,8 +103,9 @@ class FiniteGroup:
     machinery relies on it).  `elements` is an iterable of the element ids,
     or a zero-argument function returning one; it is sorted into the
     `elements` tuple on first access only, so `order` must then be given.
-    The element tuple, the exponent and the class partition are filled in
-    on first use, so no result depends on the order of calls.
+    The element tuple, the exponent, the class partition and its power
+    tables are filled in on first use, so no result depends on the order of
+    calls.
     `elements_of_orders` scans that tuple.
     """
 
@@ -132,6 +133,7 @@ class FiniteGroup:
         self.order_of = order_of
         self._exponent = exponent
         self._class_partition = None  # (classes, index), kept by census.class_partition
+        self._power_tables = None  # kept by census.class_power_tables
 
     @cached_property
     def elements(self) -> tuple[ElementId, ...]:

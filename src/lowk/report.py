@@ -107,29 +107,33 @@ class KReport:
         return "\n".join(lines)
 
 
+# family -> (the parameter it takes, if any; its builder)
+_FAMILIES = {
+    "cyclic": ("m", build_cyclic),
+    "dicyclic": ("m", build_dicyclic),
+    "quaternion": ("k", generalized_quaternion),
+    "tstar": (None, lambda: build_binary_polyhedral("T*")),
+    "ostar": (None, lambda: build_binary_polyhedral("O*")),
+    "istar": (None, lambda: build_binary_polyhedral("I*")),
+}
+
+
 def _build_group(family: str, m: int | None, k: int | None) -> FiniteGroup:
+    if family not in _FAMILIES:
+        raise UnsupportedParameterError(f"unknown family {family!r}")
+    wanted, build = _FAMILIES[family]
+    given = {"m": m, "k": k}
+    for name, value in given.items():
+        if value is not None and name != wanted:
+            raise UnsupportedParameterError(f"{family} groups take no --{name}")
+    if wanted is None:
+        return build()
+    if given[wanted] is None:
+        raise UnsupportedParameterError(f"{family} groups need --{wanted}")
     try:
-        if family == "cyclic":
-            if m is None:
-                raise UnsupportedParameterError("cyclic groups need --m")
-            return build_cyclic(m)
-        if family == "dicyclic":
-            if m is None:
-                raise UnsupportedParameterError("dicyclic groups need --m")
-            return build_dicyclic(m)
-        if family == "quaternion":
-            if k is None:
-                raise UnsupportedParameterError("quaternion groups need --k")
-            return generalized_quaternion(k)
-        if family == "tstar":
-            return build_binary_polyhedral("T*")
-        if family == "ostar":
-            return build_binary_polyhedral("O*")
-        if family == "istar":
-            return build_binary_polyhedral("I*")
+        return build(given[wanted])
     except ValueError as exc:
         raise UnsupportedParameterError(str(exc)) from exc
-    raise UnsupportedParameterError(f"unknown family {family!r}")
 
 
 def _group_info(group: FiniteGroup) -> dict:
@@ -154,6 +158,8 @@ def group_report(
             raise UnsupportedParameterError(
                 f"unknown invariant {inv!r}; choose from {INVARIANT_ORDER}"
             )
+    if field_descriptor is not None and "rf" not in invariants:
+        raise UnsupportedParameterError("--field is used only by the rf invariant")
     group = _build_group(family, m, k)
     wh = k0 = kminus1 = rf = wedderburn = None
     try:

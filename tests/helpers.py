@@ -6,7 +6,7 @@ lowk's faster paths against it.
 
 import math
 
-from lowk.census import merge_classes
+from lowk.census import class_partition
 from lowk.fconj import _regular_classes
 from lowk.galois import minimal_generators, phi_image
 from lowk.groups import CUSTOM, FamilyTag, FiniteGroup
@@ -73,16 +73,37 @@ def blocks_of_order(group, partition, d):
     return [b for b in partition.blocks if group.order_of(b[0]) == d]
 
 
+def power_merge(group, classes, index, exponents):
+    """Union-find of class(g) with class(g^t), each power taken with `group.power`.
+
+    Returns each class's root, the least class index in its block, like
+    `lowk.census.merge_classes` over power tables.
+    """
+    parent = list(range(len(classes)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for t in exponents:
+        for i, cls in enumerate(classes):
+            ri, rj = find(i), find(index[group.power(cls[0], t)])
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
+    return [find(i) for i in range(len(classes))]
+
+
 def per_order_blocks(group, field):
     """r_F with the Galois image taken modulo each element order, not the exponent."""
-    classes, _ = _regular_classes(group, field)
+    classes, _ = class_partition(group)
     strata = {}
-    for cls in classes:
-        strata.setdefault(group.order_of(cls[0]), []).append(cls)
+    for i in _regular_classes(group, field):
+        strata.setdefault(group.order_of(classes[i][0]), []).append(classes[i])
     count = 0
     for d, stratum in strata.items():
         index = {g: i for i, cls in enumerate(stratum) for g in cls}
-        roots = merge_classes(
+        roots = power_merge(
             group, stratum, index, minimal_generators(phi_image(field, d))
         )
         count += len(set(roots))

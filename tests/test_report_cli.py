@@ -363,6 +363,22 @@ def test_unparsable_field_exits_2_naming_the_field(field):
     )
 
 
+@pytest.mark.parametrize("argv,option", [
+    (("group", "tstar", "--m", "7"), "--m"),
+    (("group", "istar", "--k", "4", "--invariants", "wh"), "--k"),
+    (("group", "cyclic", "--m", "12", "--k", "5"), "--k"),
+    (("group", "quaternion", "--k", "4", "--m", "3"), "--m"),
+    (("group", "cyclic", "--m", "12", "--field", "Qp:2", "--invariants", "wh"), "--field"),
+    (("group", "dicyclic", "--m", "5", "--field", "Q"), "--field"),
+])
+def test_unused_option_exits_2_naming_it(argv, option):
+    done = _cli_in_child(*argv)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert option in done.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ("lambda", "--m", "2147483647"),
     ("group", "quaternion", "--k", "200", "--invariants", "wh,k0,wedderburn"),
