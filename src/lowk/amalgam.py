@@ -4,6 +4,11 @@ Elements are stored as t_1 t_2 ... t_k f: alternating nontrivial left-coset
 representatives from the two factors, followed by a core element of F.  Once
 an AmalgamSpec fixes the transversals, this form is unique, which makes
 equality a tuple comparison and golden tests possible.
+
+Each spec tabulates, once, at construction, the step the arithmetic repeats:
+the step table maps (trailing same-side coset rep or None, core element f,
+factor element x) to the split of rep * f * x, so appending a factor element
+to a normal form is one lookup and multiplies no factor elements.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from .groups import ElementId, FiniteGroup, binary_power
 
 Letter = tuple[int, ElementId]  # (side 1|2, transversal representative)
 Word = Sequence[tuple[int, ElementId]]  # arbitrary factor elements tagged by side
+Split = tuple[ElementId | None, ElementId]  # (coset rep or None for F, core element)
 
 
 class AmalgamError(Exception):
@@ -54,6 +60,7 @@ class AmalgamSpec:
             {img: src for src, img in emb.items()} for emb in self.embeddings
         )
         self._split = (self._split_table(0), self._split_table(1))
+        self._step = (self._step_table(0), self._step_table(1))
         self.core_is_normal = self._core_normal()
 
     # -- validation ---------------------------------------------------------
@@ -91,12 +98,12 @@ class AmalgamSpec:
                             f"{self.name}: transversal {side + 1} repeats a coset"
                         )
 
-    def _split_table(self, side: int) -> dict[ElementId, tuple[ElementId | None, ElementId]]:
+    def _split_table(self, side: int) -> dict[ElementId, Split]:
         """g -> (t, f) with g = t f, t the coset rep (None when g lies in F)."""
         g = self.factors[side]
         emb = self.embeddings[side]
         unembed = self._unembed[side]
-        table: dict[ElementId, tuple[ElementId | None, ElementId]] = {}
+        table: dict[ElementId, Split] = {}
         for x in g.elements:
             for t in self.transversals[side]:
                 rest = g.mul(g.inv(t), x)
@@ -105,6 +112,19 @@ class AmalgamSpec:
                     break
             else:
                 raise AmalgamError(f"{self.name}: transversal {side + 1} misses {x!r}")
+        return table
+
+    def _step_table(self, side: int) -> dict[tuple[ElementId, ElementId], dict[ElementId, Split]]:
+        """(last, f) -> {x: split of last * f * x}; last is a coset rep, None for 1."""
+        g = self.factors[side]
+        emb = self.embeddings[side]
+        split = self._split[side]
+        table = {}
+        for rep in self.transversals[side]:
+            last = None if rep == g.identity else rep
+            for f in self.core.elements:
+                prefix = g.mul(rep, emb[f])
+                table[last, f] = {x: split[g.mul(prefix, x)] for x in g.elements}
         return table
 
     def _core_normal(self) -> bool:
@@ -118,12 +138,6 @@ class AmalgamSpec:
         return True
 
     # -- helpers used by the arithmetic --------------------------------------
-
-    def embed(self, side: int, f: ElementId) -> ElementId:
-        return self.embeddings[side][f]
-
-    def split(self, side: int, x: ElementId) -> tuple[ElementId | None, ElementId]:
-        return self._split[side][x]
 
     def identity(self) -> "AmalgamElement":
         return AmalgamElement(self, (), self.core.identity)
@@ -194,11 +208,8 @@ def _append(
 
     Mutates `letters`, returns the new core.
     """
-    g = spec.factors[side - 1]
-    u = g.mul(spec.embed(side - 1, core), x)
-    if letters and letters[-1][0] == side:
-        u = g.mul(letters.pop()[1], u)
-    t, f = spec.split(side - 1, u)
+    last = letters.pop()[1] if letters and letters[-1][0] == side else None
+    t, f = spec._step[side - 1][last, core][x]
     if t is not None:
         letters.append((side, t))
     return f
@@ -252,7 +263,10 @@ def has_finite_order(a: AmalgamElement) -> bool:
         side, t = b.letters[0]
         first = b.spec.from_factor(side, t)
         shorter = multiply(multiply(invert(first), b), first)
-        assert shorter.syllable_length < b.syllable_length
+        if shorter.syllable_length >= b.syllable_length:
+            raise AmalgamError(
+                f"cyclic reduction of {b!r} did not shorten it: {shorter!r}"
+            )
         b = shorter
     return b.syllable_length <= 1
 

@@ -50,6 +50,10 @@ class UnsupportedParameterError(ValueError):
     pass
 
 
+class AssemblyError(Exception):
+    """An input the B4(S^2) assembly relies on has the wrong value (signals a bug)."""
+
+
 @dataclass(frozen=True)
 class KReport:
     """Invariant values for one group, each summand backed by a rule citation."""
@@ -228,9 +232,11 @@ def b4_lower_k_report(*, max_size: int = 5000) -> KReport:
     # K0~(Q8) -> K0~(T*) is an isomorphism, so the K0~ kernel term vanishes
     # and the cokernel keeps only the Q16 copy of Z_2.
     k0_assembled = k0_tilde_lookup(q16)
-    assert isinstance(k0_assembled, AbelianGroupExpr)
+    if not isinstance(k0_assembled, AbelianGroupExpr):
+        raise AssemblyError(f"reduced K_0 of {q16.name} is not tabulated")
     kminus1 = k_minus_one(q16, max_size=max_size) + k_minus_one(tstar, max_size=max_size)
-    assert k_minus_one(q8, max_size=max_size).is_zero
+    if not k_minus_one(q8, max_size=max_size).is_zero:
+        raise AssemblyError(f"K_-1 of {q8.name} is not zero")
 
     nil_block = (
         nil_groups_q8(1, 1).times(2) + nil_groups_q8(1, 2).times(2)

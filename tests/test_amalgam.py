@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import lowk.amalgam
 from lowk.amalgam import (
     AmalgamError,
+    AmalgamSpec,
     conjugate_subgroup,
     has_finite_order,
     invert,
@@ -12,7 +14,23 @@ from lowk.amalgam import (
     power,
     reduce_word,
 )
-from lowk.b4 import I_UNIT, J_UNIT, R2_REP, R_REP, build_b4_spec, build_gamma_specs
+from lowk.b4 import (
+    I_UNIT,
+    J_UNIT,
+    R2_REP,
+    R_REP,
+    _sym3,
+    build_b4,
+    build_b4_spec,
+    build_gamma_specs,
+)
+from lowk.groups import build_cyclic
+
+MODEL = build_b4()
+SPECS = (MODEL.spec, *build_gamma_specs())
+SPEC_IDS = [s.name for s in SPECS]
+# the order-4 subgroups of Q8 and Q8 itself; all three specs share the core ids
+CORE_SUBSETS = (*MODEL.h_subgroups, frozenset(MODEL.spec.core.elements))
 
 
 @pytest.fixture(scope="module")
@@ -213,3 +231,129 @@ def test_power_uses_the_fewest_multiplies(spec, monkeypatch):
         for _ in range(n):
             expected = multiply(expected, base)
         assert got == expected
+
+
+# -- the step table ---------------------------------------------------------------
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_step_table_is_the_split_of_the_factor_product(spec):
+    for side in (0, 1):
+        g, emb, split = spec.factors[side], spec.embeddings[side], spec._split[side]
+        assert set(spec._step[side]) == {
+            (None if rep == g.identity else rep, f)
+            for rep in spec.transversals[side]
+            for f in spec.core.elements
+        }
+        for (last, f), row in spec._step[side].items():
+            assert set(row) == set(g.elements)
+            prefix = emb[f] if last is None else g.mul(last, emb[f])
+            for x, entry in row.items():
+                assert entry == split[g.mul(prefix, x)]
+
+
+def test_append_calls_no_factor_multiplication(spec, monkeypatch):
+    calls = []
+    for g in spec.factors:
+        real = g.mul
+
+        def counted(x, y, real=real):
+            calls.append(None)
+            return real(x, y)
+
+        monkeypatch.setattr(g, "mul", counted)
+    rng = random.Random(8)
+    for _ in range(50):
+        a = reduce_word(spec, random_word(spec, rng, rng.randint(0, 12)))
+        multiply(a, invert(a))
+    assert calls == []
+
+
+def test_conjugate_subgroup_rejects_a_subset_outside_the_core(spec):
+    with pytest.raises(AmalgamError, match="is not a core element"):
+        conjugate_subgroup(spec.from_factor(1, (1, 0)), [I_UNIT, (5, 0)])
+
+
+def test_non_normal_core_builds_but_cannot_conjugate():
+    # S3 glued to Z2 along the order-2 subgroup {1, (0 2)}, which is not normal in S3
+    s3, z2 = _sym3(), build_cyclic(2)
+    embed1 = {0: s3.identity, 1: (2, 1, 0)}
+    image = set(embed1.values())
+    reps = []
+    for x in s3.elements:
+        if all(s3.mul(s3.inv(t), x) not in image for t in reps):
+            reps.append(x)
+    spec = AmalgamSpec(
+        name="S3 *_Z2 Z2", g1=s3, g2=z2, core=z2, embed1=embed1, embed2={0: 0, 1: 1},
+        transversal1=reps, transversal2=(0,),
+    )
+    assert not spec.core_is_normal
+    a = reduce_word(spec, [(1, (2, 0, 1)), (2, 1)])
+    assert multiply(a, invert(a)).is_identity
+    with pytest.raises(AmalgamError, match="core is not normal"):
+        conjugate_subgroup(a, [0, 1])
+
+
+def test_has_finite_order_raises_when_cyclic_reduction_does_not_shorten(spec, monkeypatch):
+    # a product that returns its longer argument unchanged never shortens
+    monkeypatch.setattr(lowk.amalgam, "multiply",
+                        lambda x, y: max(x, y, key=lambda e: e.syllable_length))
+    b = reduce_word(spec, [(1, (1, 0)), (2, R_REP), (1, (1, 0))])
+    with pytest.raises(AmalgamError, match="did not shorten"):
+        has_finite_order(b)
+
+
+# -- properties on words of up to 12 syllables ----------------------------------
+
+@st.composite
+def spec_words(draw, count):
+    """A spec and `count` words of up to 12 syllables, alternating sides."""
+    spec = draw(st.sampled_from(SPECS))
+    words = []
+    for _ in range(count):
+        side = draw(st.sampled_from((1, 2)))
+        word = []
+        for _ in range(draw(st.integers(0, 12))):
+            word.append((side, draw(st.sampled_from(spec.factors[side - 1].elements))))
+            side = 3 - side
+        words.append(word)
+    return spec, words
+
+
+@given(spec_words(1))
+def test_conjugate_subgroup_matches_word_conjugation(case):
+    spec, (word,) = case
+    a = reduce_word(spec, word)
+    a_inv = invert(a)
+    # the singletons pin each element's image; the subgroups are normal in the core
+    singletons = [frozenset([f]) for f in spec.core.elements]
+    for subset in (*CORE_SUBSETS, *singletons):
+        conjugates = [multiply(multiply(a, spec.from_core(s)), a_inv) for s in subset]
+        assert all(not c.letters for c in conjugates)
+        assert conjugate_subgroup(a, subset) == frozenset(c.core for c in conjugates)
+
+
+@given(spec_words(3))
+def test_multiplication_is_associative(case):
+    spec, words = case
+    a, b, c = (reduce_word(spec, w) for w in words)
+    assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+
+
+@given(spec_words(1))
+def test_inverse_cancels_on_both_sides(case):
+    spec, (word,) = case
+    a = reduce_word(spec, word)
+    assert multiply(a, invert(a)).is_identity
+    assert multiply(invert(a), a).is_identity
+
+
+@given(spec_words(1), st.integers(0, 12))
+def test_two_reductions_of_a_word_agree(case, cut):
+    spec, (word,) = case
+    cut = min(cut, len(word))
+    left_to_right = reduce_word(spec, word)
+    split = multiply(reduce_word(spec, word[:cut]), reduce_word(spec, word[cut:]))
+    right_to_left = spec.identity()
+    for side, x in reversed(word):
+        right_to_left = multiply(spec.from_factor(side, x), right_to_left)
+    assert left_to_right == split == right_to_left

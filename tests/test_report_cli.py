@@ -13,6 +13,7 @@ from lowk.cli import main
 from lowk.lowerk import UNKNOWN, AbelianGroupExpr, Z2_INF, W_NAME
 from lowk.galois import FieldDescriptor
 from lowk.report import (
+    AssemblyError,
     UnsupportedParameterError,
     b4_lower_k_report,
     group_report,
@@ -97,6 +98,21 @@ def test_b4_report_values():
     ]
     assert nil["Nil_0"]["copies"] == "countable"
     assert nil["Nil_1"] == nil["Nil_0"]
+
+
+@pytest.mark.parametrize("name, order, value", [
+    ("k_minus_one", 8, AbelianGroupExpr.free(1)),
+    ("k0_tilde_lookup", 16, UNKNOWN),
+], ids=["kminus1_q8_nonzero", "k0_q16_unknown"])
+def test_b4_report_rejects_a_wrong_assembly_input(monkeypatch, name, order, value):
+    real = getattr(report_module, name)
+
+    def wrong_at_order(group, **kwargs):
+        return value if group.order == order else real(group, **kwargs)
+
+    monkeypatch.setattr(report_module, name, wrong_at_order)
+    with pytest.raises(AssemblyError):
+        b4_lower_k_report()
 
 
 def test_b4_report_byte_identical_and_matches_golden():
@@ -401,3 +417,18 @@ def test_cli_main_twice_matches_a_fresh_process(capsys):
     assert fresh.returncode == 0
     assert out == fresh.stdout
     assert "census" in out
+
+
+@pytest.mark.parametrize("command, golden", [
+    ("verify", "b4_verify.json"),
+    ("report", "b4_report.json"),
+])
+def test_b4_json_under_python_O_matches_golden(command, golden):
+    # -O strips assert statements, so every check the output depends on must raise
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONIOENCODING": "utf-8"}
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "lowk.cli", "b4", command, "--format", "json"],
+        capture_output=True, timeout=60, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (GOLDEN / golden).read_bytes()
