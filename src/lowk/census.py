@@ -1,17 +1,19 @@
 """Conjugacy machinery: classes, {g, g^-1} pair classes, cyclic-subgroup classes.
 
 Conjugacy classes are computed by orbit expansion under conjugation by the
-group's generating set.  Every coarser count is a power-map merge of those
-classes (`merge_classes`): pair classes {g, g^-1} merge g with g^(e-1), and
-classes of cyclic subgroups merge g with g^t for t running over generators of
-the units modulo the exponent e.  The power maps come from `power_tables`:
-one walk g, g^2, ..., g^d = e per class of cyclic subgroups, after which
-class(c^t) is a list lookup, so a merge multiplies no group elements.  The
-F-conjugacy blocks of `lowk.fconj` are the same merge over a Galois image,
-and all of them share one partition of the group and one set of power
-tables, both kept on it.  A census restricted to a few element orders scans
-the element list once and partitions, and tabulates, only the elements of
-those orders.
+group's non-central generators.  Every coarser count is a count of the
+blocks of a power-map merge of those classes (`count_blocks`): pair classes
+{g, g^-1} merge g with g^(e-1), and the F-conjugacy blocks of `lowk.fconj`
+merge g with g^t for t in a Galois image.  The power maps come from
+`power_tables`: one walk g, g^2, ..., g^d = e per class of cyclic
+subgroups, whose classes are the cosets of (Z/d)^* by H = {u : g^u ~ g}.
+The exponents act on those cosets by translation, so all orbits in a table
+have one size and a table's blocks are counted from the orbit of its first
+class alone, without listing them; classes of cyclic subgroups are the
+tables themselves.  All
+counts share one partition of the group and one set of power tables, both
+kept on it.  A census restricted to a few element orders scans the element
+list once and partitions, and tabulates, only the elements of those orders.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .galois import full_unit_group, minimal_generators, prime_divisors
+from .galois import prime_divisors
 from .groups import ElementId, FiniteGroup
 
 
@@ -43,26 +45,34 @@ def _orbit_partition(
     """Partition `elems` (closed under conjugation) into conjugacy classes.
 
     Returns the classes sorted by (element order, least element) and each
-    element's class index.
+    element's class index.  A generator that commutes with every generator
+    is central and conjugates trivially, so it is left out; when none is
+    left, as for Z_m, every class is a singleton.
     """
     mul = group.mul
-    gen_pairs = [(g, group.inv(g)) for g in group.generators]
-    seen: set[ElementId] = set()
-    classes: list[tuple[ElementId, ...]] = []
-    for e in sorted(elems):
-        if e in seen:
-            continue
-        orbit = {e}
-        frontier = [e]
-        while frontier:
-            g = frontier.pop()
-            for a, ai in gen_pairs:
-                h = mul(mul(a, g), ai)
-                if h not in orbit:
-                    orbit.add(h)
-                    frontier.append(h)
-        seen |= orbit
-        classes.append(tuple(sorted(orbit)))
+    gens = group.generators
+    gen_pairs = [
+        (a, group.inv(a)) for a in gens if any(mul(a, b) != mul(b, a) for b in gens)
+    ]
+    if not gen_pairs:
+        classes = [(e,) for e in elems]
+    else:
+        seen: set[ElementId] = set()
+        classes = []
+        for e in sorted(elems):
+            if e in seen:
+                continue
+            orbit = {e}
+            frontier = [e]
+            while frontier:
+                g = frontier.pop()
+                for a, ai in gen_pairs:
+                    h = mul(mul(a, g), ai)
+                    if h not in orbit:
+                        orbit.add(h)
+                        frontier.append(h)
+            seen |= orbit
+            classes.append(tuple(sorted(orbit)))
     classes.sort(key=lambda c: (group.order_of(c[0]), c[0]))
     return tuple(classes), {g: i for i, cls in enumerate(classes) for g in cls}
 
@@ -76,114 +86,126 @@ def class_partition(
     return group._class_partition
 
 
-# A class's slot (table, s): the class is class(g^s) for the element g whose
-# powers the table lists, so class(c^t) = table[s * t % len(table)].
-Slot = tuple[list[int], int]
+class PowerTable(NamedTuple):
+    """The power map of one class of cyclic subgroups <g>, |g| = d = len(table).
+
+    table[t] is the index of class(g^t) for t prime to d (other entries are
+    -1); `first` is the index of class(g) and `count` the number of classes
+    the table reaches.
+    """
+
+    table: list[int]
+    first: int
+    count: int
 
 
 def power_tables(
     group: FiniteGroup,
     classes: Sequence[tuple[ElementId, ...]],
     index: dict[ElementId, int],
-) -> list[Slot]:
-    """Each class's slot in the power table of its class of cyclic subgroups.
+) -> list[PowerTable]:
+    """One power table per class of cyclic subgroups met in `classes`.
 
     `classes` must be closed under g -> g^t for t prime to |g|.  The first
-    class without a slot gives g, its least element, of order d; walking g,
-    g^2, ..., g^d = e (d products) records table[t] = index of class(g^t)
-    for every t prime to d (other entries are -1), and each class so reached
-    without a slot gets (table, t).  If c is conjugate to g^s, c^t is
-    conjugate to g^(st), so class(c^t) = table[s * t % d].
+    class not yet reached gives g, its least element, of order d; walking g,
+    g^2, ..., g^d = e (d products) fills in the table and marks every class
+    it reaches.
     """
     mul = group.mul
-    slots: list[Slot | None] = [None] * len(classes)
+    reached = bytearray(len(classes))
+    tables = []
     for i, cls in enumerate(classes):
-        if slots[i] is not None:
+        if reached[i]:
             continue
         g = cls[0]
         d = group.order_of(g)
         table = [-1] * d
+        count = 0
         x = group.identity
         for t in range(d):
             if math.gcd(t, d) == 1:
                 j = table[t] = index[x]
-                if slots[j] is None:
-                    slots[j] = (table, t)
+                if not reached[j]:
+                    reached[j] = 1
+                    count += 1
             x = mul(x, g)
-    return slots  # type: ignore[return-value]
+        tables.append(PowerTable(table, i, count))
+    return tables
 
 
-def class_power_tables(group: FiniteGroup) -> list[Slot]:
+def class_power_tables(group: FiniteGroup) -> list[PowerTable]:
     """`power_tables` of the whole-group partition, made once and kept on the group."""
     if group._power_tables is None:
         group._power_tables = power_tables(group, *class_partition(group))
     return group._power_tables
 
 
+def count_blocks(
+    tables: Iterable[PowerTable],
+    exponents: Sequence[int] | None = None,
+    characteristic: int = 0,
+) -> dict[int, int]:
+    """Blocks of the merge class(c) ~ class(c^t), t in <exponents>, per element order.
+
+    The exponents must be prime to the orders of the counted classes (None
+    stands for all units).  A table's classes are the cosets of
+    A = (Z/d)^*/H, H = {u : g^u ~ g}, and the exponents act on them by
+    translation, so every orbit in a table has the size of the subgroup K
+    of A that they generate: the table holds count / |K| blocks.  Adding an
+    exponent t to K multiplies |K| by the least k with t^k in K.  Tables
+    whose order the characteristic divides are skipped (only p-regular
+    classes count).
+    """
+    blocks: Counter[int] = Counter()
+    for table, first, count in tables:
+        d = len(table)
+        if characteristic and d % characteristic == 0:
+            continue
+        if exponents is None or count == 1:
+            blocks[d] += 1
+            continue
+        # K as {class(g^s): s}; class(g^s)^t = class(g^(st)), so s names the coset
+        orbit = {first: 1}
+        size = 1
+        for i, t in enumerate(exponents):
+            x, k = t % d, 1
+            while table[x] not in orbit:
+                x = x * t % d
+                k += 1
+            size *= k
+            if k > 1 and i < len(exponents) - 1:
+                for s in list(orbit.values()):
+                    for _ in range(k - 1):
+                        s = s * t % d
+                        orbit[table[s]] = s
+        blocks[d] += count // size
+    return dict(sorted(blocks.items()))
+
+
 @dataclass(frozen=True, eq=False)
 class ClassCensus:
     """Conjugacy classes plus the per-order pair/subgroup class counts r1, r2.
 
-    r1 and r2 are merged on first access.  |g| divides the exponent e, so
-    g^(e-1) = g^-1; and the units modulo e map onto the units modulo |g|, so
-    the g^t for those units t are the generators of <g>.
+    |g| divides the exponent e, so g^(e-1) = g^-1, and r1 merges each class
+    with the class of its inverses.  Each power table is one class of cyclic
+    subgroups, so r2 counts the tables of each order.
     """
 
     group: FiniteGroup
     classes: tuple[tuple[ElementId, ...], ...]
     _index: dict[ElementId, int] = field(default_factory=dict, repr=False)
-    _slots: list[Slot] = field(default_factory=list, repr=False)
+    _tables: list[PowerTable] = field(default_factory=list, repr=False)
 
     def class_of(self, g: ElementId) -> tuple[ElementId, ...]:
         return self.classes[self._index[g]]
 
-    def _blocks_by_order(self, exponents: Iterable[int]) -> dict[int, int]:
-        slots = self._slots
-        roots = set(merge_classes(slots, exponents))
-        return dict(sorted(Counter(len(slots[r][0]) for r in roots).items()))
-
     @cached_property
     def r1_by_order(self) -> dict[int, int]:
-        return self._blocks_by_order((self.group.exponent - 1,))
+        return count_blocks(self._tables, (self.group.exponent - 1,))
 
     @cached_property
     def r2_by_order(self) -> dict[int, int]:
-        return self._blocks_by_order(minimal_generators(full_unit_group(self.group.exponent)))
-
-
-def merge_classes(
-    slots: Sequence[Slot],
-    exponents: Iterable[int],
-    members: Sequence[int] | None = None,
-) -> list[int]:
-    """Merge class(c) with class(c^t) for each exponent t; return each member's root.
-
-    The exponents must be prime to the orders of the merged classes, so every
-    power map permutes them; the blocks are then the orbits of the group of
-    power maps the exponents generate.  Each orbit is walked from its least
-    class index, its root, with class(c^t) read from the class's power-table
-    slot (`power_tables`).  `members` (default: every class) lists the
-    classes to merge and must be a union of orbits, e.g. the classes of
-    p-regular elements.
-    """
-    exponents = tuple(exponents)
-    root = [-1] * len(slots)
-    if members is None:
-        members = range(len(slots))
-    for i in members:
-        if root[i] >= 0:
-            continue
-        root[i] = i
-        frontier = [i]
-        while frontier:
-            table, s = slots[frontier.pop()]
-            d = len(table)
-            for t in exponents:
-                j = table[s * t % d]
-                if root[j] < 0:
-                    root[j] = i
-                    frontier.append(j)
-    return [root[i] for i in members]
+        return count_blocks(self._tables)
 
 
 def conjugacy_classes(
@@ -196,11 +218,11 @@ def conjugacy_classes(
     _check_size(group, max_size)
     if orders is None:
         classes, index = class_partition(group)
-        slots = class_power_tables(group)
+        tables = class_power_tables(group)
     else:
         classes, index = _orbit_partition(group, group.elements_of_orders(frozenset(orders)))
-        slots = power_tables(group, classes, index)
-    return ClassCensus(group=group, classes=classes, _index=index, _slots=slots)
+        tables = power_tables(group, classes, index)
+    return ClassCensus(group=group, classes=classes, _index=index, _tables=tables)
 
 
 def check_p2_condition(group: FiniteGroup, *, max_size: int = 5000) -> bool:

@@ -1,12 +1,14 @@
 """Number-theoretic core: unit groups modulo n and Galois images.
 
-`phi_image` computes the image of the Galois group of F(zeta_n)/F inside
-(Z/n)^* for F one of Q, Q_p, F_p.  Only the image set matters downstream,
-so no cyclotomic arithmetic is ever performed.  Subgroups generated by
-residues are enumerated by `groups.closure`.  Primality, factorisation and
-divisors use trial division up to TRIAL_BOUND: an input that needs more,
-such as a prime past 10^14, raises ValueError with the reason instead of
-running unbounded.
+`phi_generators` gives generators of the image of the Galois group of
+F(zeta_n)/F inside (Z/n)^* for F one of Q, Q_p, F_p, in closed form: the
+Frobenius p, a primitive root of the p-power part lifted by the Chinese
+remainder theorem, or "all units".  `phi_image` is the subgroup they
+generate, enumerated by `groups.closure`.  Only the image matters
+downstream, so no cyclotomic arithmetic is ever performed.  Primality,
+factorisation and divisors use trial division up to TRIAL_BOUND: an input
+that needs more, such as a prime past 10^14, raises ValueError with the
+reason instead of running unbounded.
 """
 
 from __future__ import annotations
@@ -145,30 +147,9 @@ def generated_subgroup(n: int, gens: list[int] | tuple[int, ...]) -> UnitSubgrou
     return UnitSubgroup(n, tuple(sorted(have)))
 
 
-def minimal_generators(s: UnitSubgroup) -> tuple[int, ...]:
-    """A small generating set of s, found greedily.  Empty for the trivial group."""
-    n = s.modulus
-    if n <= 2 or len(s.residues) <= 1:
-        return ()
-    have = {1}
-    gens: list[int] = []
-    for r in s.residues:
-        if r in have:
-            continue
-        gens.append(r)
-        # abelian, so <have, r> = union of cosets have * r^i
-        new = set(have)
-        x = r
-        while x not in have:
-            new.update(h * x % n for h in have)
-            x = x * r % n
-        have = new
-    return tuple(gens)
-
-
 @dataclass(frozen=True)
 class FieldDescriptor:
-    """One of Q, Q_p, F_p; selects the Galois-image rule in `phi_image`."""
+    """One of Q, Q_p, F_p; selects the Galois-image rule in `phi_generators`."""
 
     kind: str  # "Q" | "Qp" | "Fp"
     p: int | None = None
@@ -216,45 +197,59 @@ class FieldDescriptor:
         raise ValueError(f"cannot parse field {text!r} (expected Q, Qp:<p> or Fp:<p>)")
 
 
-def phi_image(field: FieldDescriptor, n: int) -> UnitSubgroup:
-    """Image of Gal(F(zeta_n)/F) -> (Z/n)^*.
+def _primitive_root(p: int) -> int:
+    """A generator of (Z/p^a)^* for every a >= 1, p an odd prime.
 
-    Rational: everything.  F_p (p not dividing n): the Frobenius orbit <p>.
-    Q_p: <p> when p does not divide n; the full unit group on the p-power
-    part, paired with <p> on the rest, when it does.  Moduli n = 2 mod 4
-    are reduced to n/2 and lifted back through the canonical unit-group
-    isomorphism.
+    A primitive root g mod p generates every (Z/p^a)^* unless
+    g^(p-1) = 1 mod p^2, and then g + p does.
+    """
+    g = next(g for g in range(2, p) if mult_order(g, p) == p - 1)
+    return g + p if pow(g, p - 1, p * p) == 1 else g
+
+
+def _crt(r: int, q: int, s: int, m: int) -> int:
+    """The residue mod q*m that is r mod q and s mod m (q, m coprime)."""
+    return r + q * ((s - r) * pow(q, -1, m) % m)
+
+
+def phi_generators(field: FieldDescriptor, n: int) -> tuple[int, ...] | None:
+    """Generators of the image of Gal(F(zeta_n)/F) -> (Z/n)^*, or None for all of it.
+
+    Rational: everything.  F_p (p not dividing n), and Q_p with p not
+    dividing n: the Frobenius p.  Q_p with n = p^a * n1, n1 prime to p: the
+    inertia group is all of (Z/p^a)^*, generated by a primitive root (by -1
+    and 5 when p = 2), and the Frobenius p acts on the prime-to-p part; both
+    are lifted to residues mod n by the Chinese remainder theorem.  Moduli
+    n = 2 mod 4 are reduced to n/2 and lifted back through the canonical
+    unit-group isomorphism.
     """
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
-    if n == 1:
-        return UnitSubgroup(1, (0,))
     if field.kind == "Q":
-        return full_unit_group(n)
+        return None
     p = field.p
     assert p is not None
-    if field.kind == "Fp":
-        if n % p == 0:
-            raise ValueError(f"phi_image over F_{p} needs a modulus prime to {p}")
-        return generated_subgroup(n, [p])
+    if field.kind == "Fp" and n % p == 0:
+        raise ValueError(f"phi_generators over F_{p} needs a modulus prime to {p}")
+    if n == 1:
+        return ()
+    if n % p:
+        return (p % n,)
     # Q_p.  zeta_n and zeta_{n/2} generate the same field when n = 2 mod 4.
     if n % 4 == 2:
-        half = phi_image(field, n // 2)
-        if half.modulus == 1:
-            return UnitSubgroup(2, (1,))
-        m = half.modulus
-        lifted = tuple(sorted(r if r % 2 == 1 else r + m for r in half.residues))
-        return UnitSubgroup(n, lifted)
-    a, n1 = 0, n
+        half = phi_generators(field, n // 2)
+        return None if half is None else tuple(r if r % 2 else r + n // 2 for r in half)
+    q, n1 = 1, n
     while n1 % p == 0:
         n1 //= p
-        a += 1
-    if a == 0:
-        return generated_subgroup(n, [p])
+        q *= p
     if n1 == 1:
-        return full_unit_group(n)
-    tame = set(generated_subgroup(n1, [p]).residues)
-    residues = tuple(
-        t for t in range(1, n) if math.gcd(t, n) == 1 and t % n1 in tame
-    )
-    return UnitSubgroup(n, residues)
+        return None
+    inertia = (q - 1, 5) if p == 2 else (_primitive_root(p),)
+    return (*(_crt(g, q, 1, n1) for g in inertia), _crt(1, q, p, n1))
+
+
+def phi_image(field: FieldDescriptor, n: int) -> UnitSubgroup:
+    """Image of Gal(F(zeta_n)/F) -> (Z/n)^*: the subgroup `phi_generators` generates."""
+    gens = phi_generators(field, n)
+    return full_unit_group(n) if gens is None else generated_subgroup(n, gens)

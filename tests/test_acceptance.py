@@ -13,10 +13,10 @@ import pytest
 
 from lowk.amalgam import AmalgamElement, has_finite_order, multiply, power, reduce_word
 from lowk.b4 import build_b4, build_b4_spec, verify_all
-from lowk.census import conjugacy_classes
+from lowk.census import class_power_tables, conjugacy_classes, count_blocks
 from lowk.cli import main
-from lowk.fconj import f_partition, r_f
-from lowk.galois import FieldDescriptor, is_prime
+from lowk.fconj import r_f
+from lowk.galois import FieldDescriptor, is_prime, phi_generators
 from lowk.groups import (
     build_binary_polyhedral,
     build_cyclic,
@@ -37,6 +37,8 @@ from lowk.classify import (
     virtually_cyclic_classes_odd,
 )
 from lowk.report import b4_lower_k_report
+
+from helpers import blocks_of_order
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -152,11 +154,9 @@ def test_criterion_5_lambda_oracle_equivalence():
             if not is_prime(m):
                 continue
             group = build_dicyclic(m)
-            part = f_partition(group, Q2)
-            order_m_blocks = [
-                b for b in part.blocks if group.order_of(b[0]) == m
-            ]
-            assert lambda_value(m) == len(order_m_blocks), m
+            assert lambda_value(m) == len(blocks_of_order(group, Q2, m)), m
+            blocks = count_blocks(class_power_tables(group), phi_generators(Q2, 4 * m))
+            assert blocks[m] == lambda_value(m), m
 
 
 def test_criterion_6_k0_lookup():

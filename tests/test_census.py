@@ -2,6 +2,7 @@ import pytest
 
 from lowk.census import (
     GroupTooLargeError,
+    _orbit_partition,
     check_2p_condition,
     check_milnor,
     check_p2_condition,
@@ -203,3 +204,23 @@ def test_restricted_census_matches_full():
 def test_size_guard():
     with pytest.raises(GroupTooLargeError):
         conjugacy_classes(build_dicyclic(2000), max_size=5000)
+
+
+def test_abelian_partition_makes_constant_products():
+    # the one generator of Z_m is central, so conjugation is skipped and the
+    # only products are the commutation check's
+    for m in (30, 3000):
+        group = build_cyclic(m)
+        calls = []
+        mul = group.mul
+
+        def counting(a, b):
+            calls.append((a, b))
+            return mul(a, b)
+
+        group.mul = counting
+        classes, index = _orbit_partition(group, group.elements)
+        assert len(calls) <= 2
+        by_order = sorted(group.elements, key=lambda g: (group.order_of(g), g))
+        assert classes == tuple((g,) for g in by_order)
+        assert index == {g: i for i, (g,) in enumerate(classes)}

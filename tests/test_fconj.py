@@ -11,7 +11,7 @@ from lowk.groups import (
 )
 from lowk.lowerk import lambda_value
 
-from helpers import blocks_of_order, per_order_blocks
+from helpers import blocks_of_order, f_blocks, per_order_blocks
 
 Q = FieldDescriptor.rational()
 Q2 = FieldDescriptor.p_adic(2)
@@ -30,15 +30,16 @@ def test_blocks_are_unions_of_ordinary_classes():
     for group in (build_dicyclic(7), generalized_quaternion(4), build_binary_polyhedral("T*")):
         census = conjugacy_classes(group)
         for field in (Q, Q2, F2, FieldDescriptor.p_adic(3)):
-            part = f_partition(group, field)
-            for block in part.blocks:
+            blocks = f_blocks(group, field)
+            assert f_partition(group, field).block_count == len(blocks)
+            for block in blocks:
                 block_set = set(block)
                 for g in block:
                     assert set(census.class_of(g)) <= block_set
             if field.characteristic:
                 p = field.characteristic
                 assert all(
-                    group.order_of(g) % p != 0 for b in part.blocks for g in b
+                    group.order_of(g) % p != 0 for b in blocks for g in b
                 )
 
 
@@ -47,16 +48,14 @@ def test_q8_order_four_blocks_match_classes():
     # of order-4 elements coincide with the ordinary ones
     g = generalized_quaternion(3)
     census = conjugacy_classes(g)
-    part = f_partition(g, Q2)
-    order4_blocks = blocks_of_order(g, part, 4)
+    order4_blocks = blocks_of_order(g, Q2, 4)
     order4_classes = [c for c in census.classes if g.order_of(c[0]) == 4]
     assert sorted(order4_blocks) == sorted(order4_classes)
 
 
 def test_dic20_single_two_adic_class_of_order_four():
     g = build_dicyclic(5)
-    part = f_partition(g, Q2)
-    assert len(blocks_of_order(g, part, 4)) == 1
+    assert len(blocks_of_order(g, Q2, 4)) == 1
 
 
 def test_rational_partition_counts_cyclic_subgroup_classes():
@@ -77,10 +76,13 @@ def test_rational_partition_is_coarsest():
     groups += [generalized_quaternion(k) for k in (4, 5)]
     groups += [build_binary_polyhedral(k) for k in ("T*", "O*", "I*")]
     for group in groups:
-        rational_blocks = f_partition(group, Q).blocks
+        rational_blocks = f_blocks(group, Q)
+        assert r_f(group, Q) == len(rational_blocks), group.name
         lookup = {g: i for i, b in enumerate(rational_blocks) for g in b}
         for p in prime_divisors(group.order):
-            for block in f_partition(group, FieldDescriptor.p_adic(p)).blocks:
+            padic = FieldDescriptor.p_adic(p)
+            assert r_f(group, padic) == len(f_blocks(group, padic)), (group.name, p)
+            for block in f_blocks(group, padic):
                 assert len({lookup[g] for g in block}) == 1, (group.name, p)
 
 

@@ -11,12 +11,12 @@ from lowk.galois import (
     full_unit_group,
     generated_subgroup,
     is_prime,
-    minimal_generators,
     mult_order,
     phi_image,
+    prime_divisors,
 )
 
-from helpers import is_unit_subgroup
+from helpers import enumerated_phi_image, is_unit_subgroup, minimal_generators
 
 Q = FieldDescriptor.rational()
 
@@ -108,6 +108,19 @@ def test_padic_equals_finite_prime_away_from_p():
                 phi_image(FieldDescriptor.p_adic(p), n).residues
                 == phi_image(FieldDescriptor.finite_prime(p), n).residues
             ), (p, n)
+
+
+def test_closed_form_image_equals_enumerated_image():
+    """Every n <= 2000, so n = 2 mod 4 and 2-powers 8 ... 1024 are all met;
+    p runs over the prime divisors of n and 2, 3, 5, 7."""
+    for n in range(1, 2001):
+        assert phi_image(Q, n) == enumerated_phi_image(Q, n), n
+        for p in set(prime_divisors(n)) | {2, 3, 5, 7}:
+            fields = [FieldDescriptor.p_adic(p)]
+            if n % p:
+                fields.append(FieldDescriptor.finite_prime(p))
+            for f in fields:
+                assert phi_image(f, n) == enumerated_phi_image(f, n), (f.label, n)
 
 
 def test_minimal_generators_regenerate():
