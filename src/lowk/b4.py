@@ -16,7 +16,9 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cache
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .amalgam import (
     AmalgamElement,
@@ -102,7 +104,7 @@ _WORD_TOKEN = re.compile(r"-?\d+|\w+|\S")
 
 
 def evaluate_word(
-    text: str, spec: AmalgamSpec, named: dict[str, AmalgamElement]
+    text: str, spec: AmalgamSpec, named: Mapping[str, AmalgamElement]
 ) -> AmalgamElement:
     """Value of a word such as "(sigma1 sigma2)^3 alpha0^-2" over named elements.
 
@@ -133,12 +135,8 @@ def evaluate_word(
             if pos < len(tokens) and tokens[pos] == "^":
                 if pos + 1 == len(tokens) or not tokens[pos + 1].lstrip("-").isdigit():
                     raise ValueError(f"'^' needs an integer exponent in {text!r}")
-                k = int(tokens[pos + 1])
+                factor = power(factor, int(tokens[pos + 1]))
                 pos += 2
-                if k == -1:
-                    factor = invert(factor)
-                elif k != 1:
-                    factor = power(factor, k)
             value = factor if value is None else multiply(value, factor)
         if value is None:
             raise ValueError(f"empty word in {text!r}")
@@ -154,23 +152,20 @@ def evaluate_word(
 
 @dataclass(frozen=True, eq=False)
 class B4Model:
-    """The amalgam together with the named braid elements and core subgroups."""
+    """An amalgam with named elements; for B4 also its order-4 core subgroups."""
 
     spec: AmalgamSpec
-    named: dict[str, AmalgamElement]
-    q_core: tuple  # the eight core ids (the normal Q8)
-    q_prime: tuple  # the other Q8 conjugacy class, inside the Q16 factor
-    h_subgroups: tuple  # H1 = <delta4>, H2 = <alpha0^2>, H3 = <alpha0^2 delta4>
+    named: Mapping[str, AmalgamElement]
+    h_subgroups: tuple = ()  # H1 = <delta4>, H2 = <alpha0^2>, H3 = <alpha0^2 delta4>
 
     def __getitem__(self, name: str) -> AmalgamElement:
         return self.named[name]
 
 
-def _element_order(a: AmalgamElement, cap: int = 64) -> int | None:
-    if a.is_identity:
-        return 1
+def _element_order(a: AmalgamElement) -> int | None:
+    """The order of `a` if it is at most 64, else None."""
     x = a
-    for n in range(1, cap + 1):
+    for n in range(1, 65):
         if x.is_identity:
             return n
         x = multiply(x, a)
@@ -194,8 +189,12 @@ _SELF_CHECKS = (
 )
 
 
+@cache
 def build_b4() -> B4Model:
-    """Construct the model and run the order/relation self-checks."""
+    """Construct the model and run the order/relation self-checks, once per process.
+
+    The model is shared, so its `named` is a read-only view.
+    """
     spec = build_b4_spec()
     ft = spec.from_core(MINUS_ONE)
     named = {
@@ -209,23 +208,18 @@ def build_b4() -> B4Model:
     for name, n in _ORDERS.items():
         if _element_order(named[name]) != n:
             raise AmalgamError(f"{name} does not have order {n}")
-    for equation in _SELF_CHECKS:
-        if not check_row(("b4.self_check", equation), spec, named).ok:
-            raise AmalgamError(f"self-check failed: {equation}")
-
-    core = spec.core
-    q_prime_gens = [evaluate_word(w, spec, named) for w in ("alpha0^2", "alpha0 delta4")]
-    q_prime = closure(spec.identity(), q_prime_gens, multiply)
-    return B4Model(
+    model = B4Model(
         spec=spec,
-        named=named,
-        q_core=tuple(sorted(core.elements)),
-        q_prime=tuple(sorted(q_prime, key=lambda e: (e.letters, e.core))),
+        named=MappingProxyType(named),
         h_subgroups=tuple(
-            frozenset(core.power(q, n) for n in range(4))
+            frozenset(spec.core.power(q, n) for n in range(4))
             for q in (J_UNIT, I_UNIT, K_UNIT)
         ),
     )
+    for equation in _SELF_CHECKS:
+        if not check_row(("b4.self_check", equation), model).ok:
+            raise AmalgamError(f"self-check failed: {equation}")
+    return model
 
 
 # -- the quotient Z3 * Z2 -----------------------------------------------------
@@ -356,12 +350,7 @@ _QUOTIENT_FORMAT = {"psi": perm_cycles, "rho": str, "pi": str}
 _QUOTIENT_CALL = re.compile(r"\s*(psi|rho|pi)\((.*)\)\s*")
 
 
-def check_row(
-    row: tuple[str, ...],
-    spec: AmalgamSpec,
-    named: dict[str, AmalgamElement],
-    model: B4Model | None = None,
-) -> CheckResult:
+def check_row(row: tuple[str, ...], model: B4Model) -> CheckResult:
     """Evaluate one check row: (check_id, statement) or (check_id, statement, equation).
 
     The equation (the statement itself when no equation is given) is
@@ -373,11 +362,10 @@ def check_row(
     if equation.count("=") != 1:
         raise ValueError(f"{check_id}: expected one '=' in {equation!r}")
     lhs_text, _, rhs_text = equation.partition("=")
+    spec, named = model.spec, model.named
     call = _QUOTIENT_CALL.fullmatch(lhs_text)
     if call:
         fn, arg = call.groups()
-        if model is None:
-            raise ValueError(f"{check_id}: {fn} needs the B4 model")
         # looked up at call time, so wrappers installed on the module are seen
         value = _QUOTIENT_FORMAT[fn](globals()[fn](model, evaluate_word(arg, spec, named)))
         return _cond(check_id, statement, value == rhs_text.strip(), value)
@@ -390,7 +378,7 @@ def check_row(
 
 
 def _check_rows(model: B4Model, rows: Iterable[tuple[str, ...]]) -> list[CheckResult]:
-    return [check_row(row, model.spec, model.named, model) for row in rows]
+    return [check_row(row, model) for row in rows]
 
 
 BRAID_ROWS = (
@@ -476,17 +464,18 @@ GAMMA2_ROWS = (
 )
 
 
-def verify_kernel_facts(model: B4Model, seed: int = 0xB4) -> list[CheckResult]:
+def verify_kernel_facts(model: B4Model) -> list[CheckResult]:
     spec = model.spec
+    core = spec.core.elements
     s1, s2, s3 = model["sigma1"], model["sigma2"], model["sigma3"]
     x, y = model["x"], model["y"]
     checks = _check_rows(model, PSI_ROWS)
     checks.append(_cond(
         "kernel.psi_trivial_on_core", "psi(q) = id for every core element q",
-        all(psi(model, spec.from_core(q)) == (1, 2, 3) for q in model.q_core),
+        all(psi(model, spec.from_core(q)) == (1, 2, 3) for q in core),
     ))
 
-    rng = random.Random(seed)
+    rng = random.Random(0xB4)
     pool = [s1, s2, s3, model["alpha0"], model["alpha1"], model["delta4"]]
     pool += [invert(g) for g in pool]
 
@@ -509,7 +498,7 @@ def verify_kernel_facts(model: B4Model, seed: int = 0xB4) -> list[CheckResult]:
 
     checks.append(_cond(
         "kernel.rho_kills_core", "rho(q) = e for every core element q",
-        all(rho(model, spec.from_core(q)).is_identity for q in model.q_core),
+        all(rho(model, spec.from_core(q)).is_identity for q in core),
     ))
     checks += _check_rows(model, RHO_ROWS)
 
@@ -542,28 +531,29 @@ def verify_kernel_facts(model: B4Model, seed: int = 0xB4) -> list[CheckResult]:
     commute_ok = all(
         multiply(w, spec.from_core(q)) == multiply(spec.from_core(q), w)
         for w in (x, y)
-        for q in model.q_core
+        for q in core
     )
     checks.append(_cond("kernel.xy_commute_with_core",
                         "x and y commute with every core element", commute_ok))
 
+    # a word is reduced when no letter follows its inverse (x X, Y y, ...);
+    # the frontier keeps each word's last letter and value
     gens = {"x": x, "X": invert(x), "y": y, "Y": invert(y)}
-    inverse_name = {"x": "X", "X": "x", "y": "Y", "Y": "y"}
-    seen = {spec.identity(): ""}
+    seen = {spec.identity()}
     frontier = [("", spec.identity())]
     free_ok = True
     for _ in range(6):
         nxt = []
-        for word, el in frontier:
+        for last, el in frontier:
             for nm, g in gens.items():
-                if word and inverse_name[word[-1]] == nm:
+                if nm == last.swapcase():
                     continue
                 el2 = multiply(el, g)
                 if el2 in seen:
                     free_ok = False
                 else:
-                    seen[el2] = word + nm
-                    nxt.append((word + nm, el2))
+                    seen.add(el2)
+                    nxt.append((nm, el2))
         frontier = nxt
     checks.append(_cond("kernel.xy_free_words_distinct",
                         "reduced words in x, y of length <= 6 have distinct normal forms",
@@ -573,7 +563,7 @@ def verify_kernel_facts(model: B4Model, seed: int = 0xB4) -> list[CheckResult]:
     for side, gen in ((1, (1, 0)), (2, R_REP)):
         g = spec.from_factor(side, gen)
         g_inv = invert(g)
-        for q in model.q_core:
+        for q in core:
             if multiply(multiply(g, spec.from_core(q)), g_inv).letters:
                 normal_ok = False
     checks.append(_cond("kernel.core_normal",
@@ -604,8 +594,12 @@ def verify_z_infinite(model: B4Model) -> list[CheckResult]:
 
 # -- the two Q16 *_{Q8} Q16 amalgams ------------------------------------------
 
+@cache
 def build_gamma_specs() -> tuple[AmalgamSpec, AmalgamSpec]:
-    """The two isomorphism classes of Q16 *_{Q8} Q16, with transversals {1,a} and {1,x}."""
+    """The two isomorphism classes of Q16 *_{Q8} Q16, with transversals {1,a} and {1,x}.
+
+    Built once per process; specs are immutable.
+    """
     core = generalized_quaternion(3)
     g1 = generalized_quaternion(4)
     g2 = generalized_quaternion(4)
@@ -630,19 +624,17 @@ def build_gamma_specs() -> tuple[AmalgamSpec, AmalgamSpec]:
 
 
 def verify_gamma_identities() -> list[CheckResult]:
-    spec1, spec2 = build_gamma_specs()
-    named1, named2 = (
-        {"a": spec.from_factor(1, (1, 0)), "x": spec.from_factor(2, (1, 0)),
-         "b": spec.from_core(J_UNIT)}
-        for spec in (spec1, spec2)
+    gamma1, gamma2 = (
+        B4Model(spec, {"a": spec.from_factor(1, (1, 0)), "x": spec.from_factor(2, (1, 0)),
+                       "b": spec.from_core(J_UNIT)})
+        for spec in build_gamma_specs()
     )
-    ax1 = evaluate_word("a^-1 x", spec1, named1)
-    ax2 = evaluate_word("a^-1 x", spec2, named2)
-    checks = [check_row(row, spec1, named1) for row in GAMMA1_ROWS]
+    ax1, ax2 = (evaluate_word("a^-1 x", g.spec, g.named) for g in (gamma1, gamma2))
+    checks = _check_rows(gamma1, GAMMA1_ROWS)
     checks.append(_cond("gamma.g1_ax_infinite_order", "a^-1 x has infinite order in Gamma1",
                         not has_finite_order(ax1)))
-    checks += [check_row(row, spec2, named2) for row in GAMMA2_ROWS]
-    a2 = cur = evaluate_word("a^2", spec2, named2)
+    checks += _check_rows(gamma2, GAMMA2_ROWS)
+    a2 = cur = power(gamma2["a"], 2)
     orbit = {a2}
     for _ in range(6):
         cur = multiply(multiply(ax2, cur), invert(ax2))
@@ -741,64 +733,49 @@ _STANDARD_TRANSVERSAL = tuple(
 )
 
 
+# (check-id prefix, quotient builder, images of a and b, index claim, basis
+# claim, basis words); the bases are written for a of order 3 and b of order 2
+_RS_ROWS = (
+    ("sym3", _sym3, (2, 0, 1), (2, 1, 0), "the permutation quotient has index 6",
+     "the Schreier generators contain (ab)^2 and (ba)^2",
+     (("a", "b", "a", "b"), ("b", "a", "b", "a"))),
+    ("abelianized", lambda: build_cyclic(6), 4, 3, "the abelianised quotient has index 6",
+     "the Schreier generators contain [b,a] and [b,a^2] up to inversion",
+     (("b", "a", "b", "a2"), ("b", "a2", "b", "a"))),  # [b, a], [b, a^2]
+)
+
+
 def verify_reidemeister_schreier() -> list[CheckResult]:
     checks: list[CheckResult] = []
-
-    def contains_up_to_inverse(result: RSResult, target: FreeProductWord) -> bool:
-        return any(g == target or g == target.inverse() for g in result.generators)
-
-    sym3 = _sym3()
-    rs1 = reidemeister_schreier(sym3, (2, 0, 1), (2, 1, 0), _STANDARD_TRANSVERSAL)
-    checks.append(_cond("rs.sym3_index", "the permutation quotient has index 6",
-                        rs1.index == 6, str(rs1.index)))
-    checks.append(_cond("rs.sym3_rank", "Euler characteristic certifies rank 2",
-                        rs1.rank == 2, str(rs1.rank)))
-    basis1 = (FreeProductWord(("a", "b", "a", "b")), FreeProductWord(("b", "a", "b", "a")))
-    checks.append(_cond(
-        "rs.sym3_basis", "the Schreier generators contain (ab)^2 and (ba)^2",
-        all(contains_up_to_inverse(rs1, w) for w in basis1),
-        "; ".join(str(g) for g in rs1.generators),
-    ))
-
-    z6 = build_cyclic(6)
-    rs2 = reidemeister_schreier(z6, 4, 3, _STANDARD_TRANSVERSAL)
-    checks.append(_cond("rs.abelianized_index", "the abelianised quotient has index 6",
-                        rs2.index == 6, str(rs2.index)))
-    checks.append(_cond("rs.abelianized_rank", "Euler characteristic certifies rank 2",
-                        rs2.rank == 2, str(rs2.rank)))
-    # commutator basis, written for a of order 3 and b of order 2
-    basis2 = (
-        FreeProductWord(("b", "a", "b", "a2")),   # [b, a]
-        FreeProductWord(("b", "a2", "b", "a")),   # [b, a^2]
-    )
-    checks.append(_cond(
-        "rs.abelianized_basis",
-        "the Schreier generators contain [b,a] and [b,a^2] up to inversion",
-        all(contains_up_to_inverse(rs2, w) for w in basis2),
-        "; ".join(str(g) for g in rs2.generators),
-    ))
+    for prefix, quotient, a_image, b_image, index_claim, basis_claim, basis in _RS_ROWS:
+        rs = reidemeister_schreier(quotient(), a_image, b_image, _STANDARD_TRANSVERSAL)
+        found = set(rs.generators)
+        checks += [
+            _cond(f"rs.{prefix}_index", index_claim, rs.index == 6, str(rs.index)),
+            _cond(f"rs.{prefix}_rank", "Euler characteristic certifies rank 2",
+                  rs.rank == 2, str(rs.rank)),
+            _cond(f"rs.{prefix}_basis", basis_claim,
+                  all(w in found or w.inverse() in found for w in map(FreeProductWord, basis)),
+                  "; ".join(str(g) for g in rs.generators)),
+        ]
     return checks
 
 
 SUITES = ("braid", "actions", "gamma", "kernel", "rs")
 
 
-def verify_suite(name: str, model: B4Model | None = None) -> list[CheckResult]:
+def verify_suite(name: str) -> list[CheckResult]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES} or 'all'")
-    if name in ("braid", "actions", "kernel") and model is None:
-        model = build_b4()
-    if name == "braid":
-        return _check_rows(model, BRAID_ROWS)  # type: ignore[arg-type]
-    if name == "actions":
-        return _check_rows(model, ACTION_ROWS)  # type: ignore[arg-type]
-    if name == "kernel":
-        return verify_kernel_facts(model)  # type: ignore[arg-type]
     if name == "gamma":
         return verify_gamma_identities()
-    return verify_reidemeister_schreier()
+    if name == "rs":
+        return verify_reidemeister_schreier()
+    model = build_b4()
+    if name == "kernel":
+        return verify_kernel_facts(model)
+    return _check_rows(model, BRAID_ROWS if name == "braid" else ACTION_ROWS)
 
 
-def verify_all(model: B4Model | None = None) -> dict[str, list[CheckResult]]:
-    model = model or build_b4()
-    return {name: verify_suite(name, model) for name in SUITES}
+def verify_all() -> dict[str, list[CheckResult]]:
+    return {name: verify_suite(name) for name in SUITES}

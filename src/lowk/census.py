@@ -3,17 +3,16 @@
 Conjugacy classes are computed by orbit expansion under conjugation by the
 group's non-central generators.  Every coarser count is a count of the
 blocks of a power-map merge of those classes (`count_blocks`): pair classes
-{g, g^-1} merge g with g^(e-1), and the F-conjugacy blocks of `lowk.fconj`
+{g, g^-1} merge g with g^-1, and the F-conjugacy blocks of `lowk.fconj`
 merge g with g^t for t in a Galois image.  The power maps come from
 `power_tables`: one walk g, g^2, ..., g^d = e per class of cyclic
 subgroups, whose classes are the cosets of (Z/d)^* by H = {u : g^u ~ g}.
 The exponents act on those cosets by translation, so all orbits in a table
 have one size and a table's blocks are counted from the orbit of its first
 class alone, without listing them; classes of cyclic subgroups are the
-tables themselves.  All
-counts share one partition of the group and one set of power tables, both
-kept on it.  A census restricted to a few element orders scans the element
-list once and partitions, and tabulates, only the elements of those orders.
+tables themselves.  All counts share one census of the whole group, kept on
+it.  A census restricted to a few element orders scans the element list
+once and partitions, and tabulates, only the elements of those orders.
 """
 
 from __future__ import annotations
@@ -77,15 +76,6 @@ def _orbit_partition(
     return tuple(classes), {g: i for i, cls in enumerate(classes) for g in cls}
 
 
-def class_partition(
-    group: FiniteGroup,
-) -> tuple[tuple[tuple[ElementId, ...], ...], dict[ElementId, int]]:
-    """`_orbit_partition` of the whole group, made once and kept on the group."""
-    if group._class_partition is None:
-        group._class_partition = _orbit_partition(group, group.elements)
-    return group._class_partition
-
-
 class PowerTable(NamedTuple):
     """The power map of one class of cyclic subgroups <g>, |g| = d = len(table).
 
@@ -133,13 +123,6 @@ def power_tables(
     return tables
 
 
-def class_power_tables(group: FiniteGroup) -> list[PowerTable]:
-    """`power_tables` of the whole-group partition, made once and kept on the group."""
-    if group._power_tables is None:
-        group._power_tables = power_tables(group, *class_partition(group))
-    return group._power_tables
-
-
 def count_blocks(
     tables: Iterable[PowerTable],
     exponents: Sequence[int] | None = None,
@@ -184,28 +167,36 @@ def count_blocks(
 
 @dataclass(frozen=True, eq=False)
 class ClassCensus:
-    """Conjugacy classes plus the per-order pair/subgroup class counts r1, r2.
+    """Conjugacy classes, their power tables and the per-order pair/subgroup
+    class counts r1, r2.
 
-    |g| divides the exponent e, so g^(e-1) = g^-1, and r1 merges each class
-    with the class of its inverses.  Each power table is one class of cyclic
-    subgroups, so r2 counts the tables of each order.
+    r1 merges each class with the class of its inverses (the exponent -1).
+    Each power table is one class of cyclic subgroups, so r2 counts the
+    tables of each order.
     """
 
-    group: FiniteGroup
     classes: tuple[tuple[ElementId, ...], ...]
-    _index: dict[ElementId, int] = field(default_factory=dict, repr=False)
-    _tables: list[PowerTable] = field(default_factory=list, repr=False)
+    tables: list[PowerTable] = field(repr=False)
+    _index: dict[ElementId, int] = field(repr=False)
 
     def class_of(self, g: ElementId) -> tuple[ElementId, ...]:
         return self.classes[self._index[g]]
 
     @cached_property
     def r1_by_order(self) -> dict[int, int]:
-        return count_blocks(self._tables, (self.group.exponent - 1,))
+        return count_blocks(self.tables, (-1,))
 
     @cached_property
     def r2_by_order(self) -> dict[int, int]:
-        return count_blocks(self._tables)
+        return count_blocks(self.tables)
+
+
+def _group_census(group: FiniteGroup) -> ClassCensus:
+    """The census of the whole group, made once and kept on the group."""
+    if group._census is None:
+        classes, index = _orbit_partition(group, group.elements)
+        group._census = ClassCensus(classes, power_tables(group, classes, index), index)
+    return group._census
 
 
 def conjugacy_classes(
@@ -217,12 +208,9 @@ def conjugacy_classes(
     """Full census, or a census restricted to elements of the given orders."""
     _check_size(group, max_size)
     if orders is None:
-        classes, index = class_partition(group)
-        tables = class_power_tables(group)
-    else:
-        classes, index = _orbit_partition(group, group.elements_of_orders(frozenset(orders)))
-        tables = power_tables(group, classes, index)
-    return ClassCensus(group=group, classes=classes, _index=index, _tables=tables)
+        return _group_census(group)
+    classes, index = _orbit_partition(group, group.elements_of_orders(frozenset(orders)))
+    return ClassCensus(classes, power_tables(group, classes, index), index)
 
 
 def check_p2_condition(group: FiniteGroup, *, max_size: int = 5000) -> bool:

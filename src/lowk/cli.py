@@ -21,6 +21,7 @@ from .classify import (
 from .galois import FieldDescriptor
 from .lowerk import lambda_value
 from .report import (
+    FAMILIES,
     SCHEMA,
     UnsupportedParameterError,
     b4_lower_k_report,
@@ -56,9 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     group_p = sub.add_parser("group", help="invariant report for one finite group")
-    group_p.add_argument("family",
-                         choices=("cyclic", "dicyclic", "quaternion",
-                                  "tstar", "ostar", "istar"))
+    group_p.add_argument("family", choices=tuple(FAMILIES))
     group_p.add_argument("--m", type=int, help="parameter m (cyclic Z_m, dicyclic Dic_4m)")
     group_p.add_argument("--k", type=int, help="parameter k for Q_{2^k}")
     group_p.add_argument("--invariants", default="wh,k0,kminus1",

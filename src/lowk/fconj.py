@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .census import _check_size, class_power_tables, count_blocks
+from .census import _check_size, _group_census, count_blocks
 from .galois import FieldDescriptor, phi_generators
 from .groups import FiniteGroup
 
@@ -42,7 +42,7 @@ def f_partition(
 ) -> FPartition:
     _check_size(group, max_size)
     exponents = phi_generators(field, regular_modulus(group, field))
-    blocks = count_blocks(class_power_tables(group), exponents, field.characteristic)
+    blocks = count_blocks(_group_census(group).tables, exponents, field.characteristic)
     return FPartition(field=field, group=group, block_count=sum(blocks.values()))
 
 

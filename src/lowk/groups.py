@@ -103,9 +103,9 @@ class FiniteGroup:
     machinery relies on it).  `elements` is an iterable of the element ids,
     or a zero-argument function returning one; it is sorted into the
     `elements` tuple on first access only, so `order` must then be given.
-    The element tuple, the exponent, the class partition and its power
-    tables are filled in on first use, so no result depends on the order of
-    calls.
+    The element tuple, the exponent and the class census (the partition
+    into conjugacy classes and its power tables) are filled in on first use,
+    so no result depends on the order of calls.
     `elements_of_orders` scans that tuple.
     """
 
@@ -132,8 +132,7 @@ class FiniteGroup:
         self.inv = inv
         self.order_of = order_of
         self._exponent = exponent
-        self._class_partition = None  # (classes, index), kept by census.class_partition
-        self._power_tables = None  # kept by census.class_power_tables
+        self._census = None  # the whole-group ClassCensus, kept by lowk.census
 
     @cached_property
     def elements(self) -> tuple[ElementId, ...]:

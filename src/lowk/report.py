@@ -111,8 +111,8 @@ class KReport:
         return "\n".join(lines)
 
 
-# family -> (the parameter it takes, if any; its builder)
-_FAMILIES = {
+# family -> (the parameter it takes, if any; its builder); the CLI's choices
+FAMILIES = {
     "cyclic": ("m", build_cyclic),
     "dicyclic": ("m", build_dicyclic),
     "quaternion": ("k", generalized_quaternion),
@@ -123,9 +123,9 @@ _FAMILIES = {
 
 
 def _build_group(family: str, m: int | None, k: int | None) -> FiniteGroup:
-    if family not in _FAMILIES:
+    if family not in FAMILIES:
         raise UnsupportedParameterError(f"unknown family {family!r}")
-    wanted, build = _FAMILIES[family]
+    wanted, build = FAMILIES[family]
     given = {"m": m, "k": k}
     for name, value in given.items():
         if value is not None and name != wanted:

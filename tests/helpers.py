@@ -6,7 +6,7 @@ lowk's faster paths against it.
 
 import math
 
-from lowk.census import class_partition
+from lowk.census import conjugacy_classes
 from lowk.fconj import regular_modulus
 from lowk.galois import UnitSubgroup, full_unit_group, generated_subgroup
 from lowk.groups import CUSTOM, FamilyTag, FiniteGroup
@@ -179,7 +179,7 @@ def f_blocks(group, field):
     """F-conjugacy blocks: the p-regular classes merged by `power_merge` over
     generators of the enumerated Galois image modulo the regular part of the
     exponent."""
-    regular = regular_classes(group, class_partition(group)[0], field.characteristic)
+    regular = regular_classes(group, conjugacy_classes(group).classes, field.characteristic)
     exponents = minimal_generators(enumerated_phi_image(field, regular_modulus(group, field)))
     return merged_blocks(group, regular, exponents)
 
@@ -192,7 +192,7 @@ def blocks_of_order(group, field, d):
 def per_order_blocks(group, field):
     """r_F with the Galois image taken modulo each element order, not the exponent."""
     strata = {}
-    for cls in regular_classes(group, class_partition(group)[0], field.characteristic):
+    for cls in regular_classes(group, conjugacy_classes(group).classes, field.characteristic):
         strata.setdefault(group.order_of(cls[0]), []).append(cls)
     count = 0
     for d, stratum in strata.items():

@@ -13,7 +13,7 @@ import pytest
 
 from lowk.amalgam import AmalgamElement, has_finite_order, multiply, power, reduce_word
 from lowk.b4 import build_b4, build_b4_spec, verify_all
-from lowk.census import class_power_tables, conjugacy_classes, count_blocks
+from lowk.census import conjugacy_classes, count_blocks
 from lowk.cli import main
 from lowk.fconj import r_f
 from lowk.galois import FieldDescriptor, is_prime, phi_generators
@@ -155,7 +155,7 @@ def test_criterion_5_lambda_oracle_equivalence():
                 continue
             group = build_dicyclic(m)
             assert lambda_value(m) == len(blocks_of_order(group, Q2, m)), m
-            blocks = count_blocks(class_power_tables(group), phi_generators(Q2, 4 * m))
+            blocks = count_blocks(conjugacy_classes(group).tables, phi_generators(Q2, 4 * m))
             assert blocks[m] == lambda_value(m), m
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from lowk.amalgam import AmalgamError, has_finite_order, invert, multiply, power
+from lowk.amalgam import AmalgamError, AmalgamSpec, has_finite_order, invert, multiply, power
 from lowk.b4 import (
     I_UNIT,
     J_UNIT,
@@ -36,6 +36,7 @@ from lowk.groups import (
     FiniteGroup,
     build_binary_polyhedral,
     build_cyclic,
+    closure,
     generalized_quaternion,
 )
 
@@ -52,7 +53,7 @@ def test_named_element_orders(model):
     assert _element_order(model["alpha1"]) == 6
     assert _element_order(model["delta4"]) == 4
     assert _element_order(model["ft"]) == 2
-    assert _element_order(model["sigma1"], cap=100) is None  # infinite
+    assert _element_order(model["sigma1"]) is None  # infinite
 
 
 def test_half_twist_inverts_alpha0(model):
@@ -68,16 +69,16 @@ def test_sigma1_sigma3_core_identity(model):
     assert lhs.letters == ()  # a core element
 
 
-def test_all_suites_pass(model):
-    results = verify_all(model)
+def test_all_suites_pass():
+    results = verify_all()
     assert set(results) == {"braid", "actions", "gamma", "kernel", "rs"}
     for suite, checks in results.items():
         bad = [c for c in checks if not c.ok]
         assert not bad, f"{suite}: {[c.check_id for c in bad]}"
 
 
-def test_expected_checks_present(model):
-    results = verify_all(model)
+def test_expected_checks_present():
+    results = verify_all()
     ids = {c.check_id for checks in results.values() for c in checks}
     required = {
         "braid.commute_13", "braid.braid_12", "braid.braid_23", "braid.surface",
@@ -102,7 +103,7 @@ def test_rho_values(model):
     assert rho(model, power(model["sigma2"], 2)) == FreeProductWord(("a", "b", "a", "b"))
     assert rho(model, model["alpha0"]) == FreeProductWord(("b",))
     assert rho(model, model["alpha1"]) == FreeProductWord(("a",))
-    for q in model.q_core:
+    for q in model.spec.core.elements:
         assert rho(model, model.spec.from_core(q)).is_identity
 
 
@@ -126,7 +127,7 @@ def test_psi_values(model):
     assert psi(model, model["sigma2"]) == (1, 3, 2)
     assert perm_cycles(psi(model, model["sigma2"])) == "(2,3)"
     assert psi(model, model["alpha0"]) == (3, 2, 1)
-    for q in model.q_core:
+    for q in model.spec.core.elements:
         assert psi(model, model.spec.from_core(q)) == (1, 2, 3)
 
 
@@ -157,15 +158,19 @@ def test_pi_matches_braid_exponent_sum(model):
 
 def test_x_y_commute_with_core(model):
     for w in (model["x"], model["y"]):
-        for q in model.q_core:
+        for q in model.spec.core.elements:
             c = model.spec.from_core(q)
             assert multiply(w, c) == multiply(c, w)
 
 
 def test_q_prime_is_a_quaternion_copy(model):
-    assert len(model.q_prime) == 8
+    # <alpha0^2, alpha0 delta4>, the other Q8 conjugacy class inside the Q16 factor
+    gens = [evaluate_word(w, model.spec, model.named) for w in ("alpha0^2", "alpha0 delta4")]
+    q_prime = closure(model.spec.identity(), gens, multiply)
+    assert len(q_prime) == 8
+    assert all(e.letters in ((), ((1, (1, 0)),)) for e in q_prime)
     orders = sorted(
-        next(n for n in range(1, 10) if power(e, n).is_identity) for e in model.q_prime
+        next(n for n in range(1, 10) if power(e, n).is_identity) for e in q_prime
     )
     assert orders == [1, 2, 4, 4, 4, 4, 4, 4]
 
@@ -243,10 +248,45 @@ def test_reidemeister_schreier_rejects_torsion_kernel():
         reidemeister_schreier(build_cyclic(6), 2, 0, _STANDARD_TRANSVERSAL)
 
 
-def test_verify_suite_dispatch(model):
-    assert all(c.ok for c in verify_suite("braid", model))
+def test_verify_suite_dispatch():
+    assert all(c.ok for c in verify_suite("braid"))
     with pytest.raises(ValueError):
-        verify_suite("nope", model)
+        verify_suite("nope")
+
+
+# -- one model per process -----------------------------------------------------
+
+def test_model_and_gamma_specs_are_built_once():
+    assert build_b4() is build_b4()
+    assert build_gamma_specs() is build_gamma_specs()
+
+
+def test_shared_model_names_are_read_only(model):
+    with pytest.raises(TypeError):
+        model.named["sigma1"] = model["sigma2"]
+
+
+def test_second_verify_all_builds_no_spec(monkeypatch):
+    verify_all()
+    built = []
+    init = AmalgamSpec.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("name"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AmalgamSpec, "__init__", counting)
+    results = verify_all()
+    assert built == []
+    assert all(c.ok for checks in results.values() for c in checks)
+
+
+def test_verify_twice_in_one_process_prints_the_same_bytes(capsys):
+    outputs = []
+    for _ in range(2):
+        assert main(["b4", "verify", "--format", "json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == GOLDEN_VERIFY.read_text()
 
 
 # -- golden output of `lowk b4 verify` -----------------------------------------
@@ -276,15 +316,14 @@ def test_verify_json_matches_golden_byte_for_byte(capsys, suite):
 # -- the row evaluator ---------------------------------------------------------
 
 def test_row_that_holds_passes_with_its_normal_form(model):
-    result = check_row(("t.braid", "sigma1 sigma2 sigma1 = sigma2 sigma1 sigma2"),
-                       model.spec, model.named, model)
+    result = check_row(("t.braid", "sigma1 sigma2 sigma1 = sigma2 sigma1 sigma2"), model)
     assert result.status == "pass"
     assert result.witness_normal_form == model.spec.format_element(
         multiply(multiply(model["sigma1"], model["sigma2"]), model["sigma1"]))
 
 
 def test_false_row_fails_with_both_sides(model):
-    result = check_row(("t.false", "sigma1 = sigma2"), model.spec, model.named, model)
+    result = check_row(("t.false", "sigma1 = sigma2"), model)
     fmt = model.spec.format_element
     assert result.to_json() == {
         "check_id": "t.false",
@@ -296,15 +335,15 @@ def test_false_row_fails_with_both_sides(model):
 
 def test_prose_row_evaluates_its_equation(model):
     row = ("t.prose", "full twist is trivial", "ft = 1")
-    result = check_row(row, model.spec, model.named, model)
+    result = check_row(row, model)
     assert result.statement == "full twist is trivial"
     assert result.status == "fail"
     assert result.witness_normal_form == "lhs=-1 rhs=1"
 
 
 def test_quotient_row_compares_printed_values(model):
-    ok = check_row(("t.psi", "psi(sigma1) = (1,2)"), model.spec, model.named, model)
-    bad = check_row(("t.psi", "psi(sigma1) = (2,3)"), model.spec, model.named, model)
+    ok = check_row(("t.psi", "psi(sigma1) = (1,2)"), model)
+    bad = check_row(("t.psi", "psi(sigma1) = (2,3)"), model)
     assert (ok.status, ok.witness_normal_form) == ("pass", "(1,2)")
     assert (bad.status, bad.witness_normal_form) == ("fail", "(1,2)")
 
@@ -316,6 +355,11 @@ def test_word_powers_and_parentheses(model):
     assert evaluate_word("(sigma1 sigma2)^3", spec, named) == power(multiply(s1, s2), 3)
     assert evaluate_word("sigma1^-2 sigma2^0", spec, named) == power(invert(s1), 2)
     assert evaluate_word("((sigma1))^-1", spec, named) == invert(s1)
+    # every exponent goes through `power`, 0, 1 and -1 included
+    for word in ("sigma1", "alpha0", "delta4", "ft", "sigma1 sigma2^-1", "z"):
+        base = evaluate_word(word, spec, named)
+        for k in range(-8, 9):
+            assert evaluate_word(f"({word})^{k}", spec, named) == power(base, k), (word, k)
 
 
 @pytest.mark.parametrize("word", [
@@ -331,7 +375,7 @@ def test_malformed_rows_raise(model):
     for row in (("t.none", "sigma1 sigma2"), ("t.two", "sigma1 = sigma2 = sigma3"),
                 ("t.name", "sigma1 = tau")):
         with pytest.raises(ValueError):
-            check_row(row, model.spec, model.named, model)
+            check_row(row, model)
 
 
 # -- the factors are the groups of lowk.groups ---------------------------------

@@ -13,13 +13,7 @@ from functools import cache
 from hypothesis import given, strategies as st
 
 from lowk import census, galois, groups
-from lowk.census import (
-    _orbit_partition,
-    class_partition,
-    class_power_tables,
-    count_blocks,
-    power_tables,
-)
+from lowk.census import _orbit_partition, conjugacy_classes, count_blocks, power_tables
 from lowk.fconj import f_partition, r_f, regular_modulus
 from lowk.galois import FieldDescriptor, full_unit_group, phi_generators, prime_divisors
 from lowk.groups import (
@@ -86,32 +80,33 @@ def merged_counts(group, classes, exponents, p=0):
 
 @given(roster, st.data())
 def test_table_lookup_is_the_power_map(group, data):
-    classes, index = class_partition(group)
+    census = conjugacy_classes(group)
+    classes = census.classes
     i = data.draw(st.integers(0, len(classes) - 1))
     rep = data.draw(st.sampled_from(classes[i]))
     d = group.order_of(rep)
     t = data.draw(st.integers(-3 * d, 3 * d).filter(lambda t: math.gcd(t, d) == 1))
-    table, first, count = next(r for r in class_power_tables(group) if i in r.table)
+    table, first, count = next(r for r in census.tables if i in r.table)
     s = table.index(i)
     assert len(table) == d
-    assert table[s * t % d] == index[group.power(rep, t)]
+    assert classes[table[s * t % d]] == census.class_of(group.power(rep, t))
     assert table[1 % d] == first
     assert count == len(set(table) - {-1})
 
 
 @given(wide_roster, st.data())
 def test_block_counts_match_power_oracle(group, data):
-    classes, _ = class_partition(group)
+    census = conjugacy_classes(group)
     p = data.draw(st.sampled_from([0, *prime_divisors(group.order)]))
     exponents = data.draw(st.none() | units(group.exponent))
-    assert count_blocks(class_power_tables(group), exponents, p) == merged_counts(
-        group, classes, exponents, p
+    assert count_blocks(census.tables, exponents, p) == merged_counts(
+        group, census.classes, exponents, p
     )
 
 
 @given(roster, st.data())
 def test_restricted_tables_match_power_oracle(group, data):
-    present = sorted({group.order_of(cls[0]) for cls in class_partition(group)[0]})
+    present = sorted({group.order_of(cls[0]) for cls in conjugacy_classes(group).classes})
     orders = frozenset(data.draw(st.lists(st.sampled_from(present), min_size=1)))
     classes, index = _orbit_partition(group, group.elements_of_orders(orders))
     tables = power_tables(group, classes, index)
@@ -127,7 +122,7 @@ def test_field_partition_matches_power_oracle(group, kind, data):
     assert f_partition(group, field).block_count == len(blocks)
     exponents = phi_generators(field, regular_modulus(group, field))
     assert count_blocks(
-        class_power_tables(group), exponents, field.characteristic
+        conjugacy_classes(group).tables, exponents, field.characteristic
     ) == counts_by_order(group, blocks)
 
 
@@ -142,7 +137,6 @@ def patch_everywhere(monkeypatch, original, replacement):
 
 def test_carter_rank_takes_no_powers_after_the_partition(monkeypatch):
     group = build_cyclic(1830)
-    class_partition(group)
     powers, builds = [], []
     binary_power, builder = groups.binary_power, census.power_tables
 

@@ -39,6 +39,19 @@ def test_group_report_tstar():
     assert report.kminus1 == AbelianGroupExpr.free(1)
 
 
+def test_families_come_from_one_table(capsys):
+    with pytest.raises(SystemExit):
+        main(["group", "--help"])
+    assert "{" + ",".join(report_module.FAMILIES) + "}" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exit_info:
+        main(["group", "octonion"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'octonion'" in capsys.readouterr().err
+    # library callers skip argparse, so group_report checks the name itself
+    with pytest.raises(UnsupportedParameterError, match="unknown family 'octonion'"):
+        group_report("octonion")
+
+
 def test_group_report_unknown_k0():
     report = group_report("dicyclic", m=13, invariants=("k0",))
     assert report.k0 is UNKNOWN
