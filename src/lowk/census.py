@@ -1,29 +1,35 @@
-"""Conjugacy machinery: classes, {g, g^-1} pair classes, cyclic-subgroup classes.
+"""Conjugacy machinery: classes of cyclic subgroups, element classes, periodicity.
 
-Conjugacy classes are computed by orbit expansion under conjugation by the
-group's non-central generators.  Every coarser count is a count of the
-blocks of a power-map merge of those classes (`count_blocks`): pair classes
-{g, g^-1} merge g with g^-1, and the F-conjugacy blocks of `lowk.fconj`
-merge g with g^t for t in a Galois image.  The power maps come from
-`power_tables`: one walk g, g^2, ..., g^d = e per class of cyclic
-subgroups, whose classes are the cosets of (Z/d)^* by H = {u : g^u ~ g}.
-The exponents act on those cosets by translation, so all orbits in a table
-have one size and a table's blocks are counted from the orbit of its first
-class alone, without listing them; classes of cyclic subgroups are the
-tables themselves.  All counts share one census of the whole group, kept on
-it.  A census restricted to a few element orders scans the element list
-once and partitions, and tabulates, only the elements of those orders.
+The census of a group is one record per conjugacy class of cyclic subgroups
+<g>: its order d and its automizer H = {u in (Z/d)^* : g^u ~ g}, the image
+of the normaliser of <g> in Aut<g>.  The conjugacy classes of generators of
+<g> are the cosets of H in (Z/d)^*, so every Witt-Berman count is read off
+the records (`count_blocks`): merging class(c) with class(c^t) for t in a
+set of exponents leaves phi(d) / |<H, exponents>| blocks per record.  r1
+takes the exponent -1, r2 is the number of records of each order, and the
+F-conjugacy counts of `lowk.fconj` take a Galois image.
+
+The census walks each cyclic subgroup once, from the largest element orders
+down, so one walk g, g^2, ... names every element as a power of its
+subgroup's generator.  Only those generators are conjugated, by each
+non-central group generator, and a search over the subgroups finds the
+classes; each edge that closes a loop gives one generator of H.  When every
+generator is central, as for Z_m, no product is taken: a cyclic subgroup is
+its own class and H = {1}.  The element classes are derived from the
+records on first read.  One census of the whole group is kept on it; a
+census restricted to a few element orders scans the element list once and
+walks only the subgroups of those orders.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
-from .galois import prime_divisors
+from .galois import prime_divisors, totient
 from .groups import ElementId, FiniteGroup
 
 
@@ -38,164 +44,212 @@ def _check_size(group: FiniteGroup, max_size: int) -> None:
         )
 
 
-def _orbit_partition(
-    group: FiniteGroup, elems: Iterable[ElementId]
-) -> tuple[tuple[tuple[ElementId, ...], ...], dict[ElementId, int]]:
-    """Partition `elems` (closed under conjugation) into conjugacy classes.
+class SubgroupClass(NamedTuple):
+    """One conjugacy class of cyclic subgroups <g> of order d.
 
-    Returns the classes sorted by (element order, least element) and each
-    element's class index.  A generator that commutes with every generator
-    is central and conjugates trivially, so it is left out; when none is
-    left, as for Z_m, every class is a singleton.
-    """
-    mul = group.mul
-    gens = group.generators
-    gen_pairs = [
-        (a, group.inv(a)) for a in gens if any(mul(a, b) != mul(b, a) for b in gens)
-    ]
-    if not gen_pairs:
-        classes = [(e,) for e in elems]
-    else:
-        seen: set[ElementId] = set()
-        classes = []
-        for e in sorted(elems):
-            if e in seen:
-                continue
-            orbit = {e}
-            frontier = [e]
-            while frontier:
-                g = frontier.pop()
-                for a, ai in gen_pairs:
-                    h = mul(mul(a, g), ai)
-                    if h not in orbit:
-                        orbit.add(h)
-                        frontier.append(h)
-            seen |= orbit
-            classes.append(tuple(sorted(orbit)))
-    classes.sort(key=lambda c: (group.order_of(c[0]), c[0]))
-    return tuple(classes), {g: i for i, cls in enumerate(classes) for g in cls}
-
-
-class PowerTable(NamedTuple):
-    """The power map of one class of cyclic subgroups <g>, |g| = d = len(table).
-
-    table[t] is the index of class(g^t) for t prime to d (other entries are
-    -1); `first` is the index of class(g) and `count` the number of classes
-    the table reaches.
+    `automizer` is H = {u in (Z/d)^* : g^u ~ g}, sorted, and `count` the
+    number of conjugacy classes among the generators of <g>, phi(d) / |H|.
     """
 
-    table: list[int]
-    first: int
+    order: int
+    automizer: tuple[int, ...]
     count: int
 
 
-def power_tables(
-    group: FiniteGroup,
-    classes: Sequence[tuple[ElementId, ...]],
-    index: dict[ElementId, int],
-) -> list[PowerTable]:
-    """One power table per class of cyclic subgroups met in `classes`.
+def _extend(subgroup: Collection[int], u: int, d: int) -> set[int]:
+    """<subgroup, u> in (Z/d)^*: the union of the cosets subgroup * u^i."""
+    out = set(subgroup)
+    x = u
+    while x not in subgroup:
+        out.update(h * x % d for h in subgroup)
+        x = x * u % d
+    return out
 
-    `classes` must be closed under g -> g^t for t prime to |g|.  The first
-    class not yet reached gives g, its least element, of order d; walking g,
-    g^2, ..., g^d = e (d products) fills in the table and marks every class
-    it reaches.
-    """
-    mul = group.mul
-    reached = bytearray(len(classes))
-    tables = []
-    for i, cls in enumerate(classes):
-        if reached[i]:
-            continue
-        g = cls[0]
-        d = group.order_of(g)
-        table = [-1] * d
-        count = 0
-        x = group.identity
-        for t in range(d):
-            if math.gcd(t, d) == 1:
-                j = table[t] = index[x]
-                if not reached[j]:
-                    reached[j] = 1
-                    count += 1
-            x = mul(x, g)
-        tables.append(PowerTable(table, i, count))
-    return tables
+
+def _index(u: int, subgroup: Collection[int], d: int) -> int:
+    """The least k >= 1 with u^k in `subgroup`, its index in <subgroup, u>."""
+    x, k = u, 1
+    while x not in subgroup:
+        x = x * u % d
+        k += 1
+    return k
 
 
 def count_blocks(
-    tables: Iterable[PowerTable],
+    subgroups: Iterable[SubgroupClass],
     exponents: Sequence[int] | None = None,
     characteristic: int = 0,
 ) -> dict[int, int]:
     """Blocks of the merge class(c) ~ class(c^t), t in <exponents>, per element order.
 
     The exponents must be prime to the orders of the counted classes (None
-    stands for all units).  A table's classes are the cosets of
-    A = (Z/d)^*/H, H = {u : g^u ~ g}, and the exponents act on them by
-    translation, so every orbit in a table has the size of the subgroup K
-    of A that they generate: the table holds count / |K| blocks.  Adding an
-    exponent t to K multiplies |K| by the least k with t^k in K.  Tables
+    stands for all units).  A record's classes are the cosets of H in
+    (Z/d)^*, and the exponents act on them by translation, so every block
+    is a coset of <H, exponents> and the record holds
+    count * |H| / |<H, exponents>| blocks.  All exponents but one are closed
+    into a set with H, and the last adds its index over that set; the last
+    is the one of largest index over H, so the set stays small.  Records
     whose order the characteristic divides are skipped (only p-regular
     classes count).
     """
     blocks: Counter[int] = Counter()
-    for table, first, count in tables:
-        d = len(table)
+    for d, automizer, count in subgroups:
         if characteristic and d % characteristic == 0:
             continue
         if exponents is None or count == 1:
             blocks[d] += 1
             continue
-        # K as {class(g^s): s}; class(g^s)^t = class(g^(st)), so s names the coset
-        orbit = {first: 1}
-        size = 1
-        for i, t in enumerate(exponents):
-            x, k = t % d, 1
-            while table[x] not in orbit:
-                x = x * t % d
-                k += 1
-            size *= k
-            if k > 1 and i < len(exponents) - 1:
-                for s in list(orbit.values()):
-                    for _ in range(k - 1):
-                        s = s * t % d
-                        orbit[table[s]] = s
-        blocks[d] += count // size
+        # (index over H, exponent), largest index last; an index 1 adds nothing
+        steps = sorted((_index(t % d, automizer, d), t % d) for t in exponents) or [(1, 1)]
+        closed: Collection[int] = automizer
+        for k, t in steps[:-1]:
+            if k > 1:
+                closed = _extend(closed, t, d)
+        k, t = steps[-1]
+        if closed is not automizer:
+            k = _index(t, closed, d)
+        blocks[d] += count * len(automizer) // (len(closed) * k)
     return dict(sorted(blocks.items()))
 
 
 @dataclass(frozen=True, eq=False)
 class ClassCensus:
-    """Conjugacy classes, their power tables and the per-order pair/subgroup
-    class counts r1, r2.
+    """The classes of cyclic subgroups, the per-order pair/subgroup class
+    counts r1, r2, and the conjugacy classes derived from them.
 
-    r1 merges each class with the class of its inverses (the exponent -1).
-    Each power table is one class of cyclic subgroups, so r2 counts the
-    tables of each order.
+    `_position[x]` is (S, t) for x = g_S^t: S indexes the walked cyclic
+    subgroups and g_S is the generator its walk met first.  S's transport
+    (i, e) says g_S^e is conjugate to g, the generator of the i-th record's
+    subgroup.  So x ~ g^(t/e), and x's class is the coset of t/e modulo
+    that record's automizer.  With no walk (`_position` None) every
+    generator is central and every class a singleton.
     """
 
-    classes: tuple[tuple[ElementId, ...], ...]
-    tables: list[PowerTable] = field(repr=False)
-    _index: dict[ElementId, int] = field(repr=False)
+    subgroups: tuple[SubgroupClass, ...]
+    _by_order: dict[int, list[ElementId]] = field(repr=False)
+    _position: dict[ElementId, tuple[int, int]] | None = field(repr=False)
+    _transport: list[tuple[int, int]] = field(repr=False)
+
+    @cached_property
+    def classes(self) -> tuple[tuple[ElementId, ...], ...]:
+        """Conjugacy classes sorted by (element order, least element), each sorted."""
+        if self._position is None:
+            return tuple((g,) for d in sorted(self._by_order) for g in self._by_order[d])
+        records = self.subgroups
+        inverse = [(i, pow(e, -1, records[i].order)) for i, e in self._transport]
+        blocks = defaultdict(list)
+        for x, (s, t) in self._position.items():
+            i, e_inv = inverse[s]
+            d, automizer, _ = records[i]
+            u = t * e_inv % d
+            blocks[i, min(u * h % d for h in automizer)].append(x)
+        ordered = sorted((records[i].order, sorted(b)) for (i, _), b in blocks.items())
+        return tuple(tuple(b) for _, b in ordered)
+
+    @cached_property
+    def _index(self) -> dict[ElementId, int]:
+        return {g: i for i, cls in enumerate(self.classes) for g in cls}
 
     def class_of(self, g: ElementId) -> tuple[ElementId, ...]:
         return self.classes[self._index[g]]
 
     @cached_property
     def r1_by_order(self) -> dict[int, int]:
-        return count_blocks(self.tables, (-1,))
+        return count_blocks(self.subgroups, (-1,))
 
     @cached_property
     def r2_by_order(self) -> dict[int, int]:
-        return count_blocks(self.tables)
+        return count_blocks(self.subgroups)
+
+
+def _build_census(group: FiniteGroup, orders: frozenset[int] | None = None) -> ClassCensus:
+    """The census of the elements of the given orders (all when None)."""
+    order_of = group.order_of
+    by_order: dict[int, list[ElementId]] = defaultdict(list)
+    for g in group.elements:
+        by_order[order_of(g)].append(g)
+    by_order = {d: by_order[d] for d in sorted(by_order) if orders is None or d in orders}
+    phi = {d: totient(d) for d in by_order}
+    mul, inv = group.mul, group.inv
+    gens = group.generators
+    movers = [
+        (a, inv(a)) for a in gens if any(mul(a, b) != mul(b, a) for b in gens if b != a)
+    ]
+    if not movers:
+        subgroups = tuple(
+            SubgroupClass(d, (1 % d,), phi[d])
+            for d, elems in by_order.items()
+            for _ in range(len(elems) // phi[d])
+        )
+        return ClassCensus(subgroups, by_order, None, [])
+
+    # Walk each cyclic subgroup once, largest orders first.  The powers g^t
+    # with gcd(t, d) = k generate <g^k>, g^t as its (t/k)-th power, so one
+    # walk g, g^2, ..., g^(d-1) names every element of <g> but the identity,
+    # which is walked on its own (d = 1).  <g^k> is new when g^k, met first
+    # at t = k, is.
+    position: dict[ElementId, tuple[int, int]] = {}
+    generators: list[ElementId] = []
+    sub_order: list[int] = []
+    for d in sorted(by_order, reverse=True):
+        # for t = 2, ..., d - 1: k, t/k, and d/k when t = k
+        steps = [(k, t // k, d // k if k == t else 0)
+                 for t in range(2, d) for k in (math.gcd(t, d),)]
+        for g in by_order[d]:
+            if g in position:
+                continue
+            strata = {1: len(generators)}
+            position[g] = (len(generators), 1 % d)
+            generators.append(g)
+            sub_order.append(d)
+            x = g
+            for k, q, e in steps:
+                x = mul(x, g)
+                if e:
+                    new = e in by_order and x not in position
+                    strata[k] = len(generators) if new else -1
+                    if new:
+                        generators.append(x)
+                        sub_order.append(e)
+                s = strata[k]
+                if s >= 0:
+                    position[x] = (s, q)
+
+    # Search the subgroups under conjugation by the movers.  A transport
+    # (i, e) of S says g_S^e ~ g_R, R the first subgroup of S's class met;
+    # an edge that meets a subgroup already reached gives a u in H, g_R^u ~ g_R.
+    transport = [(-1, 0)] * len(generators)
+    subgroups = []
+    for r, d in enumerate(sub_order):
+        if transport[r][0] >= 0:
+            continue
+        i = len(subgroups)
+        transport[r] = (i, 1 % d)
+        automizer = {1 % d}
+        frontier = [r]
+        for s in frontier:
+            g, e = generators[s], transport[s][1]
+            for a, a_inv in movers:
+                s2, t = position[mul(mul(a, g), a_inv)]
+                v = t * e % d
+                j, e2 = transport[s2]
+                if j < 0:
+                    transport[s2] = (i, v)
+                    frontier.append(s2)
+                elif v != e2:
+                    u = v * pow(e2, -1, d) % d
+                    if u not in automizer:
+                        automizer = _extend(automizer, u, d)
+        subgroups.append(
+            SubgroupClass(d, tuple(sorted(automizer)), phi[d] // len(automizer))
+        )
+    return ClassCensus(tuple(subgroups), by_order, position, transport)
 
 
 def _group_census(group: FiniteGroup) -> ClassCensus:
     """The census of the whole group, made once and kept on the group."""
     if group._census is None:
-        classes, index = _orbit_partition(group, group.elements)
-        group._census = ClassCensus(classes, power_tables(group, classes, index), index)
+        group._census = _build_census(group)
     return group._census
 
 
@@ -209,8 +263,7 @@ def conjugacy_classes(
     _check_size(group, max_size)
     if orders is None:
         return _group_census(group)
-    classes, index = _orbit_partition(group, group.elements_of_orders(frozenset(orders)))
-    return ClassCensus(classes, power_tables(group, classes, index), index)
+    return _build_census(group, frozenset(orders))
 
 
 def check_p2_condition(group: FiniteGroup, *, max_size: int = 5000) -> bool:

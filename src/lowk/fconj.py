@@ -6,7 +6,9 @@ characteristic) F-conjugacy classes equals the number of irreducible
 F-representations.  The power exponents are the closed-form generators of
 the Galois image modulo the regular part of the group exponent
 (`galois.phi_generators`), and the blocks are counted per class of cyclic
-subgroups by `census.count_blocks`, without listing them.
+subgroups by `census.count_blocks`, without listing them.  Over Q the image
+is all of (Z/n)^* (`phi_generators` gives None), so each class of cyclic
+subgroups is one block and r_Q is the number of them, sum r2.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ def f_partition(
 ) -> FPartition:
     _check_size(group, max_size)
     exponents = phi_generators(field, regular_modulus(group, field))
-    blocks = count_blocks(_group_census(group).tables, exponents, field.characteristic)
+    blocks = count_blocks(_group_census(group).subgroups, exponents, field.characteristic)
     return FPartition(field=field, group=group, block_count=sum(blocks.values()))
 
 

@@ -91,6 +91,13 @@ def prime_divisors(n: int) -> list[int]:
     return [p for p, _ in factorization(n)]
 
 
+def totient(n: int) -> int:
+    """Euler's phi: the number of units modulo n >= 1."""
+    for p in prime_divisors(n):
+        n = n // p * (p - 1)
+    return n
+
+
 def mult_order(a: int, n: int) -> int:
     """Least k >= 1 with a^k = 1 mod n.  Requires gcd(a, n) = 1.
 
@@ -102,11 +109,8 @@ def mult_order(a: int, n: int) -> int:
         raise ValueError(f"modulus must be positive, got {n}")
     if math.gcd(a, n) != 1:
         raise ValueError(f"{a} is not a unit modulo {n}")
-    phi = n
-    for p in prime_divisors(n):
-        phi = phi // p * (p - 1)
-    k = phi
-    for q in prime_divisors(phi):
+    k = totient(n)
+    for q in prime_divisors(k):
         while k % q == 0 and pow(a, k // q, n) == 1:
             k //= q
     return k

@@ -103,9 +103,9 @@ class FiniteGroup:
     machinery relies on it).  `elements` is an iterable of the element ids,
     or a zero-argument function returning one; it is sorted into the
     `elements` tuple on first access only, so `order` must then be given.
-    The element tuple, the exponent and the class census (the partition
-    into conjugacy classes and its power tables) are filled in on first use,
-    so no result depends on the order of calls.
+    The element tuple, the exponent and the class census (the classes of
+    cyclic subgroups with their automizers) are filled in on first use, so
+    no result depends on the order of calls.
     `elements_of_orders` scans that tuple.
     """
 

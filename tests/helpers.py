@@ -5,8 +5,9 @@ lowk's faster paths against it.
 """
 
 import math
+import random
+from typing import NamedTuple
 
-from lowk.census import conjugacy_classes
 from lowk.fconj import regular_modulus
 from lowk.galois import UnitSubgroup, full_unit_group, generated_subgroup
 from lowk.groups import CUSTOM, FamilyTag, FiniteGroup
@@ -42,6 +43,43 @@ def build_abelian(factors):
         inv=inv,
         order_of=order_of,
         exponent=math.lcm(*factors),
+    )
+
+
+def build_affine(p, k):
+    """The affine maps x -> a x + b of Z_p with a in the order-k subgroup of
+    (Z/p)^*, p prime, k | p - 1: the group Z_p x| Z_k of order p k (family
+    `custom`).  Its cyclic subgroups of order k are p conjugates, each its
+    own normaliser, so conjugation relates their generators by powers."""
+    def order_mod_p(a):
+        x, n = a, 1
+        while x != 1:
+            x, n = x * a % p, n + 1
+        return n
+
+    r = next(a for a in range(1, p) if order_mod_p(a) == k)
+    return FiniteGroup.from_closure(
+        name=f"Z_{p} x| Z_{k}",
+        generators=[(r, 0), (1, 1)],
+        mul=lambda f, g: (f[0] * g[0] % p, (f[0] * g[1] + f[1]) % p),
+        identity=(1, 0),
+        expect_order=p * k,
+    )
+
+
+def relabel(group, seed):
+    """A copy of `group` whose element ids are 0..|G|-1 in a seeded random
+    order, so a sorted walk meets its elements in another order."""
+    elements = list(group.elements)
+    codes = random.Random(seed).sample(range(len(elements)), len(elements))
+    code = dict(zip(elements, codes))
+    element = dict(zip(codes, elements))
+    return FiniteGroup.from_closure(
+        name=f"{group.name} (relabelled {seed})",
+        generators=[code[g] for g in group.generators],
+        mul=lambda x, y: code[group.mul(element[x], element[y])],
+        identity=code[group.identity],
+        expect_order=group.order,
     )
 
 
@@ -179,7 +217,7 @@ def f_blocks(group, field):
     """F-conjugacy blocks: the p-regular classes merged by `power_merge` over
     generators of the enumerated Galois image modulo the regular part of the
     exponent."""
-    regular = regular_classes(group, conjugacy_classes(group).classes, field.characteristic)
+    regular = regular_classes(group, oracle_classes(group), field.characteristic)
     exponents = minimal_generators(enumerated_phi_image(field, regular_modulus(group, field)))
     return merged_blocks(group, regular, exponents)
 
@@ -192,7 +230,7 @@ def blocks_of_order(group, field, d):
 def per_order_blocks(group, field):
     """r_F with the Galois image taken modulo each element order, not the exponent."""
     strata = {}
-    for cls in regular_classes(group, conjugacy_classes(group).classes, field.characteristic):
+    for cls in regular_classes(group, oracle_classes(group), field.characteristic):
         strata.setdefault(group.order_of(cls[0]), []).append(cls)
     count = 0
     for d, stratum in strata.items():
@@ -213,3 +251,125 @@ def is_unit_subgroup(s):
     if 1 not in rs:
         return False
     return all(a * b % n in rs for a in rs for b in rs)
+
+
+def orbit_partition(group, elems):
+    """Partition `elems` (closed under conjugation) into conjugacy classes.
+
+    Orbit expansion under conjugation by the non-central generators.
+    Returns the classes sorted by (element order, least element) and each
+    element's class index.
+    """
+    mul = group.mul
+    gens = group.generators
+    gen_pairs = [
+        (a, group.inv(a)) for a in gens if any(mul(a, b) != mul(b, a) for b in gens)
+    ]
+    if not gen_pairs:
+        classes = [(e,) for e in elems]
+    else:
+        seen = set()
+        classes = []
+        for e in sorted(elems):
+            if e in seen:
+                continue
+            orbit = {e}
+            frontier = [e]
+            while frontier:
+                g = frontier.pop()
+                for a, ai in gen_pairs:
+                    h = mul(mul(a, g), ai)
+                    if h not in orbit:
+                        orbit.add(h)
+                        frontier.append(h)
+            seen |= orbit
+            classes.append(tuple(sorted(orbit)))
+    classes.sort(key=lambda c: (group.order_of(c[0]), c[0]))
+    return tuple(classes), {g: i for i, cls in enumerate(classes) for g in cls}
+
+
+def oracle_classes(group):
+    """The conjugacy classes of the whole group, by `orbit_partition`."""
+    return orbit_partition(group, group.elements)[0]
+
+
+class PowerTable(NamedTuple):
+    """The power map of one class of cyclic subgroups <g>, |g| = d = len(table).
+
+    table[t] is the index of class(g^t) for t prime to d (other entries are
+    -1); `first` is the index of class(g) and `count` the number of classes
+    the table reaches.
+    """
+
+    table: list
+    first: int
+    count: int
+
+
+def power_tables(group, classes, index):
+    """One power table per class of cyclic subgroups met in `classes`.
+
+    `classes` must be closed under g -> g^t for t prime to |g|.  The first
+    class not yet reached gives g, its least element, of order d; walking g,
+    g^2, ..., g^d = e fills in the table and marks every class it reaches.
+    """
+    reached = bytearray(len(classes))
+    tables = []
+    for i, cls in enumerate(classes):
+        if reached[i]:
+            continue
+        g = cls[0]
+        d = group.order_of(g)
+        table = [-1] * d
+        count = 0
+        x = group.identity
+        for t in range(d):
+            if math.gcd(t, d) == 1:
+                j = table[t] = index[x]
+                if not reached[j]:
+                    reached[j] = 1
+                    count += 1
+            x = group.mul(x, g)
+        tables.append(PowerTable(table, i, count))
+    return tables
+
+
+def table_blocks(tables, exponents, p=0):
+    """Per element order, the blocks of class(g^s) ~ class(g^(st)), t in
+    `exponents`, read off the power tables; None stands for all units, which
+    leaves one block per table.  Tables whose order p divides are skipped."""
+    counts = {}
+    for table, _, _ in tables:
+        d = len(table)
+        if p and d % p == 0:
+            continue
+        seen = set()
+        for s, c in enumerate(table):
+            if c < 0 or c in seen:
+                continue
+            counts[d] = counts.get(d, 0) + 1
+            if exponents is None:
+                break
+            orbit, frontier = {s}, [s]
+            while frontier:
+                x = frontier.pop()
+                seen.add(table[x])
+                for t in exponents:
+                    y = x * t % d
+                    if y not in orbit:
+                        orbit.add(y)
+                        frontier.append(y)
+    return dict(sorted(counts.items()))
+
+
+def table_automizers(group, classes, index, tables):
+    """(d, H, classes reached) per power table, H = {u : g^u ~ g} for g the
+    table's first class's least element, each power taken with `group.power`."""
+    out = []
+    for table, first, count in tables:
+        d = len(table)
+        g = classes[first][0]
+        units = [u for u in range(d) if math.gcd(u, d) == 1]
+        automizer = tuple(u for u in units if index[group.power(g, u)] == first)
+        out.append((d, automizer, count))
+    return sorted(out)

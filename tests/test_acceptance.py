@@ -26,9 +26,11 @@ from lowk.groups import (
 from lowk.lowerk import (
     UNKNOWN,
     AbelianGroupExpr,
+    carter_rank,
     k0_tilde_lookup,
     k_minus_one,
     lambda_value,
+    provenance,
     whitehead_rank,
 )
 from lowk.classify import (
@@ -88,6 +90,26 @@ def test_criterion_1_whitehead_ranks():
         assert whitehead_rank(build_binary_polyhedral("T*")) == 0
         assert whitehead_rank(build_binary_polyhedral("O*")) == 1
         assert whitehead_rank(build_binary_polyhedral("I*")) == 2
+
+
+def test_criterion_1_closed_forms_agree_with_the_census_sweep():
+    # whitehead_rank computes both routes below the census bound and raises
+    # ConsistencyError when they differ; the provenance shows that both ran
+    cross_checked = (
+        "wh: class census sum of r1(d) - r2(d), cross-checked against the family closed form"
+    )
+    with Stopwatch("1 (sweep)", budget=20.0):
+        with provenance() as lines:
+            for m in range(1, 2001):
+                whitehead_rank(build_cyclic(m))
+            for m in range(2, 1001):
+                whitehead_rank(build_dicyclic(m))
+        assert lines == [cross_checked] * 2999
+        for p in range(3, 1250, 2):
+            if is_prime(p):
+                with provenance() as lines:
+                    assert carter_rank(build_dicyclic(p)) == lambda_value(p), p
+                assert "Witt-Berman" in lines[0], p
 
 
 def test_criterion_2_pair_vs_subgroup_classes_small_orders():
@@ -155,7 +177,7 @@ def test_criterion_5_lambda_oracle_equivalence():
                 continue
             group = build_dicyclic(m)
             assert lambda_value(m) == len(blocks_of_order(group, Q2, m)), m
-            blocks = count_blocks(conjugacy_classes(group).tables, phi_generators(Q2, 4 * m))
+            blocks = count_blocks(conjugacy_classes(group).subgroups, phi_generators(Q2, 4 * m))
             assert blocks[m] == lambda_value(m), m
 
 

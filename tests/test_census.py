@@ -2,7 +2,6 @@ import pytest
 
 from lowk.census import (
     GroupTooLargeError,
-    _orbit_partition,
     check_2p_condition,
     check_milnor,
     check_p2_condition,
@@ -206,21 +205,44 @@ def test_size_guard():
         conjugacy_classes(build_dicyclic(2000), max_size=5000)
 
 
+def count_products(group):
+    """The census of `group` (elements built beforehand) and the products it took."""
+    group.elements
+    calls = []
+    mul = group.mul
+
+    def counting(a, b):
+        calls.append((a, b))
+        return mul(a, b)
+
+    group.mul = counting
+    census = conjugacy_classes(group)
+    census.r1_by_order, census.r2_by_order
+    group.mul = mul
+    return census, len(calls)
+
+
 def test_abelian_partition_makes_constant_products():
-    # the one generator of Z_m is central, so conjugation is skipped and the
-    # only products are the commutation check's
-    for m in (30, 3000):
+    # the one generator of Z_m is central, so the census conjugates nothing,
+    # walks no subgroup, and the only products are the commutation check's
+    for m in (30, 1024, 3000):
         group = build_cyclic(m)
-        calls = []
-        mul = group.mul
-
-        def counting(a, b):
-            calls.append((a, b))
-            return mul(a, b)
-
-        group.mul = counting
-        classes, index = _orbit_partition(group, group.elements)
-        assert len(calls) <= 2
+        census, products = count_products(group)
+        assert products <= 2
         by_order = sorted(group.elements, key=lambda g: (group.order_of(g), g))
-        assert classes == tuple((g,) for g in by_order)
-        assert index == {g: i for i, (g,) in enumerate(classes)}
+        assert census.classes == tuple((g,) for g in by_order)
+        assert all(census.class_of(g) == (g,) for g in group.elements)
+
+
+@pytest.mark.parametrize(
+    "group,per_element",
+    [(build_dicyclic(899), 3), (build_dicyclic(1000), 3), (build_dicyclic(7), 3),
+     (generalized_quaternion(10), 3), (generalized_quaternion(5), 3),
+     (build_binary_polyhedral("T*"), 4), (build_binary_polyhedral("O*"), 4),
+     (build_binary_polyhedral("I*"), 4)],
+    ids=lambda x: getattr(x, "name", str(x)),
+)
+def test_census_products_are_linear(group, per_element):
+    # each cyclic subgroup is walked once and only its generator conjugated
+    _, products = count_products(group)
+    assert products <= per_element * group.order

@@ -1,9 +1,13 @@
-"""Power tables against `group.power`, and the block counts built on them.
+"""The census records against the power tables and `group.power`.
 
-Each property draws a group from a roster (Z_m, Dic_4m, Q_2^k, T*, O*, I*)
-and checks the table lookups and the block counts of `lowk.census` against
-`helpers.power_merge`, the union-find that takes every power with
-`group.power`.
+Each property draws a group from a roster (Z_m, Dic_4m, Q_2^k, T*, O*, I*,
+non-cyclic abelian groups, and affine groups Z_p x| Z_k, some with their
+element ids shuffled so the census walks them in another order).  It checks
+the records of `lowk.census` (one per class of cyclic subgroups, with its
+automizer H), the element classes derived from them and their block counts
+against the oracles in `helpers`: the orbit partition with one power table
+per class of cyclic subgroups, and `power_merge`, the union-find that takes
+every power with `group.power`.
 """
 
 import math
@@ -13,7 +17,7 @@ from functools import cache
 from hypothesis import given, strategies as st
 
 from lowk import census, galois, groups
-from lowk.census import _orbit_partition, conjugacy_classes, count_blocks, power_tables
+from lowk.census import conjugacy_classes, count_blocks
 from lowk.fconj import f_partition, r_f, regular_modulus
 from lowk.galois import FieldDescriptor, full_unit_group, phi_generators, prime_divisors
 from lowk.groups import (
@@ -25,18 +29,34 @@ from lowk.groups import (
 from lowk.lowerk import carter_rank, whitehead_rank
 
 from helpers import (
+    build_abelian,
+    build_affine,
     counts_by_order,
     f_blocks,
     merged_blocks,
     minimal_generators,
+    orbit_partition,
+    power_tables,
     regular_classes,
+    relabel,
+    table_automizers,
+    table_blocks,
 )
+
+def _affine(key):
+    """Z_p x| Z_k; a nonzero seed shuffles its element ids (`helpers.relabel`)."""
+    p, k, seed = key
+    group = build_affine(p, k)
+    return relabel(group, seed) if seed else group
+
 
 BUILDERS = {
     "cyclic": build_cyclic,
     "dicyclic": build_dicyclic,
     "quaternion": generalized_quaternion,
     "polyhedral": build_binary_polyhedral,
+    "abelian": build_abelian,
+    "affine": _affine,
 }
 
 
@@ -45,17 +65,34 @@ def _group(family, param):
     return BUILDERS[family](param)
 
 
+@cache
+def oracle(group):
+    """The orbit partition of the whole group and its power tables."""
+    classes, index = orbit_partition(group, group.elements)
+    return classes, index, power_tables(group, classes, index)
+
+
 polyhedral = st.tuples(st.just("polyhedral"), st.sampled_from(("T*", "O*", "I*")))
+abelian = st.tuples(st.just("abelian"), st.sampled_from(((2, 2), (2, 4), (3, 3))))
+affine = st.tuples(st.just("affine"), st.builds(
+    lambda pk, seed: (*pk, seed),
+    st.sampled_from(((7, 6), (11, 5), (19, 9), (29, 7))),
+    st.integers(0, 3),
+))
 roster = st.one_of(
     st.tuples(st.just("cyclic"), st.integers(1, 200)),
     st.tuples(st.just("dicyclic"), st.integers(2, 60)),
     st.tuples(st.just("quaternion"), st.integers(3, 7)),
     polyhedral,
+    abelian,
+    affine,
 ).map(lambda key: _group(*key))
 wide_roster = st.one_of(
     st.tuples(st.just("cyclic"), st.integers(1, 400)),
     st.tuples(st.just("dicyclic"), st.integers(2, 400)),
     polyhedral,
+    abelian,
+    affine,
 ).map(lambda key: _group(*key))
 
 
@@ -79,39 +116,97 @@ def merged_counts(group, classes, exponents, p=0):
 
 
 @given(roster, st.data())
-def test_table_lookup_is_the_power_map(group, data):
+def test_positions_are_the_power_map(group, data):
     census = conjugacy_classes(group)
-    classes = census.classes
-    i = data.draw(st.integers(0, len(classes) - 1))
-    rep = data.draw(st.sampled_from(classes[i]))
+    classes, index, _ = oracle(group)
+    rep = data.draw(st.sampled_from(classes[data.draw(st.integers(0, len(classes) - 1))]))
     d = group.order_of(rep)
     t = data.draw(st.integers(-3 * d, 3 * d).filter(lambda t: math.gcd(t, d) == 1))
-    table, first, count = next(r for r in census.tables if i in r.table)
-    s = table.index(i)
-    assert len(table) == d
-    assert classes[table[s * t % d]] == census.class_of(group.power(rep, t))
-    assert table[1 % d] == first
-    assert count == len(set(table) - {-1})
+    x = group.power(rep, t)
+    assert census.class_of(x) == classes[index[x]]
+    reached = {index[group.power(rep, u)] for u in range(d) if math.gcd(u, d) == 1}
+    if census._position is None:
+        assert census.class_of(x) == (x,)
+        record = (d, (1 % d,), len(reached))
+    else:
+        s, q = census._position[rep]
+        assert census._position[x] == (s, q * t % d)
+        record = census.subgroups[census._transport[s][0]]
+    assert record[0] == d
+    assert (census.class_of(x) == census.class_of(rep)) == (t % d in record[1])
+    assert record[2] == len(reached)
+
+
+@given(roster)
+def test_records_match_table_automizers(group):
+    # H of each class of cyclic subgroups <g>, once with the oracle's classes
+    # and once with the census's own, every power taken with group.power
+    census = conjugacy_classes(group)
+    classes, index, tables = oracle(group)
+
+    def fixing(g, d):
+        return tuple(
+            u for u in range(d)
+            if math.gcd(u, d) == 1 and census.class_of(group.power(g, u)) == census.class_of(g)
+        )
+
+    own = sorted(
+        (len(table), fixing(classes[first][0], len(table)), count)
+        for table, first, count in tables
+    )
+    assert sorted(census.subgroups) == table_automizers(group, classes, index, tables) == own
+
+
+@given(roster, st.data())
+def test_record_counts_match_table_oracle(group, data):
+    census = conjugacy_classes(group)
+    _, _, tables = oracle(group)
+    assert census.r2_by_order == table_blocks(tables, None)
+    assert census.r1_by_order == table_blocks(tables, (-1,))
+    fields = [FieldDescriptor.rational()]
+    for p in prime_divisors(group.order):
+        fields += [FieldDescriptor.p_adic(p), FieldDescriptor.finite_prime(p)]
+    for field in fields:
+        exponents = phi_generators(field, regular_modulus(group, field))
+        p = field.characteristic
+        assert count_blocks(census.subgroups, exponents, p) == table_blocks(
+            tables, exponents, p
+        ), field.label
+    exponents = data.draw(units(group.exponent))
+    assert count_blocks(census.subgroups, exponents) == table_blocks(tables, exponents)
+
+
+@given(roster)
+def test_rational_count_is_r2(group):
+    assert r_f(group, FieldDescriptor.rational()) == sum(
+        conjugacy_classes(group).r2_by_order.values()
+    )
 
 
 @given(wide_roster, st.data())
 def test_block_counts_match_power_oracle(group, data):
     census = conjugacy_classes(group)
+    classes = oracle(group)[0]
     p = data.draw(st.sampled_from([0, *prime_divisors(group.order)]))
     exponents = data.draw(st.none() | units(group.exponent))
-    assert count_blocks(census.tables, exponents, p) == merged_counts(
-        group, census.classes, exponents, p
+    assert count_blocks(census.subgroups, exponents, p) == merged_counts(
+        group, classes, exponents, p
     )
 
 
 @given(roster, st.data())
-def test_restricted_tables_match_power_oracle(group, data):
-    present = sorted({group.order_of(cls[0]) for cls in conjugacy_classes(group).classes})
+def test_restricted_census_matches_power_oracle(group, data):
+    present = sorted({group.order_of(g) for g in group.elements})
     orders = frozenset(data.draw(st.lists(st.sampled_from(present), min_size=1)))
-    classes, index = _orbit_partition(group, group.elements_of_orders(orders))
+    restricted = conjugacy_classes(group, orders=orders)
+    classes, index = orbit_partition(group, group.elements_of_orders(orders))
+    assert restricted.classes == classes
     tables = power_tables(group, classes, index)
+    assert sorted(restricted.subgroups) == table_automizers(group, classes, index, tables)
     for exponents in ((group.exponent - 1,), None):
-        assert count_blocks(tables, exponents) == merged_counts(group, classes, exponents)
+        counts = count_blocks(restricted.subgroups, exponents)
+        assert counts == merged_counts(group, classes, exponents)
+        assert counts == table_blocks(tables, exponents)
 
 
 @given(roster, st.sampled_from(("Q", "Qp", "Fp")), st.data())
@@ -122,7 +217,7 @@ def test_field_partition_matches_power_oracle(group, kind, data):
     assert f_partition(group, field).block_count == len(blocks)
     exponents = phi_generators(field, regular_modulus(group, field))
     assert count_blocks(
-        conjugacy_classes(group).tables, exponents, field.characteristic
+        conjugacy_classes(group).subgroups, exponents, field.characteristic
     ) == counts_by_order(group, blocks)
 
 
@@ -138,15 +233,15 @@ def patch_everywhere(monkeypatch, original, replacement):
 def test_carter_rank_takes_no_powers_after_the_partition(monkeypatch):
     group = build_cyclic(1830)
     powers, builds = [], []
-    binary_power, builder = groups.binary_power, census.power_tables
+    binary_power, builder = groups.binary_power, census._build_census
 
     def counting_power(g, k, *args):
         powers.append((g, k))
         return binary_power(g, k, *args)
 
-    def counting_builder(group, classes, index):
-        builds.append(len(classes))
-        return builder(group, classes, index)
+    def counting_builder(group, *args):
+        builds.append(group.order)
+        return builder(group, *args)
 
     patch_everywhere(monkeypatch, binary_power, counting_power)
     patch_everywhere(monkeypatch, builder, counting_builder)
