@@ -16,9 +16,9 @@ non-central group generator, and a search over the subgroups finds the
 classes; each edge that closes a loop gives one generator of H.  When every
 generator is central, as for Z_m, no product is taken: a cyclic subgroup is
 its own class and H = {1}.  The element classes are derived from the
-records on first read.  One census of the whole group is kept on it; a
-census restricted to a few element orders scans the element list once and
-walks only the subgroups of those orders.
+records on first read.  `conjugacy_classes` is the one way in: it checks
+the brute-force bound, builds the census of the whole group once and keeps
+it on the group.
 """
 
 from __future__ import annotations
@@ -31,6 +31,10 @@ from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .galois import prime_divisors, totient
 from .groups import ElementId, FiniteGroup
+
+
+# the largest group order the census machinery brute-forces by default
+BRUTE_FORCE_BOUND = 5000
 
 
 class GroupTooLargeError(Exception):
@@ -147,13 +151,6 @@ class ClassCensus:
         return tuple(tuple(b) for _, b in ordered)
 
     @cached_property
-    def _index(self) -> dict[ElementId, int]:
-        return {g: i for i, cls in enumerate(self.classes) for g in cls}
-
-    def class_of(self, g: ElementId) -> tuple[ElementId, ...]:
-        return self.classes[self._index[g]]
-
-    @cached_property
     def r1_by_order(self) -> dict[int, int]:
         return count_blocks(self.subgroups, (-1,))
 
@@ -162,13 +159,12 @@ class ClassCensus:
         return count_blocks(self.subgroups)
 
 
-def _build_census(group: FiniteGroup, orders: frozenset[int] | None = None) -> ClassCensus:
-    """The census of the elements of the given orders (all when None)."""
+def _build_census(group: FiniteGroup) -> ClassCensus:
     order_of = group.order_of
     by_order: dict[int, list[ElementId]] = defaultdict(list)
     for g in group.elements:
         by_order[order_of(g)].append(g)
-    by_order = {d: by_order[d] for d in sorted(by_order) if orders is None or d in orders}
+    by_order = dict(sorted(by_order.items()))
     phi = {d: totient(d) for d in by_order}
     mul, inv = group.mul, group.inv
     gens = group.generators
@@ -206,7 +202,7 @@ def _build_census(group: FiniteGroup, orders: frozenset[int] | None = None) -> C
             for k, q, e in steps:
                 x = mul(x, g)
                 if e:
-                    new = e in by_order and x not in position
+                    new = x not in position
                     strata[k] = len(generators) if new else -1
                     if new:
                         generators.append(x)
@@ -246,27 +242,15 @@ def _build_census(group: FiniteGroup, orders: frozenset[int] | None = None) -> C
     return ClassCensus(tuple(subgroups), by_order, position, transport)
 
 
-def _group_census(group: FiniteGroup) -> ClassCensus:
+def conjugacy_classes(group: FiniteGroup, *, max_size: int = BRUTE_FORCE_BOUND) -> ClassCensus:
     """The census of the whole group, made once and kept on the group."""
+    _check_size(group, max_size)
     if group._census is None:
         group._census = _build_census(group)
     return group._census
 
 
-def conjugacy_classes(
-    group: FiniteGroup,
-    *,
-    orders: Iterable[int] | None = None,
-    max_size: int = 5000,
-) -> ClassCensus:
-    """Full census, or a census restricted to elements of the given orders."""
-    _check_size(group, max_size)
-    if orders is None:
-        return _group_census(group)
-    return _build_census(group, frozenset(orders))
-
-
-def check_p2_condition(group: FiniteGroup, *, max_size: int = 5000) -> bool:
+def check_p2_condition(group: FiniteGroup, *, max_size: int = BRUTE_FORCE_BOUND) -> bool:
     """No subgroup Z_p x Z_p for any prime p dividing the order."""
     _check_size(group, max_size)
     mul = group.mul
@@ -280,7 +264,7 @@ def check_p2_condition(group: FiniteGroup, *, max_size: int = 5000) -> bool:
     return True
 
 
-def check_2p_condition(group: FiniteGroup, *, max_size: int = 5000) -> bool:
+def check_2p_condition(group: FiniteGroup, *, max_size: int = BRUTE_FORCE_BOUND) -> bool:
     """Every subgroup of order 2p (p a prime divisor of |G|) is cyclic.
 
     A non-cyclic group of order 2p is generated by an order-p element that is

@@ -12,7 +12,7 @@ import json
 import sys
 
 from .b4 import SUITES, verify_all, verify_suite
-from .census import GroupTooLargeError
+from .census import BRUTE_FORCE_BOUND, GroupTooLargeError
 from .classify import (
     maximal_finite_subgroups,
     vc_classes_b4,
@@ -38,7 +38,7 @@ def _common(parser: argparse.ArgumentParser, top_level: bool = False) -> None:
                         **({"default": "text"} if top_level else default))
     parser.add_argument("--max-brute-force", type=int, metavar="N",
                         help="largest group order handled by census machinery",
-                        **({"default": 5000} if top_level else default))
+                        **({"default": BRUTE_FORCE_BOUND} if top_level else default))
 
 
 @functools.cache

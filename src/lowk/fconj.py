@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .census import _check_size, _group_census, count_blocks
+from .census import BRUTE_FORCE_BOUND, conjugacy_classes, count_blocks
 from .galois import FieldDescriptor, phi_generators
 from .groups import FiniteGroup
 
@@ -24,8 +24,6 @@ from .groups import FiniteGroup
 class FPartition:
     """The number of (p-regular) F-conjugacy classes of a group."""
 
-    field: FieldDescriptor
-    group: FiniteGroup
     block_count: int
 
 
@@ -40,14 +38,14 @@ def regular_modulus(group: FiniteGroup, field: FieldDescriptor) -> int:
 
 
 def f_partition(
-    group: FiniteGroup, field: FieldDescriptor, *, max_size: int = 5000
+    group: FiniteGroup, field: FieldDescriptor, *, max_size: int = BRUTE_FORCE_BOUND
 ) -> FPartition:
-    _check_size(group, max_size)
+    census = conjugacy_classes(group, max_size=max_size)
     exponents = phi_generators(field, regular_modulus(group, field))
-    blocks = count_blocks(_group_census(group).subgroups, exponents, field.characteristic)
-    return FPartition(field=field, group=group, block_count=sum(blocks.values()))
+    blocks = count_blocks(census.subgroups, exponents, field.characteristic)
+    return FPartition(sum(blocks.values()))
 
 
-def r_f(group: FiniteGroup, field: FieldDescriptor, *, max_size: int = 5000) -> int:
+def r_f(group: FiniteGroup, field: FieldDescriptor, *, max_size: int = BRUTE_FORCE_BOUND) -> int:
     """Number of irreducible F-representations (Witt-Berman count)."""
     return f_partition(group, field, max_size=max_size).block_count

@@ -100,9 +100,9 @@ class FiniteGroup:
     """A concrete finite group over opaque element ids.
 
     Operations are pure.  `generators` must generate the group (conjugacy
-    machinery relies on it).  `elements` is an iterable of the element ids,
-    or a zero-argument function returning one; it is sorted into the
-    `elements` tuple on first access only, so `order` must then be given.
+    machinery relies on it).  `elements` is an iterable of the element ids;
+    it is sorted into the `elements` tuple on first access only, so `order`
+    must be given when the iterable has no length.
     The element tuple, the exponent and the class census (the classes of
     cyclic subgroups with their automizers) are filled in on first use, so
     no result depends on the order of calls.
@@ -113,7 +113,7 @@ class FiniteGroup:
         self,
         name: str,
         family: FamilyTag,
-        elements: Iterable[ElementId] | Callable[[], Iterable[ElementId]],
+        elements: Iterable[ElementId],
         identity: ElementId,
         generators: Sequence[ElementId],
         mul: Callable[[ElementId, ElementId], ElementId],
@@ -137,8 +137,7 @@ class FiniteGroup:
     @cached_property
     def elements(self) -> tuple[ElementId, ...]:
         """All element ids, sorted; built on first access."""
-        source = self._element_source
-        elements = tuple(sorted(source() if callable(source) else source))
+        elements = tuple(sorted(self._element_source))
         if len(elements) != self._order:
             raise GroupConstructionError(
                 f"{self.name}: {len(elements)} elements, expected order {self._order}"
@@ -279,7 +278,7 @@ def _dicyclic(name: str, m: int, family: FamilyTag) -> FiniteGroup:
     return FiniteGroup(
         name=name,
         family=family,
-        elements=lambda: [(a, b) for a in range(two_m) for b in (0, 1)],
+        elements=((a, b) for a in range(two_m) for b in (0, 1)),
         order=2 * two_m,
         identity=(0, 0),
         generators=((1, 0), (0, 1)),

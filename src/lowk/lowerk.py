@@ -19,7 +19,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .census import GroupTooLargeError, conjugacy_classes
+from .census import BRUTE_FORCE_BOUND, GroupTooLargeError, conjugacy_classes
 from .fconj import r_f
 from .galois import (
     FieldDescriptor,
@@ -270,7 +270,7 @@ def _whitehead_closed_form(group: FiniteGroup) -> int | None:
     return None if row is None else row.wh_rank
 
 
-def whitehead_rank(group: FiniteGroup, *, max_size: int = 5000) -> int:
+def whitehead_rank(group: FiniteGroup, *, max_size: int = BRUTE_FORCE_BOUND) -> int:
     """Rank of the Whitehead group: sum over orders of r1(d) - r2(d).
 
     When a family closed form exists and the group is small enough for the
@@ -310,7 +310,7 @@ def lambda_value(m: int) -> int:
     return (m - 1) // k if k % 2 == 0 else (m - 1) // (2 * k)
 
 
-def carter_rank(group: FiniteGroup, *, max_size: int = 5000) -> int:
+def carter_rank(group: FiniteGroup, *, max_size: int = BRUTE_FORCE_BOUND) -> int:
     """Rank of K_-1(Z[G]): 1 - r_Q + sum over primes p | |G| of (r_Qp - r_Fp)."""
     if group.order <= max_size:
         rank = 1 - r_f(group, FieldDescriptor.rational(), max_size=max_size)
@@ -359,7 +359,7 @@ def k_minus_one_torsion(group: FiniteGroup) -> int:
     raise UnsupportedFamilyError(f"no torsion rule for family {group.family}")
 
 
-def k_minus_one(group: FiniteGroup, *, max_size: int = 5000) -> AbelianGroupExpr:
+def k_minus_one(group: FiniteGroup, *, max_size: int = BRUTE_FORCE_BOUND) -> AbelianGroupExpr:
     """K_-1(Z[G]) = Z^r (+) Z_2^s with r the Carter rank and s the torsion bit."""
     rank = carter_rank(group, max_size=max_size)
     s = k_minus_one_torsion(group)

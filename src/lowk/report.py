@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .census import BRUTE_FORCE_BOUND
 from .galois import FieldDescriptor
 from .fconj import r_f
 from .groups import (
@@ -154,7 +155,7 @@ def group_report(
     k: int | None = None,
     invariants: tuple[str, ...] = ("wh", "k0", "kminus1"),
     field_descriptor: FieldDescriptor | None = None,
-    max_size: int = 5000,
+    max_size: int = BRUTE_FORCE_BOUND,
 ) -> KReport:
     """Invariant report for one supported group; unknown values stay unknown."""
     for inv in invariants:
@@ -215,7 +216,7 @@ def nil_groups_q8(i: int, twist_order: int) -> AbelianGroupExpr:
     return AbelianGroupExpr.summand(Z2_INF)
 
 
-def b4_lower_k_report(*, max_size: int = 5000) -> KReport:
+def b4_lower_k_report(*, max_size: int = BRUTE_FORCE_BOUND) -> KReport:
     """Assembled Whitehead and lower K-groups of the four-strand sphere braid group.
 
     Finite-group inputs are computed live; the two induction facts (the map

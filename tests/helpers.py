@@ -6,6 +6,7 @@ lowk's faster paths against it.
 
 import math
 import random
+from functools import cache
 from typing import NamedTuple
 
 from lowk.fconj import regular_modulus
@@ -90,6 +91,16 @@ def center(group):
         g for g in group.elements
         if all(mul(g, h) == mul(h, g) for h in group.generators)
     )
+
+
+@cache
+def _class_index(census):
+    return {g: i for i, cls in enumerate(census.classes) for g in cls}
+
+
+def class_of(census, g):
+    """The conjugacy class of `g` among a `ClassCensus`'s classes."""
+    return census.classes[_class_index(census)[g]]
 
 
 def order_census(group):

@@ -7,6 +7,8 @@ from lowk.census import (
     check_p2_condition,
     conjugacy_classes,
 )
+from lowk.fconj import r_f
+from lowk.galois import FieldDescriptor
 from lowk.groups import (
     build_binary_polyhedral,
     build_cyclic,
@@ -14,15 +16,15 @@ from lowk.groups import (
     generalized_quaternion,
 )
 
-from helpers import build_abelian, centralizer
+from helpers import build_abelian, centralizer, class_of
 
 
 def test_dicyclic_rotation_classes_are_inverse_pairs():
     g = build_dicyclic(5)
     census = conjugacy_classes(g)
     x = (1, 0)
-    assert census.class_of(x) == ((1, 0), (9, 0))  # {x, x^-1}
-    assert census.class_of((2, 0)) == ((2, 0), (8, 0))
+    assert class_of(census, x) == ((1, 0), (9, 0))  # {x, x^-1}
+    assert class_of(census, (2, 0)) == ((2, 0), (8, 0))
 
 
 def test_ostar_pair_and_subgroup_counts():
@@ -186,23 +188,15 @@ def test_subgroup_counts_match_set_oracle():
         assert census.r2_by_order == cyclic_subgroup_classes_by_order(group), group.name
 
 
-def test_restricted_census_matches_full():
-    for group in ORACLE_ROSTER:
-        full = conjugacy_classes(group)
-        present = sorted(full.r1_by_order)
-        for orders in ({1, 2, 3, 4, 6}, set(present[::2]), set(present[1::2])):
-            restricted = conjugacy_classes(group, orders=orders)
-            kept = [d for d in present if d in orders]
-            assert list(restricted.r1_by_order) == kept, (group.name, orders)
-            assert list(restricted.r2_by_order) == kept, (group.name, orders)
-            for d in kept:
-                assert restricted.r1_by_order[d] == full.r1_by_order[d], (group.name, d)
-                assert restricted.r2_by_order[d] == full.r2_by_order[d], (group.name, d)
-
-
 def test_size_guard():
     with pytest.raises(GroupTooLargeError):
         conjugacy_classes(build_dicyclic(2000), max_size=5000)
+
+
+def test_field_count_is_guarded_by_the_census():
+    # r_f reaches the census only through conjugacy_classes, which checks the bound
+    with pytest.raises(GroupTooLargeError):
+        r_f(build_dicyclic(2000), FieldDescriptor.rational(), max_size=5000)
 
 
 def count_products(group):
@@ -231,7 +225,7 @@ def test_abelian_partition_makes_constant_products():
         assert products <= 2
         by_order = sorted(group.elements, key=lambda g: (group.order_of(g), g))
         assert census.classes == tuple((g,) for g in by_order)
-        assert all(census.class_of(g) == (g,) for g in group.elements)
+        assert all(class_of(census, g) == (g,) for g in group.elements)
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from lowk.groups import (
 )
 from lowk.lowerk import lambda_value
 
-from helpers import blocks_of_order, f_blocks, per_order_blocks
+from helpers import blocks_of_order, class_of, f_blocks, per_order_blocks
 
 Q = FieldDescriptor.rational()
 Q2 = FieldDescriptor.p_adic(2)
@@ -35,7 +35,7 @@ def test_blocks_are_unions_of_ordinary_classes():
             for block in blocks:
                 block_set = set(block)
                 for g in block:
-                    assert set(census.class_of(g)) <= block_set
+                    assert set(class_of(census, g)) <= block_set
             if field.characteristic:
                 p = field.characteristic
                 assert all(

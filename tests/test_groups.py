@@ -202,7 +202,7 @@ def test_lazy_element_count_is_checked_against_the_order():
     from lowk.groups import CUSTOM, FamilyTag, FiniteGroup
 
     group = FiniteGroup(
-        name="bad", family=FamilyTag(CUSTOM), elements=lambda: [0, 1], order=3,
+        name="bad", family=FamilyTag(CUSTOM), elements=iter([0, 1]), order=3,
         identity=0, generators=(1,), mul=lambda a, b: (a + b) % 3,
         inv=lambda a: -a % 3, order_of=lambda a: 1 if a == 0 else 3,
     )

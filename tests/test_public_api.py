@@ -1,4 +1,5 @@
-"""Every name `lowk` exports has a caller outside the tests.
+"""Every name `lowk` exports has a caller outside the tests, and no lowk
+module imports another's private (underscore) names.
 
 A name counts as used when another lowk module, or the same module outside
 the name's own definition, reads it, or when the benchmark under
@@ -85,3 +86,17 @@ def test_every_exported_name_has_a_caller():
 
 def test_names_awaiting_a_caller_are_exported_and_still_unused():
     assert AWAITING_CALLER <= unused_exports()
+
+
+
+def test_no_module_imports_another_modules_private_names():
+    private = sorted(
+        (path.stem, alias.name)
+        for path in SRC.glob("*.py")
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "lowk")
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+    assert not private, f"(module, name) of private names imported across lowk: {private}"
