@@ -9,16 +9,19 @@ set of exponents leaves phi(d) / |<H, exponents>| blocks per record.  r1
 takes the exponent -1, r2 is the number of records of each order, and the
 F-conjugacy counts of `lowk.fconj` take a Galois image.
 
-The census walks each cyclic subgroup once, from the largest element orders
-down, so one walk g, g^2, ... names every element as a power of its
-subgroup's generator.  Only those generators are conjugated, by each
-non-central group generator, and a search over the subgroups finds the
-classes; each edge that closes a loop gives one generator of H.  When every
-generator is central, as for Z_m, no product is taken: a cyclic subgroup is
-its own class and H = {1}.  The element classes are derived from the
-records on first read.  `conjugacy_classes` is the one way in: it checks
-the brute-force bound, builds the census of the whole group once and keeps
-it on the group.
+The census walks each cyclic subgroup once, the group generators first and
+then the elements in their sorted order; an element's order is taken only
+when it starts a walk.  One walk g, g^2, ... names every element of <g> as
+a power of its subgroup's generator.  A power g^k that an earlier walk
+named was named with all of <g^k>, so the walk order changes only the
+number of products, never the records.  Only the subgroups' generators are
+conjugated, by each non-central group generator, and a search over the
+subgroups finds the classes; each edge that closes a loop gives one
+generator of H.  When every generator is central, as for Z_m, no product is
+taken: a cyclic subgroup is its own class and H = {1}.  The element classes
+are derived from the records on first read.  `conjugacy_classes` is the one
+way in: it checks the brute-force bound, builds the census of the whole
+group once and keeps it while the group lives.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Collection, Iterable, NamedTuple, Sequence
+from weakref import WeakKeyDictionary
 
 from .galois import prime_divisors, totient
 from .groups import ElementId, FiniteGroup
@@ -123,24 +128,30 @@ class ClassCensus:
 
     `_position[x]` is (S, t) for x = g_S^t: S indexes the walked cyclic
     subgroups and g_S is the generator its walk met first.  S's transport
-    (i, e) says g_S^e is conjugate to g, the generator of the i-th record's
-    subgroup.  So x ~ g^(t/e), and x's class is the coset of t/e modulo
-    that record's automizer.  With no walk (`_position` None) every
-    generator is central and every class a singleton.
+    (i, e) = (`_transport[S]`, `_transport_power[S]`) says g_S^e is
+    conjugate to g, the generator of the i-th record's subgroup.  So
+    x ~ g^(t/e), and x's class is the coset of t/e modulo that record's
+    automizer.  With no walk (`_position` None) every generator is central,
+    every class a singleton, and `_by_order` lists the elements by order.
     """
 
     subgroups: tuple[SubgroupClass, ...]
-    _by_order: dict[int, list[ElementId]] = field(repr=False)
+    _by_order: dict[int, list[ElementId]] | None = field(repr=False)
     _position: dict[ElementId, tuple[int, int]] | None = field(repr=False)
-    _transport: list[tuple[int, int]] = field(repr=False)
+    _transport: list[int] = field(repr=False)
+    _transport_power: list[int] = field(repr=False)
 
     @cached_property
     def classes(self) -> tuple[tuple[ElementId, ...], ...]:
         """Conjugacy classes sorted by (element order, least element), each sorted."""
         if self._position is None:
+            assert self._by_order is not None
             return tuple((g,) for d in sorted(self._by_order) for g in self._by_order[d])
         records = self.subgroups
-        inverse = [(i, pow(e, -1, records[i].order)) for i, e in self._transport]
+        inverse = [
+            (i, pow(e, -1, records[i].order))
+            for i, e in zip(self._transport, self._transport_power)
+        ]
         blocks = defaultdict(list)
         for x, (s, t) in self._position.items():
             i, e_inv = inverse[s]
@@ -160,94 +171,101 @@ class ClassCensus:
 
 
 def _build_census(group: FiniteGroup) -> ClassCensus:
-    order_of = group.order_of
-    by_order: dict[int, list[ElementId]] = defaultdict(list)
-    for g in group.elements:
-        by_order[order_of(g)].append(g)
-    by_order = dict(sorted(by_order.items()))
-    phi = {d: totient(d) for d in by_order}
-    mul, inv = group.mul, group.inv
+    mul, inv, order_of = group.mul, group.inv, group.order_of
     gens = group.generators
     movers = [
         (a, inv(a)) for a in gens if any(mul(a, b) != mul(b, a) for b in gens if b != a)
     ]
     if not movers:
+        by_order: dict[int, list[ElementId]] = defaultdict(list)
+        for g in group.elements:
+            by_order[order_of(g)].append(g)
+        by_order = dict(sorted(by_order.items()))
         subgroups = tuple(
-            SubgroupClass(d, (1 % d,), phi[d])
+            SubgroupClass(d, (1 % d,), phi)
             for d, elems in by_order.items()
-            for _ in range(len(elems) // phi[d])
+            for phi in (totient(d),)
+            for _ in range(len(elems) // phi)
         )
-        return ClassCensus(subgroups, by_order, None, [])
+        return ClassCensus(subgroups, by_order, None, [], [])
 
-    # Walk each cyclic subgroup once, largest orders first.  The powers g^t
-    # with gcd(t, d) = k generate <g^k>, g^t as its (t/k)-th power, so one
-    # walk g, g^2, ..., g^(d-1) names every element of <g> but the identity,
-    # which is walked on its own (d = 1).  <g^k> is new when g^k, met first
-    # at t = k, is.
+    # Walk each cyclic subgroup once, the group generators first (the walk of
+    # Dic_4m's rotation x names half the group).  The powers g^t with
+    # gcd(t, d) = k generate <g^k>, g^t as its (t/k)-th power, so one walk
+    # g, g^2, ..., g^(d-1) names every element of <g> but the identity, which
+    # is walked on its own (d = 1).  <g^k> is new when g^k, met first at
+    # t = k, is: a named g^k was named with all of <g^k> by an earlier walk.
     position: dict[ElementId, tuple[int, int]] = {}
     generators: list[ElementId] = []
     sub_order: list[int] = []
-    for d in sorted(by_order, reverse=True):
-        # for t = 2, ..., d - 1: k, t/k, and d/k when t = k
-        steps = [(k, t // k, d // k if k == t else 0)
-                 for t in range(2, d) for k in (math.gcd(t, d),)]
-        for g in by_order[d]:
-            if g in position:
-                continue
-            strata = {1: len(generators)}
-            position[g] = (len(generators), 1 % d)
-            generators.append(g)
-            sub_order.append(d)
-            x = g
-            for k, q, e in steps:
-                x = mul(x, g)
-                if e:
-                    new = x not in position
-                    strata[k] = len(generators) if new else -1
-                    if new:
-                        generators.append(x)
-                        sub_order.append(e)
-                s = strata[k]
-                if s >= 0:
-                    position[x] = (s, q)
+    steps_of: dict[int, list[tuple[int, int, int]]] = {}
+    for g in chain(gens, group.elements):
+        if g in position:
+            continue
+        d = order_of(g)
+        steps = steps_of.get(d)
+        if steps is None:
+            # for t = 2, ..., d - 1: k, t/k, and d/k when t = k
+            steps = steps_of[d] = [(k, t // k, d // k if k == t else 0)
+                                   for t in range(2, d) for k in (math.gcd(t, d),)]
+        strata = {1: len(generators)}
+        position[g] = (len(generators), 1 % d)
+        generators.append(g)
+        sub_order.append(d)
+        x = g
+        for k, q, e in steps:
+            x = mul(x, g)
+            if e:
+                new = x not in position
+                strata[k] = len(generators) if new else -1
+                if new:
+                    generators.append(x)
+                    sub_order.append(e)
+            s = strata[k]
+            if s >= 0:
+                position[x] = (s, q)
 
     # Search the subgroups under conjugation by the movers.  A transport
     # (i, e) of S says g_S^e ~ g_R, R the first subgroup of S's class met;
     # an edge that meets a subgroup already reached gives a u in H, g_R^u ~ g_R.
-    transport = [(-1, 0)] * len(generators)
+    record = [-1] * len(generators)
+    power = [0] * len(generators)
     subgroups = []
     for r, d in enumerate(sub_order):
-        if transport[r][0] >= 0:
+        if record[r] >= 0:
             continue
         i = len(subgroups)
-        transport[r] = (i, 1 % d)
+        record[r], power[r] = i, 1 % d
         automizer = {1 % d}
         frontier = [r]
         for s in frontier:
-            g, e = generators[s], transport[s][1]
+            g, e = generators[s], power[s]
             for a, a_inv in movers:
                 s2, t = position[mul(mul(a, g), a_inv)]
                 v = t * e % d
-                j, e2 = transport[s2]
-                if j < 0:
-                    transport[s2] = (i, v)
+                if record[s2] < 0:
+                    record[s2], power[s2] = i, v
                     frontier.append(s2)
-                elif v != e2:
-                    u = v * pow(e2, -1, d) % d
+                elif v != power[s2]:
+                    u = v * pow(power[s2], -1, d) % d
                     if u not in automizer:
                         automizer = _extend(automizer, u, d)
         subgroups.append(
-            SubgroupClass(d, tuple(sorted(automizer)), phi[d] // len(automizer))
+            SubgroupClass(d, tuple(sorted(automizer)), totient(d) // len(automizer))
         )
-    return ClassCensus(tuple(subgroups), by_order, position, transport)
+    return ClassCensus(tuple(subgroups), None, position, record, power)
+
+
+_CENSUS: WeakKeyDictionary[FiniteGroup, ClassCensus] = WeakKeyDictionary()
 
 
 def conjugacy_classes(group: FiniteGroup, *, max_size: int = BRUTE_FORCE_BOUND) -> ClassCensus:
-    """The census of the whole group, made once and kept on the group."""
+    """The census of the whole group, made once per group and kept while the group lives."""
     _check_size(group, max_size)
-    if group._census is None:
-        group._census = _build_census(group)
-    return group._census
+    census = _CENSUS.get(group)
+    if census is None:
+        census = _CENSUS[group] = _build_census(group)
+    return census
 
 
 def check_p2_condition(group: FiniteGroup, *, max_size: int = BRUTE_FORCE_BOUND) -> bool:

@@ -9,13 +9,20 @@ the Galois image modulo the regular part of the group exponent
 subgroups by `census.count_blocks`, without listing them.  Over Q the image
 is all of (Z/n)^* (`phi_generators` gives None), so each class of cyclic
 subgroups is one block and r_Q is the number of them, sum r2.
+
+Carter's rank needs only r_Qp - r_Fp for each prime p, and modulo a
+p-regular order both Galois images are <p>: the p-regular classes hold as
+many Q_p-blocks as F_p-blocks, so the difference is the number of Q_p-blocks
+among the p-singular classes (`singular_blocks`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Iterable
 
-from .census import BRUTE_FORCE_BOUND, conjugacy_classes, count_blocks
+from .census import BRUTE_FORCE_BOUND, SubgroupClass, conjugacy_classes, count_blocks
 from .galois import FieldDescriptor, phi_generators
 from .groups import FiniteGroup
 
@@ -49,3 +56,12 @@ def f_partition(
 def r_f(group: FiniteGroup, field: FieldDescriptor, *, max_size: int = BRUTE_FORCE_BOUND) -> int:
     """Number of irreducible F-representations (Witt-Berman count)."""
     return f_partition(group, field, max_size=max_size).block_count
+
+
+def singular_blocks(subgroups: Iterable[SubgroupClass], p: int) -> int:
+    """r_Qp - r_Fp: the Q_p-blocks among the census records whose order p divides."""
+    singular = [record for record in subgroups if record.order % p == 0]
+    # any common multiple of the counted orders gives the same image modulo each
+    modulus = math.lcm(*(record.order for record in singular))
+    exponents = phi_generators(FieldDescriptor.p_adic(p), modulus)
+    return sum(count_blocks(singular, exponents).values())

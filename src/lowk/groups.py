@@ -103,9 +103,8 @@ class FiniteGroup:
     machinery relies on it).  `elements` is an iterable of the element ids;
     it is sorted into the `elements` tuple on first access only, so `order`
     must be given when the iterable has no length.
-    The element tuple, the exponent and the class census (the classes of
-    cyclic subgroups with their automizers) are filled in on first use, so
-    no result depends on the order of calls.
+    The element tuple and the exponent are filled in on first use, so no
+    result depends on the order of calls.
     `elements_of_orders` scans that tuple.
     """
 
@@ -132,7 +131,6 @@ class FiniteGroup:
         self.inv = inv
         self.order_of = order_of
         self._exponent = exponent
-        self._census = None  # the whole-group ClassCensus, kept by lowk.census
 
     @cached_property
     def elements(self) -> tuple[ElementId, ...]:

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .census import BRUTE_FORCE_BOUND, GroupTooLargeError, conjugacy_classes
-from .fconj import r_f
+from .fconj import singular_blocks
 from .galois import (
-    FieldDescriptor,
     divisors,
     factorization,
     is_prime,
@@ -311,12 +310,17 @@ def lambda_value(m: int) -> int:
 
 
 def carter_rank(group: FiniteGroup, *, max_size: int = BRUTE_FORCE_BOUND) -> int:
-    """Rank of K_-1(Z[G]): 1 - r_Q + sum over primes p | |G| of (r_Qp - r_Fp)."""
+    """Rank of K_-1(Z[G]): 1 - r_Q + sum over primes p | |G| of (r_Qp - r_Fp).
+
+    Both counts come from one census: r_Q is the number of its records
+    (classes of cyclic subgroups), and r_Qp - r_Fp the number of Q_p-blocks
+    among the p-singular records (`fconj.singular_blocks`), since the Q_p
+    and F_p Galois images agree modulo every p-regular order.
+    """
     if group.order <= max_size:
-        rank = 1 - r_f(group, FieldDescriptor.rational(), max_size=max_size)
-        for p in prime_divisors(group.order):
-            rank += r_f(group, FieldDescriptor.p_adic(p), max_size=max_size)
-            rank -= r_f(group, FieldDescriptor.finite_prime(p), max_size=max_size)
+        records = conjugacy_classes(group, max_size=max_size).subgroups
+        rank = 1 - len(records)
+        rank += sum(singular_blocks(records, p) for p in prime_divisors(group.order))
         if rank < 0:
             raise ConsistencyError(f"negative Carter rank {rank} for {group.name}")
         _record(

@@ -9,8 +9,14 @@ import random
 from functools import cache
 from typing import NamedTuple
 
-from lowk.fconj import regular_modulus
-from lowk.galois import UnitSubgroup, full_unit_group, generated_subgroup
+from lowk.fconj import r_f, regular_modulus
+from lowk.galois import (
+    FieldDescriptor,
+    UnitSubgroup,
+    full_unit_group,
+    generated_subgroup,
+    prime_divisors,
+)
 from lowk.groups import CUSTOM, FamilyTag, FiniteGroup
 
 
@@ -231,6 +237,15 @@ def f_blocks(group, field):
     regular = regular_classes(group, oracle_classes(group), field.characteristic)
     exponents = minimal_generators(enumerated_phi_image(field, regular_modulus(group, field)))
     return merged_blocks(group, regular, exponents)
+
+
+def carter_by_r_f(group):
+    """Carter's rank 1 - r_Q + sum over p | |G| of (r_Qp - r_Fp), each term a full r_f count."""
+    rank = 1 - r_f(group, FieldDescriptor.rational())
+    for p in prime_divisors(group.order):
+        rank += r_f(group, FieldDescriptor.p_adic(p))
+        rank -= r_f(group, FieldDescriptor.finite_prime(p))
+    return rank
 
 
 def blocks_of_order(group, field, d):

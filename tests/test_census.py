@@ -1,5 +1,9 @@
+import gc
+import weakref
+
 import pytest
 
+from lowk import census as census_module
 from lowk.census import (
     GroupTooLargeError,
     check_2p_condition,
@@ -199,6 +203,21 @@ def test_field_count_is_guarded_by_the_census():
         r_f(build_dicyclic(2000), FieldDescriptor.rational(), max_size=5000)
 
 
+def test_census_is_kept_while_the_group_lives():
+    group = build_dicyclic(6)
+    census = conjugacy_classes(group)
+    assert conjugacy_classes(group) is census
+    alive = weakref.ref(census)
+    del group, census
+    gc.collect()
+    assert alive() is None
+    kept = len(census_module._CENSUS)
+    for m in range(3000):
+        conjugacy_classes(build_cyclic(m % 40 + 1))
+    gc.collect()
+    assert len(census_module._CENSUS) <= kept
+
+
 def count_products(group):
     """The census of `group` (elements built beforehand) and the products it took."""
     group.elements
@@ -240,3 +259,24 @@ def test_census_products_are_linear(group, per_element):
     # each cyclic subgroup is walked once and only its generator conjugated
     _, products = count_products(group)
     assert products <= per_element * group.order
+
+
+@pytest.mark.parametrize(
+    "group",
+    [build_dicyclic(899), generalized_quaternion(10), build_binary_polyhedral("I*")],
+    ids=lambda g: g.name,
+)
+def test_census_takes_one_order_per_walk(group):
+    # only an element that starts a walk has its order taken
+    group.elements
+    calls = []
+    order_of = group.order_of
+
+    def counting(g):
+        calls.append(g)
+        return order_of(g)
+
+    group.order_of = counting
+    census = conjugacy_classes(group)
+    group.order_of = order_of
+    assert 0 < len(calls) <= len(census._transport)

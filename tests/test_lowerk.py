@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import pytest
@@ -29,7 +30,7 @@ from lowk.lowerk import (
 from lowk.fconj import r_f
 from lowk.galois import FieldDescriptor, divisors, is_prime
 
-from helpers import build_abelian
+from helpers import build_abelian, carter_by_r_f
 
 
 # -- abelian group expressions -------------------------------------------------
@@ -205,6 +206,19 @@ def test_carter_census_agrees_with_closed_form_for_odd_primes():
             continue
         g = build_dicyclic(m)
         assert carter_rank(g) == carter_rank(g, max_size=1) == lambda_value(m), m
+
+
+def test_carter_rank_matches_the_r_f_formula():
+    # one pass over the p-singular records against 1 + 2w full r_F counts;
+    # each group is built in turn, so its census is dropped with it
+    roster = itertools.chain(
+        (build_cyclic(m) for m in range(1, 401)),
+        (build_dicyclic(m) for m in range(2, 300)),
+        (generalized_quaternion(k) for k in range(3, 10)),
+        (build_binary_polyhedral(k) for k in ("T*", "O*", "I*")),
+    )
+    for group in roster:
+        assert carter_rank(group) == carter_by_r_f(group), group.name
 
 
 def test_carter_closed_form_beyond_census_bound():

@@ -16,9 +16,9 @@ from functools import cache
 
 from hypothesis import given, strategies as st
 
-from lowk import census, galois, groups
+from lowk import census, fconj, galois, groups
 from lowk.census import conjugacy_classes, count_blocks
-from lowk.fconj import f_partition, r_f, regular_modulus
+from lowk.fconj import f_partition, r_f, regular_modulus, singular_blocks
 from lowk.galois import FieldDescriptor, full_unit_group, phi_generators, prime_divisors
 from lowk.groups import (
     build_binary_polyhedral,
@@ -132,7 +132,7 @@ def test_positions_are_the_power_map(group, data):
     else:
         s, q = census._position[rep]
         assert census._position[x] == (s, q * t % d)
-        record = census.subgroups[census._transport[s][0]]
+        record = census.subgroups[census._transport[s]]
     assert record[0] == d
     assert (class_of(census, x) == class_of(census, rep)) == (t % d in record[1])
     assert record[2] == len(reached)
@@ -208,6 +208,16 @@ def test_field_partition_matches_power_oracle(group, kind, data):
     ) == counts_by_order(group, blocks)
 
 
+@given(roster)
+def test_singular_blocks_are_the_local_difference(group):
+    # r_Qp - r_Fp is the Q_p count over the records whose order p divides
+    records = conjugacy_classes(group).subgroups
+    for p in prime_divisors(group.order):
+        assert singular_blocks(records, p) == r_f(group, FieldDescriptor.p_adic(p)) - r_f(
+            group, FieldDescriptor.finite_prime(p)
+        ), p
+
+
 def patch_everywhere(monkeypatch, original, replacement):
     """Replace `original` in every lowk module that binds it, not only its home."""
     for name, module in list(sys.modules.items()):
@@ -258,3 +268,13 @@ def test_counts_list_no_unit_group(monkeypatch):
         r_f(group, FieldDescriptor.rational())
         carter_rank(group)
         whitehead_rank(group)
+
+
+def test_carter_rank_counts_no_field_partition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("carter_rank called f_partition")
+
+    patch_everywhere(monkeypatch, fconj.f_partition, refuse)
+    for group in (build_cyclic(1830), build_dicyclic(105), generalized_quaternion(5),
+                  *(build_binary_polyhedral(k) for k in ("T*", "O*", "I*"))):
+        carter_rank(group)
