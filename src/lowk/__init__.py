@@ -42,7 +42,7 @@ from .classify import (
     vc_classes_b4,
     virtually_cyclic_classes_odd,
 )
-from .fconj import FPartition, f_partition, r_f, regular_modulus
+from .fconj import FPartition, f_partition, r_f
 from .galois import (
     FieldDescriptor,
     UnitSubgroup,

@@ -6,8 +6,9 @@ of the normaliser of <g> in Aut<g>.  The conjugacy classes of generators of
 <g> are the cosets of H in (Z/d)^*, so every Witt-Berman count is read off
 the records (`count_blocks`): merging class(c) with class(c^t) for t in a
 set of exponents leaves phi(d) / |<H, exponents>| blocks per record.  r1
-takes the exponent -1, r2 is the number of records of each order, and the
-F-conjugacy counts of `lowk.fconj` take a Galois image.
+takes the exponent -1, r2 is the number of records of each order, and
+`lowk.fconj` picks the records and the Galois image of each F-conjugacy
+count.
 
 The census walks each cyclic subgroup once, the group generators first and
 then the elements in their sorted order; an element's order is taken only
@@ -85,9 +86,7 @@ def _index(u: int, subgroup: Collection[int], d: int) -> int:
 
 
 def count_blocks(
-    subgroups: Iterable[SubgroupClass],
-    exponents: Sequence[int] | None = None,
-    characteristic: int = 0,
+    subgroups: Iterable[SubgroupClass], exponents: Sequence[int] | None = None
 ) -> dict[int, int]:
     """Blocks of the merge class(c) ~ class(c^t), t in <exponents>, per element order.
 
@@ -97,14 +96,11 @@ def count_blocks(
     is a coset of <H, exponents> and the record holds
     count * |H| / |<H, exponents>| blocks.  All exponents but one are closed
     into a set with H, and the last adds its index over that set; the last
-    is the one of largest index over H, so the set stays small.  Records
-    whose order the characteristic divides are skipped (only p-regular
-    classes count).
+    is the one of largest index over H, so the set stays small.  Every
+    given record is counted; the caller picks which ones.
     """
     blocks: Counter[int] = Counter()
     for d, automizer, count in subgroups:
-        if characteristic and d % characteristic == 0:
-            continue
         if exponents is None or count == 1:
             blocks[d] += 1
             continue

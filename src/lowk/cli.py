@@ -29,18 +29,6 @@ from .report import (
 )
 
 
-def _common(parser: argparse.ArgumentParser, top_level: bool = False) -> None:
-    # defined on the top-level parser with real defaults and on every
-    # subparser with SUPPRESS, so both placements work
-    default = {} if top_level else {"default": argparse.SUPPRESS}
-    parser.add_argument("--format", choices=("json", "text"),
-                        help="output format (default: text)",
-                        **({"default": "text"} if top_level else default))
-    parser.add_argument("--max-brute-force", type=int, metavar="N",
-                        help="largest group order handled by census machinery",
-                        **({"default": BRUTE_FORCE_BOUND} if top_level else default))
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `lowk` argument parser, built once per process.
@@ -53,7 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Lower algebraic K-theory of the finite subgroups of sphere "
                     "braid groups, and the verified amalgam model for four strands.",
     )
-    _common(parser, top_level=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     group_p = sub.add_parser("group", help="invariant report for one finite group")
@@ -63,25 +50,27 @@ def build_parser() -> argparse.ArgumentParser:
     group_p.add_argument("--invariants", default="wh,k0,kminus1",
                          help="comma list from wh,k0,kminus1,rf,wedderburn")
     group_p.add_argument("--field", help="field for rf: Q, Qp:<p> or Fp:<p>")
-    _common(group_p)
+    group_p.add_argument("--max-brute-force", type=int, metavar="N",
+                         default=BRUTE_FORCE_BOUND,
+                         help="largest group order handled by census machinery")
 
     lambda_p = sub.add_parser("lambda", help="rank multiplier for Dic_{4m}, m an odd prime")
     lambda_p.add_argument("--m", type=int, required=True)
-    _common(lambda_p)
 
     classify_p = sub.add_parser("classify", help="subgroup classification lists")
     classify_p.add_argument("--n", type=int, required=True, help="number of strands")
     classify_p.add_argument("--vc", action="store_true",
                             help="list virtually cyclic classes instead of maximal finite")
-    _common(classify_p)
 
     b4_p = sub.add_parser("b4", help="the four-strand amalgam model")
     b4_sub = b4_p.add_subparsers(dest="b4_command", required=True)
     verify_p = b4_sub.add_parser("verify", help="run the verification checks")
     verify_p.add_argument("--suite", choices=SUITES + ("all",), default="all")
-    _common(verify_p)
     report_p = b4_sub.add_parser("report", help="assembled lower K-theory report")
-    _common(report_p)
+
+    for command in (group_p, lambda_p, classify_p, verify_p, report_p):
+        command.add_argument("--format", choices=("json", "text"), default="text",
+                             help="output format (default: text)")
 
     return parser
 
@@ -168,7 +157,7 @@ def _cmd_b4_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_b4_report(args: argparse.Namespace) -> int:
-    report = b4_lower_k_report(max_size=args.max_brute_force)
+    report = b4_lower_k_report()
     if args.format == "json":
         _emit_json(report.to_json())
     else:
@@ -179,7 +168,7 @@ def _cmd_b4_report(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.max_brute_force < 0:
+    if args.command == "group" and args.max_brute_force < 0:
         parser.error(f"--max-brute-force must be non-negative, got {args.max_brute_force}")
     try:
         if args.command == "group":

@@ -103,8 +103,8 @@ class FiniteGroup:
     machinery relies on it).  `elements` is an iterable of the element ids;
     it is sorted into the `elements` tuple on first access only, so `order`
     must be given when the iterable has no length.
-    The element tuple and the exponent are filled in on first use, so no
-    result depends on the order of calls.
+    The element tuple is filled in on first use, so no result depends on
+    the order of calls.
     `elements_of_orders` scans that tuple.
     """
 
@@ -118,7 +118,6 @@ class FiniteGroup:
         mul: Callable[[ElementId, ElementId], ElementId],
         inv: Callable[[ElementId], ElementId],
         order_of: Callable[[ElementId], int],
-        exponent: int | None = None,
         order: int | None = None,
     ) -> None:
         self.name = name
@@ -130,7 +129,6 @@ class FiniteGroup:
         self.mul = mul
         self.inv = inv
         self.order_of = order_of
-        self._exponent = exponent
 
     @cached_property
     def elements(self) -> tuple[ElementId, ...]:
@@ -150,12 +148,6 @@ class FiniteGroup:
     @property
     def order(self) -> int:
         return self._order
-
-    @property
-    def exponent(self) -> int:
-        if self._exponent is None:
-            self._exponent = math.lcm(*(self.order_of(g) for g in self.elements))
-        return self._exponent
 
     def power(self, g: ElementId, k: int) -> ElementId:
         if k < 0:
@@ -245,7 +237,6 @@ def build_cyclic(m: int) -> FiniteGroup:
         mul=lambda a, b: (a + b) % m,
         inv=lambda a: (-a) % m,
         order_of=lambda a: m // math.gcd(a, m),
-        exponent=m,
     )
 
 
@@ -283,7 +274,6 @@ def _dicyclic(name: str, m: int, family: FamilyTag) -> FiniteGroup:
         mul=mul,
         inv=inv,
         order_of=order_of,
-        exponent=math.lcm(two_m, 4),
     )
 
 

@@ -8,8 +8,11 @@ summands), so identical inputs produce byte-identical output.
 
 from __future__ import annotations
 
+import functools
+import sys
 from dataclasses import dataclass, field
 
+from .b4 import build_b4
 from .census import BRUTE_FORCE_BOUND
 from .galois import FieldDescriptor
 from .fconj import r_f
@@ -123,6 +126,22 @@ FAMILIES = {
 }
 
 
+@functools.cache
+def _power_of_ten(n: int) -> int:
+    return 10 ** n
+
+
+def _order_too_long_to_print(family: str, value: int) -> bool:
+    """The group order has more digits than `str` converts (a limit of 0 is
+    none).  Q_{2^k}'s order is not formed: 2^k >= 10^L exactly when k
+    reaches the bit length of 10^L, which is no power of 2."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    bound = _power_of_ten(limit)
+    if family == "quaternion":
+        return bool(limit) and value >= bound.bit_length()
+    return bool(limit) and value * (4 if family == "dicyclic" else 1) >= bound
+
+
 def _build_group(family: str, m: int | None, k: int | None) -> FiniteGroup:
     if family not in FAMILIES:
         raise UnsupportedParameterError(f"unknown family {family!r}")
@@ -135,6 +154,11 @@ def _build_group(family: str, m: int | None, k: int | None) -> FiniteGroup:
         return build()
     if given[wanted] is None:
         raise UnsupportedParameterError(f"{family} groups need --{wanted}")
+    if _order_too_long_to_print(family, given[wanted]):
+        raise UnsupportedParameterError(
+            f"--{wanted} is too large: the order of the {family} group would have more "
+            f"than {sys.get_int_max_str_digits()} decimal digits"
+        )
     try:
         return build(given[wanted])
     except ValueError as exc:
@@ -216,27 +240,25 @@ def nil_groups_q8(i: int, twist_order: int) -> AbelianGroupExpr:
     return AbelianGroupExpr.summand(Z2_INF)
 
 
-def b4_lower_k_report(*, max_size: int = BRUTE_FORCE_BOUND) -> KReport:
+def b4_lower_k_report() -> KReport:
     """Assembled Whitehead and lower K-groups of the four-strand sphere braid group.
 
-    Finite-group inputs are computed live; the two induction facts (the map
-    of reduced K_0 from the core Q8 into the Q16 factor is zero, into the T*
-    factor an isomorphism) collapse the Mayer-Vietoris pieces.
+    Finite-group inputs are computed live on the core Q8 and the factors Q16
+    and T* of the shared `build_b4` model; the two induction facts (the map
+    of reduced K_0 from Q8 into Q16 is zero, into T* an isomorphism)
+    collapse the Mayer-Vietoris pieces.
     """
-    q8 = generalized_quaternion(3)
-    q16 = generalized_quaternion(4)
-    tstar = build_binary_polyhedral("T*")
+    spec = build_b4().spec
+    q8, (q16, tstar) = spec.core, spec.factors
 
-    wh_cokernel = AbelianGroupExpr.free(
-        whitehead_rank(q16, max_size=max_size)
-    ) + AbelianGroupExpr.free(whitehead_rank(tstar, max_size=max_size))
+    wh_cokernel = AbelianGroupExpr.free(whitehead_rank(q16) + whitehead_rank(tstar))
     # K0~(Q8) -> K0~(T*) is an isomorphism, so the K0~ kernel term vanishes
     # and the cokernel keeps only the Q16 copy of Z_2.
     k0_assembled = k0_tilde_lookup(q16)
     if not isinstance(k0_assembled, AbelianGroupExpr):
         raise AssemblyError(f"reduced K_0 of {q16.name} is not tabulated")
-    kminus1 = k_minus_one(q16, max_size=max_size) + k_minus_one(tstar, max_size=max_size)
-    if not k_minus_one(q8, max_size=max_size).is_zero:
+    kminus1 = k_minus_one(q16) + k_minus_one(tstar)
+    if not k_minus_one(q8).is_zero:
         raise AssemblyError(f"K_-1 of {q8.name} is not zero")
 
     nil_block = (

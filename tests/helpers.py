@@ -9,7 +9,7 @@ import random
 from functools import cache
 from typing import NamedTuple
 
-from lowk.fconj import r_f, regular_modulus
+from lowk.fconj import r_f
 from lowk.galois import (
     FieldDescriptor,
     UnitSubgroup,
@@ -49,7 +49,6 @@ def build_abelian(factors):
         mul=mul,
         inv=inv,
         order_of=order_of,
-        exponent=math.lcm(*factors),
     )
 
 
@@ -228,6 +227,20 @@ def counts_by_order(group, blocks):
         d = group.order_of(b[0])
         counts[d] = counts.get(d, 0) + 1
     return dict(sorted(counts.items()))
+
+
+@cache
+def exponent(group):
+    """The lcm of the orders of all the elements."""
+    return math.lcm(*{group.order_of(g) for g in group.elements})
+
+
+def regular_modulus(group, field):
+    """The exponent with the characteristic's p-part stripped."""
+    m, p = exponent(group), field.characteristic
+    while p and m % p == 0:
+        m //= p
+    return m
 
 
 def f_blocks(group, field):

@@ -1,8 +1,9 @@
 import pytest
 
+from lowk import fconj
 from lowk.census import conjugacy_classes
-from lowk.fconj import f_partition, r_f, regular_modulus
-from lowk.galois import FieldDescriptor
+from lowk.fconj import f_partition, r_f
+from lowk.galois import FieldDescriptor, phi_generators
 from lowk.groups import (
     build_binary_polyhedral,
     build_cyclic,
@@ -18,12 +19,19 @@ Q2 = FieldDescriptor.p_adic(2)
 F2 = FieldDescriptor.finite_prime(2)
 
 
-def test_regular_modulus_strips_characteristic_part():
+def test_galois_modulus_is_the_regular_part_of_the_exponent(monkeypatch):
+    # T* has exponent 12; over F_p the image is taken modulo its p'-part
+    moduli = []
+
+    def recording(field, n):
+        moduli.append(n)
+        return phi_generators(field, n)
+
+    monkeypatch.setattr(fconj, "phi_generators", recording)
     t = build_binary_polyhedral("T*")
-    assert regular_modulus(t, Q) == 12
-    assert regular_modulus(t, Q2) == 12
-    assert regular_modulus(t, F2) == 3
-    assert regular_modulus(t, FieldDescriptor.finite_prime(3)) == 4
+    for field in (Q, Q2, F2, FieldDescriptor.finite_prime(3)):
+        r_f(t, field)
+    assert moduli == [12, 12, 3, 4]
 
 
 def test_blocks_are_unions_of_ordinary_classes():

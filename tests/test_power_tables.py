@@ -18,7 +18,7 @@ from hypothesis import given, strategies as st
 
 from lowk import census, fconj, galois, groups
 from lowk.census import conjugacy_classes, count_blocks
-from lowk.fconj import f_partition, r_f, regular_modulus, singular_blocks
+from lowk.fconj import f_partition, r_f, singular_blocks
 from lowk.galois import FieldDescriptor, full_unit_group, phi_generators, prime_divisors
 from lowk.groups import (
     build_binary_polyhedral,
@@ -33,12 +33,14 @@ from helpers import (
     build_affine,
     class_of,
     counts_by_order,
+    exponent,
     f_blocks,
     merged_blocks,
     minimal_generators,
     orbit_partition,
     power_tables,
     regular_classes,
+    regular_modulus,
     relabel,
     table_automizers,
     table_blocks,
@@ -105,13 +107,18 @@ def units(modulus):
     )
 
 
+def regular_records(group, p):
+    """The census records whose order p does not divide (all of them for p = 0)."""
+    return [r for r in conjugacy_classes(group).subgroups if not p or r.order % p]
+
+
 def merged_counts(group, classes, exponents, p=0):
     """Per element order, the `power_merge` blocks of the p-regular `classes`.
 
     `exponents` None stands for all units modulo the exponent.
     """
     if exponents is None:
-        exponents = minimal_generators(full_unit_group(group.exponent))
+        exponents = minimal_generators(full_unit_group(exponent(group)))
     blocks = merged_blocks(group, regular_classes(group, classes, p), exponents)
     return counts_by_order(group, blocks)
 
@@ -171,10 +178,10 @@ def test_record_counts_match_table_oracle(group, data):
     for field in fields:
         exponents = phi_generators(field, regular_modulus(group, field))
         p = field.characteristic
-        assert count_blocks(census.subgroups, exponents, p) == table_blocks(
+        assert count_blocks(regular_records(group, p), exponents) == table_blocks(
             tables, exponents, p
         ), field.label
-    exponents = data.draw(units(group.exponent))
+    exponents = data.draw(units(exponent(group)))
     assert count_blocks(census.subgroups, exponents) == table_blocks(tables, exponents)
 
 
@@ -187,11 +194,10 @@ def test_rational_count_is_r2(group):
 
 @given(wide_roster, st.data())
 def test_block_counts_match_power_oracle(group, data):
-    census = conjugacy_classes(group)
     classes = oracle(group)[0]
     p = data.draw(st.sampled_from([0, *prime_divisors(group.order)]))
-    exponents = data.draw(st.none() | units(group.exponent))
-    assert count_blocks(census.subgroups, exponents, p) == merged_counts(
+    exponents = data.draw(st.none() | units(exponent(group)))
+    assert count_blocks(regular_records(group, p), exponents) == merged_counts(
         group, classes, exponents, p
     )
 
@@ -204,7 +210,7 @@ def test_field_partition_matches_power_oracle(group, kind, data):
     assert f_partition(group, field).block_count == len(blocks)
     exponents = phi_generators(field, regular_modulus(group, field))
     assert count_blocks(
-        conjugacy_classes(group).subgroups, exponents, field.characteristic
+        regular_records(group, field.characteristic), exponents
     ) == counts_by_order(group, blocks)
 
 

@@ -1,5 +1,6 @@
-"""Every name `lowk` exports has a caller outside the tests, and no lowk
-module imports another's private (underscore) names.
+"""Every name `lowk` exports has a caller outside the tests, no lowk module
+imports another's private (underscore) names, and the options lowk takes
+are the ones listed in `OPTIONS`.
 
 A name counts as used when another lowk module, or the same module outside
 the name's own definition, reads it, or when the benchmark under
@@ -7,17 +8,65 @@ the name's own definition, reads it, or when the benchmark under
 strings in `TARGETS`, so those strings count too.
 """
 
+import argparse
 import ast
 from pathlib import Path
+
+from lowk.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "lowk"
 PERFBENCH = ROOT / "perfbench"
 
 # Exported ahead of their caller: the periodicity checks wait for the
-# per-strand-count report (ROADMAP item 2), bhs_decompose for the Nil block
-# assembled from the virtually cyclic classes of B4(S^2) (ROADMAP item 3).
+# per-strand-count report (ROADMAP item 3), bhs_decompose for the Nil block
+# assembled from the virtually cyclic classes of B4(S^2) (ROADMAP item 4).
 AWAITING_CALLER = {"check_p2_condition", "check_2p_condition", "check_milnor", "bhs_decompose"}
+
+# Every option lowk takes: `module.function(parameter)` for each defaulted
+# parameter of a public library function (a public class's constructor and
+# public methods included), and `command option` for each option a CLI
+# subcommand declares.  Adding or removing an option means editing this set.
+OPTIONS = {
+    "amalgam.AmalgamSpec.__init__(core_names)",
+    "amalgam.AmalgamSpec.__init__(letter_names)",
+    "census.check_2p_condition(max_size)",
+    "census.check_p2_condition(max_size)",
+    "census.conjugacy_classes(max_size)",
+    "census.count_blocks(exponents)",
+    "cli.main(argv)",
+    "fconj.f_partition(max_size)",
+    "fconj.r_f(max_size)",
+    "groups.FiniteGroup.__init__(order)",
+    "groups.FiniteGroup.from_closure(expect_order)",
+    "groups.FiniteGroup.from_closure(family)",
+    "groups.FiniteGroup.from_closure(inv)",
+    "groups.FiniteGroup.from_closure(max_size)",
+    "groups.closure(limit)",
+    "lowerk.AbelianGroupExpr.summand(copies)",
+    "lowerk.carter_rank(max_size)",
+    "lowerk.k_minus_one(max_size)",
+    "lowerk.whitehead_rank(max_size)",
+    "report.group_report(field_descriptor)",
+    "report.group_report(invariants)",
+    "report.group_report(k)",
+    "report.group_report(m)",
+    "report.group_report(max_size)",
+    "group --m",
+    "group --k",
+    "group --invariants",
+    "group --field",
+    "group --max-brute-force",
+    "group --format",
+    "lambda --m",
+    "lambda --format",
+    "classify --n",
+    "classify --vc",
+    "classify --format",
+    "b4 verify --suite",
+    "b4 verify --format",
+    "b4 report --format",
+}
 
 
 def _parse(path):
@@ -100,3 +149,47 @@ def test_no_module_imports_another_modules_private_names():
         if alias.name.startswith("_")
     )
     assert not private, f"(module, name) of private names imported across lowk: {private}"
+
+
+def _defaulted(fn):
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    named = positional[len(positional) - len(args.defaults):]
+    named += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return [a.arg for a in named]
+
+
+def library_options():
+    """`module.function(parameter)` for the defaulted parameters of public functions."""
+    out = set()
+    for path in SRC.glob("*.py"):
+        for node in _parse(path).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                out.update(f"{path.stem}.{node.name}({a})" for a in _defaulted(node))
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef) and (
+                        method.name == "__init__" or not method.name.startswith("_")
+                    ):
+                        out.update(
+                            f"{path.stem}.{node.name}.{method.name}({a})"
+                            for a in _defaulted(method)
+                        )
+    return out
+
+
+def cli_options(parser=None, command=""):
+    """`command option` for each option the parser and its subparsers declare."""
+    parser = parser or build_parser()
+    out = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                out |= cli_options(sub, f"{command} {name}".strip())
+        elif action.option_strings and not isinstance(action, argparse._HelpAction):
+            out.add(f"{command or 'lowk'} {max(action.option_strings, key=len)}")
+    return out
+
+
+def test_option_inventory_is_pinned():
+    assert library_options() | cli_options() == OPTIONS

@@ -249,6 +249,21 @@ def test_cli_usage_error_exit_code(capsys):
         assert "non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("lambda", "--m", "7", "--max-brute-force", "3"),
+    ("classify", "--n", "4", "--max-brute-force", "0"),
+    ("b4", "verify", "--max-brute-force", "1"),
+    ("b4", "report", "--max-brute-force", "5000"),
+    # options follow their subcommand
+    ("--format", "json", "lambda", "--m", "7"),
+])
+def test_option_a_command_does_not_read_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 GROUP_REPORTS = json.loads((GOLDEN / "group_reports.json").read_text())
 
 
@@ -356,9 +371,17 @@ def _cli_in_child(*argv):
     )
 
 
+# the largest k, and the least m, whose Q_{2^k} and Dic_{4m} have orders with
+# more decimal digits than Python converts to a string (4300 by default)
+DIGIT_LIMIT = sys.get_int_max_str_digits()
+LAST_PRINTABLE_K = (10 ** DIGIT_LIMIT).bit_length() - 1
+NINES = "9" * DIGIT_LIMIT
+
+
 @pytest.mark.parametrize("argv", [
     ("group", "dicyclic", "--m", "1000003"),
     ("group", "quaternion", "--k", "40", "--invariants", "wh,k0"),
+    ("group", "quaternion", "--k", str(LAST_PRINTABLE_K), "--invariants", "wh,k0"),
 ])
 def test_huge_closed_form_answers_in_bounded_memory(argv):
     done = _cli_in_child(*argv, "--format", "json")
@@ -373,6 +396,11 @@ def test_huge_closed_form_answers_in_bounded_memory(argv):
     ("lambda", "--m", "2305843009213693951"),
     ("group", "dicyclic", "--m", "2305843009213693951", "--invariants", "wh"),
     ("classify", "--n", "100000000000000003", "--vc"),
+    # group orders too long to print, refused before the group is built
+    ("group", "quaternion", "--k", str(LAST_PRINTABLE_K + 1)),
+    ("group", "quaternion", "--k", "14290"),
+    ("group", "quaternion", "--k", "10000000000"),
+    ("group", "dicyclic", "--m", NINES, "--invariants", "k0"),
 ])
 def test_huge_census_only_query_exits_2_in_bounded_memory(argv):
     done = _cli_in_child(*argv)
@@ -380,6 +408,26 @@ def test_huge_census_only_query_exits_2_in_bounded_memory(argv):
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     assert "Traceback" not in done.stderr
+    assert "set_int_max_str_digits" not in done.stderr
+
+
+# family -> its parameter, and the least value of it whose group order has
+# DIGIT_LIMIT + 1 digits
+LEAST_TOO_LONG = {
+    "cyclic": ("m", 10 ** DIGIT_LIMIT),
+    "dicyclic": ("m", 10 ** DIGIT_LIMIT // 4),
+    "quaternion": ("k", LAST_PRINTABLE_K + 1),
+}
+
+
+@pytest.mark.parametrize("family", sorted(LEAST_TOO_LONG))
+def test_order_too_long_to_print_is_refused_naming_the_parameter(family):
+    option, least = LEAST_TOO_LONG[family]
+    params = {"m": None, "k": None}
+    with pytest.raises(UnsupportedParameterError, match=f"^--{option} is too large"):
+        report_module._build_group(family, **{**params, option: least})
+    group = report_module._build_group(family, **{**params, option: least - 1})
+    assert len(str(group.order)) == DIGIT_LIMIT
 
 
 @pytest.mark.parametrize("field", ["Qp:", "Fp:2.5"])
