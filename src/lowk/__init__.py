@@ -63,7 +63,6 @@ from .groups import (
     generalized_quaternion,
 )
 from .lowerk import (
-    COUNTABLE,
     UNKNOWN,
     AbelianGroupExpr,
     ConsistencyError,

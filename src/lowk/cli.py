@@ -1,6 +1,9 @@
 """Command-line interface.
 
 Subcommands: `group`, `lambda`, `classify`, `b4 verify`, `b4 report`.
+Each subcommand returns its answer and `main` writes it, in the one format
+asked for, so a command writes stdout only once it has its whole answer; a
+command that fails writes nothing there.
 Exit codes: 0 success, 1 failed verification checks, 2 usage errors.
 """
 
@@ -10,6 +13,7 @@ import argparse
 import functools
 import json
 import sys
+from typing import NamedTuple
 
 from .b4 import SUITES, verify_all, verify_suite
 from .census import BRUTE_FORCE_BOUND, GroupTooLargeError
@@ -23,10 +27,19 @@ from .lowerk import lambda_value
 from .report import (
     FAMILIES,
     SCHEMA,
+    KReport,
     UnsupportedParameterError,
     b4_lower_k_report,
     group_report,
+    order_too_long_to_print,
 )
+
+
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 @functools.cache
@@ -50,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     group_p.add_argument("--invariants", default="wh,k0,kminus1",
                          help="comma list from wh,k0,kminus1,rf,wedderburn")
     group_p.add_argument("--field", help="field for rf: Q, Qp:<p> or Fp:<p>")
-    group_p.add_argument("--max-brute-force", type=int, metavar="N",
+    group_p.add_argument("--max-brute-force", type=_non_negative, metavar="N",
                          default=BRUTE_FORCE_BOUND,
                          help="largest group order handled by census machinery")
 
@@ -68,18 +81,30 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--suite", choices=SUITES + ("all",), default="all")
     report_p = b4_sub.add_parser("report", help="assembled lower K-theory report")
 
-    for command in (group_p, lambda_p, classify_p, verify_p, report_p):
+    for command, run in ((group_p, _cmd_group), (lambda_p, _cmd_lambda),
+                         (classify_p, _cmd_classify), (verify_p, _cmd_b4_verify),
+                         (report_p, _cmd_b4_report)):
+        command.set_defaults(run=run)
         command.add_argument("--format", choices=("json", "text"), default="text",
                              help="output format (default: text)")
 
     return parser
 
 
-def _emit_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
+class _Answer(NamedTuple):
+    """An answer cheap enough to build in both formats."""
+
+    payload: dict
+    text: str
+
+    def to_json(self) -> dict:
+        return self.payload
+
+    def render_text(self) -> str:
+        return self.text
 
 
-def _cmd_group(args: argparse.Namespace) -> int:
+def _cmd_group(args: argparse.Namespace) -> tuple[KReport, int]:
     invariants = tuple(s.strip() for s in args.invariants.split(","))
     field_descriptor = None
     if args.field is not None:
@@ -92,24 +117,23 @@ def _cmd_group(args: argparse.Namespace) -> int:
         field_descriptor=field_descriptor,
         max_size=args.max_brute_force,
     )
-    if args.format == "json":
-        _emit_json(report.to_json())
-    else:
-        print(report.render_text())
-    return 0
+    return report, 0
 
 
-def _cmd_lambda(args: argparse.Namespace) -> int:
+def _cmd_lambda(args: argparse.Namespace) -> tuple[_Answer, int]:
     value = lambda_value(args.m)
-    if args.format == "json":
-        _emit_json({"schema": SCHEMA, "m": args.m, "lambda": value})
-    else:
-        print(f"lambda({args.m}) = {value}")
-    return 0
+    return _Answer({"schema": SCHEMA, "m": args.m, "lambda": value},
+                   f"lambda({args.m}) = {value}"), 0
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: argparse.Namespace) -> tuple[_Answer, int]:
     n = args.n
+    # Dic_4n is the largest class either list names
+    if order_too_long_to_print("dicyclic", n):
+        raise UnsupportedParameterError(
+            f"--n is too large: the order 4n of Dic_4n would have more than "
+            f"{sys.get_int_max_str_digits()} decimal digits"
+        )
     if args.vc:
         if n == 4:
             descriptors = vc_classes_b4()
@@ -124,68 +148,49 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     else:
         descriptors = maximal_finite_subgroups(n)
         label = "maximal_finite"
-    if args.format == "json":
-        _emit_json({"schema": SCHEMA, "n": n, label: [d.to_json() for d in descriptors]})
-    else:
-        print(f"n = {n}, {label}:")
-        for d in descriptors:
-            notes = f"  ({'; '.join(d.notes)})" if d.notes else ""
-            print(f"  {d.name}{notes}")
-    return 0
+    lines = [f"n = {n}, {label}:"]
+    for d in descriptors:
+        notes = f"  ({'; '.join(d.notes)})" if d.notes else ""
+        lines.append(f"  {d.name}{notes}")
+    payload = {"schema": SCHEMA, "n": n, label: [d.to_json() for d in descriptors]}
+    return _Answer(payload, "\n".join(lines)), 0
 
 
-def _cmd_b4_verify(args: argparse.Namespace) -> int:
+def _cmd_b4_verify(args: argparse.Namespace) -> tuple[_Answer, int]:
     if args.suite == "all":
-        results = verify_all()
-        checks = [c for suite in results.values() for c in suite]
+        checks = [c for suite in verify_all().values() for c in suite]
     else:
         checks = verify_suite(args.suite)
-    failed = [c for c in checks if not c.ok]
-    if args.format == "json":
-        _emit_json({
-            "schema": SCHEMA,
-            "suite": args.suite,
-            "checks": [c.to_json() for c in checks],
-            "passed": len(checks) - len(failed),
-            "failed": len(failed),
-        })
-    else:
-        for c in checks:
-            print(f"{c.status.upper():4}  {c.check_id:34}  {c.statement}")
-        print(f"{len(checks) - len(failed)} passed, {len(failed)} failed")
-    return 1 if failed else 0
+    failed = sum(not c.ok for c in checks)
+    payload = {
+        "schema": SCHEMA,
+        "suite": args.suite,
+        "checks": [c.to_json() for c in checks],
+        "passed": len(checks) - failed,
+        "failed": failed,
+    }
+    lines = [f"{c.status.upper():4}  {c.check_id:34}  {c.statement}" for c in checks]
+    lines.append(f"{len(checks) - failed} passed, {failed} failed")
+    return _Answer(payload, "\n".join(lines)), 1 if failed else 0
 
 
-def _cmd_b4_report(args: argparse.Namespace) -> int:
-    report = b4_lower_k_report()
-    if args.format == "json":
-        _emit_json(report.to_json())
-    else:
-        print(report.render_text())
-    return 0
+def _cmd_b4_report(args: argparse.Namespace) -> tuple[KReport, int]:
+    return b4_lower_k_report(), 0
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "group" and args.max_brute_force < 0:
-        parser.error(f"--max-brute-force must be non-negative, got {args.max_brute_force}")
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "group":
-            return _cmd_group(args)
-        if args.command == "lambda":
-            return _cmd_lambda(args)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "b4":
-            if args.b4_command == "verify":
-                return _cmd_b4_verify(args)
-            return _cmd_b4_report(args)
+        answer, code = args.run(args)
+        if args.format == "json":
+            out = json.dumps(answer.to_json(), indent=2, ensure_ascii=False)
+        else:
+            out = answer.render_text()
     except (UnsupportedParameterError, GroupTooLargeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    parser.error("no command given")
-    return 2
+    sys.stdout.write(out + "\n")
+    return code
 
 
 if __name__ == "__main__":

@@ -29,6 +29,9 @@ BINARY_OCTAHEDRAL = "binary_octahedral"
 BINARY_ICOSAHEDRAL = "binary_icosahedral"
 CUSTOM = "custom"
 
+# the most elements `FiniteGroup.from_closure` generates before giving up
+MAX_CLOSURE_SIZE = 100_000
+
 
 class GroupConstructionError(Exception):
     """A family constructor failed its own closure/order self-checks."""
@@ -183,12 +186,11 @@ class FiniteGroup:
         inv: Callable[[ElementId], ElementId] | None = None,
         family: FamilyTag | None = None,
         expect_order: int | None = None,
-        max_size: int = 100_000,
     ) -> "FiniteGroup":
         """Generate a group as the closure of `generators` under `mul`."""
-        elements = closure(identity, generators, mul, limit=max_size)
-        if len(elements) > max_size:
-            raise GroupConstructionError(f"{name}: closure exceeded {max_size} elements")
+        elements = closure(identity, generators, mul, limit=MAX_CLOSURE_SIZE)
+        if len(elements) > MAX_CLOSURE_SIZE:
+            raise GroupConstructionError(f"{name}: closure exceeded {MAX_CLOSURE_SIZE} elements")
         if expect_order is not None and len(elements) != expect_order:
             raise GroupConstructionError(
                 f"{name}: closure has {len(elements)} elements, expected {expect_order}"

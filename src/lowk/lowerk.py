@@ -37,7 +37,6 @@ from .groups import (
     dicyclic_parameter,
 )
 
-COUNTABLE = "countable"
 Z2_INF = "(Z2)^oo"
 W_NAME = "W"
 
@@ -86,18 +85,10 @@ def _record(line: str) -> None:
         lines.append(line)
 
 
-def _merge_infinite(
-    items: tuple[tuple[str, int | str], ...]
-) -> tuple[tuple[str, int | str], ...]:
-    acc: dict[str, int | str] = {}
+def _merge_infinite(items: tuple[tuple[str, int], ...]) -> tuple[tuple[str, int], ...]:
+    acc: Counter[str] = Counter()
     for name, copies in items:
-        if name in acc:
-            if acc[name] == COUNTABLE or copies == COUNTABLE:
-                acc[name] = COUNTABLE
-            else:
-                acc[name] = acc[name] + copies  # type: ignore[operator]
-        else:
-            acc[name] = copies
+        acc[name] += copies
     return tuple(sorted(acc.items()))
 
 
@@ -106,12 +97,12 @@ class AbelianGroupExpr:
     """Symbolic abelian group: free rank, torsion coefficients, named summands.
 
     Canonical form: torsion sorted ascending, named summands merged and
-    sorted by name; a countable pile of a summand absorbs any further copies.
+    sorted by name.
     """
 
     free_rank: int = 0
     torsion: tuple[int, ...] = ()
-    infinite: tuple[tuple[str, int | str], ...] = ()
+    infinite: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self) -> None:
         if self.free_rank < 0:
@@ -134,8 +125,8 @@ class AbelianGroupExpr:
         return cls(torsion=tuple(coeffs))
 
     @classmethod
-    def summand(cls, name: str, copies: int | str = 1) -> "AbelianGroupExpr":
-        return cls(infinite=((name, copies),))
+    def summand(cls, name: str) -> "AbelianGroupExpr":
+        return cls(infinite=((name, 1),))
 
     def __add__(self, other: "AbelianGroupExpr") -> "AbelianGroupExpr":
         return AbelianGroupExpr(
@@ -149,10 +140,7 @@ class AbelianGroupExpr:
             raise ValueError("multiplicity must be nonnegative")
         if k == 0:
             return AbelianGroupExpr.zero()
-        scaled = tuple(
-            (name, COUNTABLE if copies == COUNTABLE else copies * k)
-            for name, copies in self.infinite
-        )
+        scaled = tuple((name, copies * k) for name, copies in self.infinite)
         return AbelianGroupExpr(self.free_rank * k, self.torsion * k, scaled)
 
     @property
@@ -177,9 +165,7 @@ class AbelianGroupExpr:
         for coeff, count in sorted(Counter(self.torsion).items()):
             parts.append(f"Z_{coeff}" if count == 1 else f"Z_{coeff}^{count}")
         for name, copies in self.infinite:
-            if copies == COUNTABLE:
-                parts.append(f"(+)_oo {name}")
-            elif copies == 1:
+            if copies == 1:
                 parts.append(name)
             else:
                 parts.append(f"{copies}*{name}")

@@ -24,7 +24,6 @@ from .groups import (
     generalized_quaternion,
 )
 from .lowerk import (
-    COUNTABLE,
     AbelianGroupExpr,
     UnsupportedFamilyError,
     Unknown,
@@ -86,7 +85,7 @@ class KReport:
             out["wedderburn"] = [c.to_json() for c in self.wedderburn]
         if self.nil_terms is not None:
             out["nil"] = {
-                name: {"copies": COUNTABLE, "summand": expr.to_json()}
+                name: {"copies": "countable", "summand": expr.to_json()}
                 for name, expr in self.nil_terms.items()
             }
         if self.definitions is not None:
@@ -131,7 +130,7 @@ def _power_of_ten(n: int) -> int:
     return 10 ** n
 
 
-def _order_too_long_to_print(family: str, value: int) -> bool:
+def order_too_long_to_print(family: str, value: int) -> bool:
     """The group order has more digits than `str` converts (a limit of 0 is
     none).  Q_{2^k}'s order is not formed: 2^k >= 10^L exactly when k
     reaches the bit length of 10^L, which is no power of 2."""
@@ -154,7 +153,7 @@ def _build_group(family: str, m: int | None, k: int | None) -> FiniteGroup:
         return build()
     if given[wanted] is None:
         raise UnsupportedParameterError(f"{family} groups need --{wanted}")
-    if _order_too_long_to_print(family, given[wanted]):
+    if order_too_long_to_print(family, given[wanted]):
         raise UnsupportedParameterError(
             f"--{wanted} is too large: the order of the {family} group would have more "
             f"than {sys.get_int_max_str_digits()} decimal digits"

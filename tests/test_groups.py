@@ -152,13 +152,14 @@ def test_quaternion_matches_dicyclic_census(k):
     assert order_census(q) == order_census(d)
 
 
-def test_closure_size_guard():
-    from lowk.groups import FiniteGroup
+def test_closure_size_guard(monkeypatch):
+    from lowk import groups
 
-    with pytest.raises(GroupConstructionError):
-        FiniteGroup.from_closure(
-            "big", [1], lambda a, b: (a + b) % 10**6, 0, max_size=100
-        )
+    monkeypatch.setattr(groups, "MAX_CLOSURE_SIZE", 100)
+    with pytest.raises(GroupConstructionError, match="closure exceeded 100 elements"):
+        groups.FiniteGroup.from_closure("big", [1], lambda a, b: (a + b) % 101, 0)
+    largest = groups.FiniteGroup.from_closure("Z_100", [1], lambda a, b: (a + b) % 100, 0)
+    assert largest.order == 100
 
 
 LAZY_ROSTER = (

@@ -12,7 +12,6 @@ from lowk.groups import (
     generalized_quaternion,
 )
 from lowk.lowerk import (
-    COUNTABLE,
     UNKNOWN,
     AbelianGroupExpr,
     UnsupportedFamilyError,
@@ -42,10 +41,9 @@ def test_expr_canonical_form():
     assert e == AbelianGroupExpr(1, (2, 4), (("A", 2), ("B", 1)))
 
 
-def test_expr_sum_and_countable_collapse():
-    a = AbelianGroupExpr.summand(Z2_INF, COUNTABLE)
-    b = AbelianGroupExpr.summand(Z2_INF, 3)
-    assert (a + b).infinite == ((Z2_INF, COUNTABLE),)
+def test_expr_sum_and_times():
+    b = AbelianGroupExpr.summand(Z2_INF).times(3)
+    assert b.infinite == ((Z2_INF, 3),)
     assert (b + b).infinite == ((Z2_INF, 6),)
     two = AbelianGroupExpr.free(1) + AbelianGroupExpr.torsion_group(2)
     assert two.times(2) == AbelianGroupExpr(2, (2, 2))

@@ -41,9 +41,7 @@ OPTIONS = {
     "groups.FiniteGroup.from_closure(expect_order)",
     "groups.FiniteGroup.from_closure(family)",
     "groups.FiniteGroup.from_closure(inv)",
-    "groups.FiniteGroup.from_closure(max_size)",
     "groups.closure(limit)",
-    "lowerk.AbelianGroupExpr.summand(copies)",
     "lowerk.carter_rank(max_size)",
     "lowerk.k_minus_one(max_size)",
     "lowerk.whitehead_rank(max_size)",

@@ -195,6 +195,11 @@ def test_cli_classify(capsys):
     assert code == 0
     doc = json.loads(out)
     assert [d["name"] for d in doc["maximal_finite"]] == ["Q16", "T*"]
+    # the largest n whose class Dic_4n has an order str can print
+    n = 10 ** DIGIT_LIMIT // 4 - 1
+    code, out, _ = run_cli(capsys, "classify", "--n", str(n))
+    assert code == 0
+    assert f"  Dic_{4 * n}\n" in out
 
 
 def test_cli_classify_vc(capsys):
@@ -428,6 +433,45 @@ def test_order_too_long_to_print_is_refused_naming_the_parameter(family):
         report_module._build_group(family, **{**params, option: least})
     group = report_module._build_group(family, **{**params, option: least - 1})
     assert len(str(group.order)) == DIGIT_LIMIT
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv, reason", [
+    (("group", "dicyclic", "--m", "1"), "must be >= 2"),
+    (("group", "tstar", "--max-brute-force", "10"), "no closed form"),
+    (("lambda", "--m", "9"), "odd primes"),
+    # |Dic_4n| = 4n, the largest class order classify prints, has too many digits
+    (("classify", "--n", NINES), "--n is too large"),
+    (("classify", "--n", "6", "--vc"), "odd n >= 3"),
+])
+def test_failing_command_writes_nothing_to_stdout(capsys, argv, reason, fmt):
+    code, out, err = run_cli(capsys, *argv, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert reason in err
+    assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("argv", [("group", "dicyclic", "--m", "5"), ("b4", "report")])
+def test_json_answer_runs_no_text_renderer(monkeypatch, capsys, argv):
+    def refuse(self):
+        raise AssertionError("text renderer ran on the JSON path")
+
+    monkeypatch.setattr(report_module.KReport, "render_text", refuse)
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)["schema"] == "lowk/1"
+
+
+def test_module_entry_point_prints_the_golden_report():
+    command = "group dicyclic --m 5 --format text"
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONIOENCODING": "utf-8"}
+    done = subprocess.run([sys.executable, "-m", "lowk.cli", *command.split()],
+                          capture_output=True, timeout=60, env=env)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == GROUP_REPORTS[command].encode()
+    bad = _cli_in_child("group", "dicyclic", "--m", "1")
+    assert (bad.returncode, bad.stdout) == (2, "")
 
 
 @pytest.mark.parametrize("field", ["Qp:", "Fp:2.5"])
