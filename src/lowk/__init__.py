@@ -45,9 +45,7 @@ from .classify import (
 from .fconj import FPartition, f_partition, r_f
 from .galois import (
     FieldDescriptor,
-    UnitSubgroup,
     divisors,
-    full_unit_group,
     generated_subgroup,
     is_prime,
     mult_order,

@@ -191,12 +191,6 @@ class AmalgamElement:
     def is_identity(self) -> bool:
         return not self.letters and self.core == self.spec.core.identity
 
-    def __mul__(self, other: "AmalgamElement") -> "AmalgamElement":
-        return multiply(self, other)
-
-    def inverse(self) -> "AmalgamElement":
-        return invert(self)
-
     def __repr__(self) -> str:
         return f"<{self.spec.format_element(self)}>"
 

@@ -595,29 +595,30 @@ def verify_z_infinite(model: B4Model) -> list[CheckResult]:
 def build_gamma_specs() -> tuple[AmalgamSpec, AmalgamSpec]:
     """The two isomorphism classes of Q16 *_{Q8} Q16, with transversals {1,a} and {1,x}.
 
-    Built once per process; specs are immutable.
+    Both factors are the Q16 of the B4 model and the core is its Q8.  The
+    first embedding is the model's (i -> x^2, j -> y); Gamma1 uses it on both
+    sides, Gamma2 sends j -> x^2, k -> y.  Built once per process; specs are
+    immutable.
     """
-    core = generalized_quaternion(3)
-    g1 = generalized_quaternion(4)
-    g2 = generalized_quaternion(4)
-    embed_a = _hom_from_generators(core, g1, {I_UNIT: (2, 0), J_UNIT: (0, 1)})
+    b4 = build_b4().spec
+    core, q16, embed = b4.core, b4.factors[0], b4.embeddings[0]
 
-    def gamma(name: str, gen_map: dict) -> AmalgamSpec:
+    def gamma(name: str, embed2: dict) -> AmalgamSpec:
         return AmalgamSpec(
             name=name,
-            g1=g1,
-            g2=g2,
+            g1=q16,
+            g2=q16,
             core=core,
-            embed1=embed_a,
-            embed2=_hom_from_generators(core, g2, gen_map),
+            embed1=embed,
+            embed2=embed2,
             transversal1=((0, 0), (1, 0)),
             transversal2=((0, 0), (1, 0)),
             letter_names={(1, (1, 0)): "a", (2, (1, 0)): "x"},
             core_names=QUATERNION_NAMES,
         )
 
-    return (gamma("Gamma1", {I_UNIT: (2, 0), J_UNIT: (0, 1)}),
-            gamma("Gamma2", {J_UNIT: (2, 0), K_UNIT: (0, 1)}))
+    return (gamma("Gamma1", embed),
+            gamma("Gamma2", _hom_from_generators(core, q16, {J_UNIT: (2, 0), K_UNIT: (0, 1)})))
 
 
 def verify_gamma_identities() -> list[CheckResult]:

@@ -264,9 +264,9 @@ def conjugacy_classes(group: FiniteGroup, *, max_size: int = BRUTE_FORCE_BOUND) 
     return census
 
 
-def check_p2_condition(group: FiniteGroup, *, max_size: int = BRUTE_FORCE_BOUND) -> bool:
+def check_p2_condition(group: FiniteGroup) -> bool:
     """No subgroup Z_p x Z_p for any prime p dividing the order."""
-    _check_size(group, max_size)
+    _check_size(group, BRUTE_FORCE_BOUND)
     mul = group.mul
     for p in prime_divisors(group.order):
         stratum = group.elements_of_orders(frozenset((p,)))
@@ -278,14 +278,14 @@ def check_p2_condition(group: FiniteGroup, *, max_size: int = BRUTE_FORCE_BOUND)
     return True
 
 
-def check_2p_condition(group: FiniteGroup, *, max_size: int = BRUTE_FORCE_BOUND) -> bool:
+def check_2p_condition(group: FiniteGroup) -> bool:
     """Every subgroup of order 2p (p a prime divisor of |G|) is cyclic.
 
     A non-cyclic group of order 2p is generated by an order-p element that is
     inverted by an order-2 element outside its span, so scanning those pairs
     is exhaustive.
     """
-    _check_size(group, max_size)
+    _check_size(group, BRUTE_FORCE_BOUND)
     involutions = group.elements_of_orders(frozenset((2,)))
     for p in prime_divisors(group.order):
         for a in group.elements_of_orders(frozenset((p,))):

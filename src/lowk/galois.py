@@ -4,11 +4,12 @@
 F(zeta_n)/F inside (Z/n)^* for F one of Q, Q_p, F_p, in closed form: the
 Frobenius p, a primitive root of the p-power part lifted by the Chinese
 remainder theorem, or "all units".  `phi_image` is the subgroup they
-generate, enumerated by `groups.closure`.  Only the image matters
-downstream, so no cyclotomic arithmetic is ever performed.  Primality,
-factorisation and divisors use trial division up to TRIAL_BOUND: an input
-that needs more, such as a prime past 10^14, raises ValueError with the
-reason instead of running unbounded.
+generate, as its sorted residue tuple, enumerated by `groups.closure`; the
+trivial group modulo 1 is the tuple (0,).  Only the image matters
+downstream, so no cyclotomic arithmetic is ever performed.  Primality and
+factorisation use trial division up to TRIAL_BOUND, and divisors are read
+off the factorisation: an input that needs more, such as a prime past
+10^14, raises ValueError with the reason instead of running unbounded.
 """
 
 from __future__ import annotations
@@ -44,21 +45,21 @@ def is_prime(n: int) -> bool:
 
 
 def divisors(n: int) -> list[int]:
-    """All positive divisors of n, sorted; raises when sqrt(n) > TRIAL_BOUND."""
+    """All positive divisors of n, sorted, built from `factorization(n)`.
+
+    Raises when sqrt(n) > TRIAL_BOUND.  That bounds the list too: a number
+    up to 10^14 has at most 17,280 divisors.
+    """
     if n < 1:
         raise ValueError(f"divisors of {n} undefined")
-    root = math.isqrt(n)
-    if root > TRIAL_BOUND:
+    if math.isqrt(n) > TRIAL_BOUND:
         raise ValueError(
             f"cannot list the divisors of {n}: trial division stops at {TRIAL_BOUND}"
         )
-    small, large = [], []
-    for f in range(1, root + 1):
-        if n % f == 0:
-            small.append(f)
-            if f != n // f:
-                large.append(n // f)
-    return small + large[::-1]
+    out = [1]
+    for p, e in factorization(n):
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
 
 
 def factorization(n: int) -> list[tuple[int, int]]:
@@ -116,39 +117,16 @@ def mult_order(a: int, n: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class UnitSubgroup:
-    """A subgroup of (Z/n)^* as a sorted residue tuple.
-
-    For n = 1 the trivial group is represented by the single residue 0.
-    """
-
-    modulus: int
-    residues: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.residues)
-
-
-def full_unit_group(n: int) -> UnitSubgroup:
+def generated_subgroup(n: int, gens: list[int] | tuple[int, ...]) -> tuple[int, ...]:
+    """Closure of the given residues under multiplication mod n, as a sorted tuple."""
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
     if n == 1:
-        return UnitSubgroup(1, (0,))
-    return UnitSubgroup(n, tuple(r for r in range(1, n) if math.gcd(r, n) == 1))
-
-
-def generated_subgroup(n: int, gens: list[int] | tuple[int, ...]) -> UnitSubgroup:
-    """Closure of the given residues under multiplication mod n."""
-    if n < 1:
-        raise ValueError(f"modulus must be positive, got {n}")
-    if n == 1:
-        return UnitSubgroup(1, (0,))
+        return (0,)
     for g in gens:
         if math.gcd(g, n) != 1:
             raise ValueError(f"generator {g} is not a unit modulo {n}")
-    have = closure(1, [g % n for g in gens], lambda x, g: x * g % n)
-    return UnitSubgroup(n, tuple(sorted(have)))
+    return tuple(sorted(closure(1, [g % n for g in gens], lambda x, g: x * g % n)))
 
 
 @dataclass(frozen=True)
@@ -253,7 +231,12 @@ def phi_generators(field: FieldDescriptor, n: int) -> tuple[int, ...] | None:
     return (*(_crt(g, q, 1, n1) for g in inertia), _crt(1, q, p, n1))
 
 
-def phi_image(field: FieldDescriptor, n: int) -> UnitSubgroup:
-    """Image of Gal(F(zeta_n)/F) -> (Z/n)^*: the subgroup `phi_generators` generates."""
+def phi_image(field: FieldDescriptor, n: int) -> tuple[int, ...]:
+    """Image of Gal(F(zeta_n)/F) -> (Z/n)^*: the subgroup `phi_generators` generates.
+
+    All units when there are no generators to close; modulo 1 that is (0,).
+    """
     gens = phi_generators(field, n)
-    return full_unit_group(n) if gens is None else generated_subgroup(n, gens)
+    if gens is None:
+        return tuple(r for r in range(n) if math.gcd(r, n) == 1)
+    return generated_subgroup(n, gens)

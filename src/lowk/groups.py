@@ -104,8 +104,8 @@ class FiniteGroup:
 
     Operations are pure.  `generators` must generate the group (conjugacy
     machinery relies on it).  `elements` is an iterable of the element ids;
-    it is sorted into the `elements` tuple on first access only, so `order`
-    must be given when the iterable has no length.
+    it is sorted into the `elements` tuple on first access only, and checked
+    then against `order`, which every builder states.
     The element tuple is filled in on first use, so no result depends on
     the order of calls.
     `elements_of_orders` scans that tuple.
@@ -121,12 +121,12 @@ class FiniteGroup:
         mul: Callable[[ElementId, ElementId], ElementId],
         inv: Callable[[ElementId], ElementId],
         order_of: Callable[[ElementId], int],
-        order: int | None = None,
+        order: int,
     ) -> None:
         self.name = name
         self.family = family
         self._element_source = elements
-        self._order = len(elements) if order is None else order
+        self._order = order
         self.identity = identity
         self.generators = tuple(generators)
         self.mul = mul
@@ -183,15 +183,19 @@ class FiniteGroup:
         generators: Sequence[ElementId],
         mul: Callable[[ElementId, ElementId], ElementId],
         identity: ElementId,
-        inv: Callable[[ElementId], ElementId] | None = None,
+        expect_order: int,
         family: FamilyTag | None = None,
-        expect_order: int | None = None,
     ) -> "FiniteGroup":
-        """Generate a group as the closure of `generators` under `mul`."""
+        """Generate a group as the closure of `generators` under `mul`.
+
+        The closure must have `expect_order` elements.  Inversion and element
+        orders share one cache, filled by walking the powers of an element:
+        the power before the identity is its inverse.
+        """
         elements = closure(identity, generators, mul, limit=MAX_CLOSURE_SIZE)
         if len(elements) > MAX_CLOSURE_SIZE:
             raise GroupConstructionError(f"{name}: closure exceeded {MAX_CLOSURE_SIZE} elements")
-        if expect_order is not None and len(elements) != expect_order:
+        if len(elements) != expect_order:
             raise GroupConstructionError(
                 f"{name}: closure has {len(elements)} elements, expected {expect_order}"
             )
@@ -207,7 +211,7 @@ class FiniteGroup:
                 inv_cache[g] = powers[-2] if len(powers) > 1 else identity
             return order_cache[g]
 
-        def inv_fn(g: ElementId) -> ElementId:
+        def inv(g: ElementId) -> ElementId:
             if g not in inv_cache:
                 order_of(g)
             return inv_cache[g]
@@ -215,11 +219,12 @@ class FiniteGroup:
         return cls(
             name=name,
             family=family or FamilyTag(CUSTOM),
-            elements=sorted(elements),
+            elements=elements,
+            order=expect_order,
             identity=identity,
             generators=generators,
             mul=mul,
-            inv=inv if inv is not None else inv_fn,
+            inv=inv,
             order_of=order_of,
         )
 
@@ -315,13 +320,6 @@ def _matmul_prime(p: int):
     return mul
 
 
-def _matinv_prime(p: int):
-    def inv(x):
-        a, b, c, d = x
-        return (d % p, -b % p, -c % p, a % p)
-    return inv
-
-
 # kind -> (p, generators in SL(2, p), order, family).  T* and I* are all of
 # SL(2, 3) and SL(2, 5).  O* lies in SL(2, 7): the first generator has trace
 # 3, a square root of 2 modulo 7, so order 8; the second has order 4.
@@ -338,7 +336,8 @@ def build_binary_polyhedral(kind: str) -> FiniteGroup:
     Each is generated by two determinant-1 2x2 matrices over a prime field:
     T* = SL(2, 3), I* = SL(2, 5), and O* is an order-48 subgroup of SL(2, 7).
     Construction self-checks the order and the uniqueness of the order-2
-    element.
+    element; that check takes every element's order, which fills the cache
+    `inv` reads.
     """
     if kind not in _BINARY_POLYHEDRAL:
         raise ValueError(f"unknown binary polyhedral kind {kind!r} (want T*, O* or I*)")
@@ -348,7 +347,6 @@ def build_binary_polyhedral(kind: str) -> FiniteGroup:
         generators=gens,
         mul=_matmul_prime(p),
         identity=(1, 0, 0, 1),
-        inv=_matinv_prime(p),
         family=FamilyTag(tag),
         expect_order=order,
     )

@@ -224,14 +224,12 @@ def group_report(
     )
 
 
-def nil_groups_q8(i: int, twist_order: int) -> AbelianGroupExpr:
-    """Nil groups of the order-8 quaternion group ring, twisted or not.
+def nil_groups_q8(twist_order: int) -> AbelianGroupExpr:
+    """Nil groups of the order-8 quaternion group ring, twisted or not, in degrees 0 and 1.
 
     Trivial twist and the order-3 twist give a countable sum of Z_2; the
     order-2 twist gives the exponent-2-or-4 group W.
     """
-    if i not in (0, 1):
-        raise ValueError(f"degree must be 0 or 1, got {i}")
     if twist_order not in (1, 2, 3):
         raise ValueError(f"twist order must be 1, 2 or 3, got {twist_order}")
     if twist_order == 2:
@@ -260,9 +258,7 @@ def b4_lower_k_report() -> KReport:
     if not k_minus_one(q8).is_zero:
         raise AssemblyError(f"K_-1 of {q8.name} is not zero")
 
-    nil_block = (
-        nil_groups_q8(1, 1).times(2) + nil_groups_q8(1, 2).times(2)
-    )
+    nil_block = nil_groups_q8(1).times(2) + nil_groups_q8(2).times(2)
     nil_terms = {name: nil_block for name in ("Nil_0", "Nil_1")}
     wh = wh_cokernel + AbelianGroupExpr.summand("Nil_1")
     k0 = k0_assembled + AbelianGroupExpr.summand("Nil_0")

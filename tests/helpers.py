@@ -10,13 +10,7 @@ from functools import cache
 from typing import NamedTuple
 
 from lowk.fconj import r_f
-from lowk.galois import (
-    FieldDescriptor,
-    UnitSubgroup,
-    full_unit_group,
-    generated_subgroup,
-    prime_divisors,
-)
+from lowk.galois import FieldDescriptor, generated_subgroup, prime_divisors
 from lowk.groups import CUSTOM, FamilyTag, FiniteGroup
 
 
@@ -44,6 +38,7 @@ def build_abelian(factors):
         name=" x ".join(f"Z_{f}" for f in factors),
         family=FamilyTag(CUSTOM),
         elements=elements,
+        order=len(elements),
         identity=(0,) * n,
         generators=gens,
         mul=mul,
@@ -122,14 +117,19 @@ def centralizer(group, g):
     return tuple(x for x in group.elements if mul(x, g) == mul(g, x))
 
 
-def minimal_generators(s):
-    """A small generating set of a `UnitSubgroup`, found greedily.  Empty for the trivial group."""
-    n = s.modulus
-    if n <= 2 or len(s.residues) <= 1:
+def unit_group(n):
+    """All units modulo n as a sorted residue tuple; (0,) for n = 1."""
+    return tuple(r for r in range(n) if math.gcd(r, n) == 1)
+
+
+def minimal_generators(n, residues):
+    """A small generating set of the unit subgroup `residues` modulo n, found
+    greedily.  Empty for the trivial group."""
+    if n <= 2 or len(residues) <= 1:
         return ()
     have = {1}
     gens = []
-    for r in s.residues:
+    for r in residues:
         if r in have:
             continue
         gens.append(r)
@@ -155,20 +155,19 @@ def enumerated_phi_image(field, n):
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
     if n == 1:
-        return UnitSubgroup(1, (0,))
+        return (0,)
     if field.kind == "Q":
-        return full_unit_group(n)
+        return unit_group(n)
     p = field.p
     if field.kind == "Fp":
         if n % p == 0:
             raise ValueError(f"phi_image over F_{p} needs a modulus prime to {p}")
         return generated_subgroup(n, [p])
     if n % 4 == 2:
-        half = enumerated_phi_image(field, n // 2)
-        if half.modulus == 1:
-            return UnitSubgroup(2, (1,))
-        m = half.modulus
-        return UnitSubgroup(n, tuple(sorted(r if r % 2 == 1 else r + m for r in half.residues)))
+        if n == 2:
+            return (1,)
+        m = n // 2
+        return tuple(sorted(r if r % 2 == 1 else r + m for r in enumerated_phi_image(field, m)))
     a, n1 = 0, n
     while n1 % p == 0:
         n1 //= p
@@ -176,11 +175,9 @@ def enumerated_phi_image(field, n):
     if a == 0:
         return generated_subgroup(n, [p])
     if n1 == 1:
-        return full_unit_group(n)
-    tame = set(generated_subgroup(n1, [p]).residues)
-    return UnitSubgroup(
-        n, tuple(t for t in range(1, n) if math.gcd(t, n) == 1 and t % n1 in tame)
-    )
+        return unit_group(n)
+    tame = set(generated_subgroup(n1, [p]))
+    return tuple(t for t in range(1, n) if math.gcd(t, n) == 1 and t % n1 in tame)
 
 
 def power_merge(group, classes, index, exponents):
@@ -248,7 +245,8 @@ def f_blocks(group, field):
     generators of the enumerated Galois image modulo the regular part of the
     exponent."""
     regular = regular_classes(group, oracle_classes(group), field.characteristic)
-    exponents = minimal_generators(enumerated_phi_image(field, regular_modulus(group, field)))
+    n = regular_modulus(group, field)
+    exponents = minimal_generators(n, enumerated_phi_image(field, n))
     return merged_blocks(group, regular, exponents)
 
 
@@ -275,18 +273,17 @@ def per_order_blocks(group, field):
     for d, stratum in strata.items():
         index = {g: i for i, cls in enumerate(stratum) for g in cls}
         roots = power_merge(
-            group, stratum, index, minimal_generators(enumerated_phi_image(field, d))
+            group, stratum, index, minimal_generators(d, enumerated_phi_image(field, d))
         )
         count += len(set(roots))
     return count
 
 
-def is_unit_subgroup(s):
-    """Closure / identity check of a `UnitSubgroup`'s residues."""
-    n = s.modulus
+def is_unit_subgroup(n, residues):
+    """Closure / identity check of a unit subgroup's residues modulo n."""
     if n == 1:
-        return s.residues == (0,)
-    rs = set(s.residues)
+        return residues == (0,)
+    rs = set(residues)
     if 1 not in rs:
         return False
     return all(a * b % n in rs for a in rs for b in rs)

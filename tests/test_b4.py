@@ -261,6 +261,17 @@ def test_model_and_gamma_specs_are_built_once():
     assert build_gamma_specs() is build_gamma_specs()
 
 
+def test_gamma_specs_share_the_b4_groups():
+    b4 = build_b4().spec
+    q16, embed = b4.factors[0], b4.embeddings[0]
+    gamma1, gamma2 = build_gamma_specs()
+    for spec in (gamma1, gamma2):
+        assert spec.core is b4.core
+        assert spec.factors[0] is q16 and spec.factors[1] is q16
+        assert spec.embeddings[0] is embed
+    assert gamma1.embeddings[1] is embed
+
+
 def test_shared_model_names_are_read_only(model):
     with pytest.raises(TypeError):
         model.named["sigma1"] = model["sigma2"]

@@ -5,10 +5,8 @@ import pytest
 from lowk import galois
 from lowk.galois import (
     FieldDescriptor,
-    UnitSubgroup,
     divisors,
     factorization,
-    full_unit_group,
     generated_subgroup,
     is_prime,
     mult_order,
@@ -16,7 +14,7 @@ from lowk.galois import (
     prime_divisors,
 )
 
-from helpers import enumerated_phi_image, is_unit_subgroup, minimal_generators
+from helpers import enumerated_phi_image, is_unit_subgroup, minimal_generators, unit_group
 
 Q = FieldDescriptor.rational()
 
@@ -46,24 +44,24 @@ def test_mult_order_rejects_non_units():
 
 
 def test_generated_subgroup():
-    assert generated_subgroup(5, [2]).residues == (1, 2, 3, 4)
-    assert generated_subgroup(7, [2]).residues == (1, 2, 4)
-    assert generated_subgroup(35, [1]).residues == (1,)
+    assert generated_subgroup(5, [2]) == (1, 2, 3, 4)
+    assert generated_subgroup(7, [2]) == (1, 2, 4)
+    assert generated_subgroup(35, [1]) == (1,)
     with pytest.raises(ValueError):
         generated_subgroup(6, [3])
 
 
 def test_phi_image_padic_two_at_four():
-    assert phi_image(FieldDescriptor.p_adic(2), 4).residues == (1, 3)
+    assert phi_image(FieldDescriptor.p_adic(2), 4) == (1, 3)
 
 
 def test_phi_image_rational_is_everything():
-    assert phi_image(Q, 5).residues == (1, 2, 3, 4)
-    assert phi_image(Q, 12).residues == full_unit_group(12).residues
+    assert phi_image(Q, 5) == (1, 2, 3, 4)
+    assert phi_image(Q, 12) == unit_group(12) == (1, 5, 7, 11)
 
 
 def test_phi_image_finite_prime():
-    assert phi_image(FieldDescriptor.finite_prime(2), 7).residues == (1, 2, 4)
+    assert phi_image(FieldDescriptor.finite_prime(2), 7) == (1, 2, 4)
     with pytest.raises(ValueError):
         phi_image(FieldDescriptor.finite_prime(3), 12)
 
@@ -75,28 +73,28 @@ def test_phi_image_mixed_padic_against_crt_oracle():
         if math.gcd(t, 20) == 1 and t % 4 in {pow(5, j, 4) for j in range(4)}
     )
     assert expected == (1, 9, 13, 17)
-    assert phi_image(FieldDescriptor.p_adic(5), 20).residues == expected
+    assert phi_image(FieldDescriptor.p_adic(5), 20) == expected
 
 
 def test_phi_image_two_mod_four_reduction():
     # modulus 2 mod 4 reduces to the odd half and lifts back
     img = phi_image(FieldDescriptor.p_adic(3), 14)
     half = phi_image(FieldDescriptor.p_adic(3), 7)
-    assert {r % 7 for r in img.residues} == set(half.residues)
-    assert all(r % 2 == 1 for r in img.residues)
+    assert {r % 7 for r in img} == set(half)
+    assert all(r % 2 == 1 for r in img)
 
 
 def test_phi_image_is_subgroup_sweep():
     fields = [Q] + [FieldDescriptor.p_adic(p) for p in (2, 3, 5, 7, 11, 13, 17, 19)]
     fields += [FieldDescriptor.finite_prime(p) for p in (2, 3, 5, 7, 11, 13, 17, 19)]
     for n in range(1, 201):
-        rational = set(phi_image(Q, n).residues)
+        rational = set(phi_image(Q, n))
         for f in fields:
             if f.kind == "Fp" and n % f.p == 0:
                 continue
             img = phi_image(f, n)
-            assert is_unit_subgroup(img), (f.label, n)
-            assert set(img.residues) <= rational, (f.label, n)
+            assert is_unit_subgroup(n, img), (f.label, n)
+            assert set(img) <= rational, (f.label, n)
 
 
 def test_padic_equals_finite_prime_away_from_p():
@@ -105,8 +103,8 @@ def test_padic_equals_finite_prime_away_from_p():
             if n % p == 0:
                 continue
             assert (
-                phi_image(FieldDescriptor.p_adic(p), n).residues
-                == phi_image(FieldDescriptor.finite_prime(p), n).residues
+                phi_image(FieldDescriptor.p_adic(p), n)
+                == phi_image(FieldDescriptor.finite_prime(p), n)
             ), (p, n)
 
 
@@ -125,9 +123,9 @@ def test_closed_form_image_equals_enumerated_image():
 
 def test_minimal_generators_regenerate():
     for n in (5, 7, 16, 24, 60, 257):
-        full = full_unit_group(n)
-        gens = minimal_generators(full)
-        assert generated_subgroup(n, list(gens)).residues == full.residues
+        full = unit_group(n)
+        gens = minimal_generators(n, full)
+        assert generated_subgroup(n, list(gens)) == full
 
 
 def test_field_descriptor_validation_and_parse():
@@ -157,6 +155,26 @@ def test_is_prime_and_divisors():
     assert divisors(1) == [1]
 
 
+def test_divisors_match_a_brute_force_list(monkeypatch):
+    # every divisor d of n <= N is listed by marking the multiples of each d
+    bound = 20_000
+    listed = [[] for _ in range(bound + 1)]
+    for d in range(1, bound + 1):
+        for n in range(d, bound + 1, d):
+            listed[n].append(d)
+    for n in range(1, bound + 1):
+        assert divisors(n) == listed[n], n
+    # sqrt(2^40 3^5 7) is about 4.3e7, past the default bound, so that list is refused
+    big = 2**40 * 3**5 * 7
+    with pytest.raises(ValueError, match="cannot list the divisors"):
+        divisors(big)
+    # past a raised bound it is listed: 2^a times each divisor of 3^5 7 = 1701
+    monkeypatch.setattr(galois, "TRIAL_BOUND", 5 * 10**7)
+    odd = [d for d in range(1, 1702) if 1701 % d == 0]
+    assert divisors(big) == sorted(2**a * d for a in range(41) for d in odd)
+    assert len(divisors(big)) == 41 * 6 * 2
+
+
 def test_trial_division_stops_at_the_bound(monkeypatch):
     m61 = 2**61 - 1  # prime, so no trial divisor up to the bound finds a factor
     with pytest.raises(ValueError, match="trial division stops"):
@@ -182,4 +200,5 @@ def test_trial_division_stops_at_the_bound(monkeypatch):
 
 
 def test_trivial_modulus_unit_group():
-    assert phi_image(Q, 1) == UnitSubgroup(1, (0,))
+    assert phi_image(Q, 1) == (0,)
+    assert phi_image(FieldDescriptor.p_adic(3), 1) == generated_subgroup(1, ()) == (0,)

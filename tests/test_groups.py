@@ -2,6 +2,7 @@
 import pytest
 
 from lowk.groups import (
+    FiniteGroup,
     GroupConstructionError,
     build_binary_polyhedral,
     build_cyclic,
@@ -157,9 +158,21 @@ def test_closure_size_guard(monkeypatch):
 
     monkeypatch.setattr(groups, "MAX_CLOSURE_SIZE", 100)
     with pytest.raises(GroupConstructionError, match="closure exceeded 100 elements"):
-        groups.FiniteGroup.from_closure("big", [1], lambda a, b: (a + b) % 101, 0)
-    largest = groups.FiniteGroup.from_closure("Z_100", [1], lambda a, b: (a + b) % 100, 0)
+        groups.FiniteGroup.from_closure("big", [1], lambda a, b: (a + b) % 101, 0, 101)
+    largest = groups.FiniteGroup.from_closure("Z_100", [1], lambda a, b: (a + b) % 100, 0, 100)
     assert largest.order == 100
+
+
+def test_closure_is_checked_against_the_stated_order():
+    with pytest.raises(GroupConstructionError, match="closure has 6 elements, expected 5"):
+        FiniteGroup.from_closure("Z_6", [1], lambda a, b: (a + b) % 6, 0, 5)
+
+
+@pytest.mark.parametrize("kind, p", [("T*", 3), ("O*", 7), ("I*", 5)])
+def test_binary_polyhedral_inverse_is_the_matrix_inverse(kind, p):
+    group = build_binary_polyhedral(kind)
+    for a, b, c, d in group:
+        assert group.inv((a, b, c, d)) == (d, -b % p, -c % p, a)
 
 
 LAZY_ROSTER = (
@@ -192,7 +205,7 @@ def test_family_groups_build_no_element_list():
 
 
 def test_lazy_element_count_is_checked_against_the_order():
-    from lowk.groups import CUSTOM, FamilyTag, FiniteGroup
+    from lowk.groups import CUSTOM, FamilyTag
 
     group = FiniteGroup(
         name="bad", family=FamilyTag(CUSTOM), elements=iter([0, 1]), order=3,

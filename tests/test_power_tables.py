@@ -19,7 +19,7 @@ from hypothesis import given, strategies as st
 from lowk import census, fconj, galois, groups
 from lowk.census import conjugacy_classes, count_blocks
 from lowk.fconj import f_partition, r_f, singular_blocks
-from lowk.galois import FieldDescriptor, full_unit_group, phi_generators, prime_divisors
+from lowk.galois import FieldDescriptor, phi_generators, prime_divisors
 from lowk.groups import (
     build_binary_polyhedral,
     build_cyclic,
@@ -44,6 +44,7 @@ from helpers import (
     relabel,
     table_automizers,
     table_blocks,
+    unit_group,
 )
 
 def _affine(key):
@@ -118,7 +119,8 @@ def merged_counts(group, classes, exponents, p=0):
     `exponents` None stands for all units modulo the exponent.
     """
     if exponents is None:
-        exponents = minimal_generators(full_unit_group(exponent(group)))
+        n = exponent(group)
+        exponents = minimal_generators(n, unit_group(n))
     blocks = merged_blocks(group, regular_classes(group, classes, p), exponents)
     return counts_by_order(group, blocks)
 
@@ -263,7 +265,7 @@ def test_counts_list_no_unit_group(monkeypatch):
     def refuse(*args):
         raise AssertionError("a unit group was enumerated")
 
-    for name in ("full_unit_group", "generated_subgroup"):
+    for name in ("phi_image", "generated_subgroup"):
         patch_everywhere(monkeypatch, getattr(galois, name), refuse)
     assert not hasattr(galois, "minimal_generators")
     for group in (build_cyclic(1830), build_dicyclic(105), generalized_quaternion(5),

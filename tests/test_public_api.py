@@ -1,6 +1,7 @@
 """Every name `lowk` exports has a caller outside the tests, no lowk module
-imports another's private (underscore) names, and the options lowk takes
-are the ones listed in `OPTIONS`.
+imports another's private (underscore) names, the options lowk takes
+are the ones listed in `OPTIONS`, and each library option is set by some
+call outside the tests.
 
 A name counts as used when another lowk module, or the same module outside
 the name's own definition, reads it, or when the benchmark under
@@ -30,17 +31,12 @@ AWAITING_CALLER = {"check_p2_condition", "check_2p_condition", "check_milnor", "
 OPTIONS = {
     "amalgam.AmalgamSpec.__init__(core_names)",
     "amalgam.AmalgamSpec.__init__(letter_names)",
-    "census.check_2p_condition(max_size)",
-    "census.check_p2_condition(max_size)",
     "census.conjugacy_classes(max_size)",
     "census.count_blocks(exponents)",
     "cli.main(argv)",
     "fconj.f_partition(max_size)",
     "fconj.r_f(max_size)",
-    "groups.FiniteGroup.__init__(order)",
-    "groups.FiniteGroup.from_closure(expect_order)",
     "groups.FiniteGroup.from_closure(family)",
-    "groups.FiniteGroup.from_closure(inv)",
     "groups.closure(limit)",
     "lowerk.carter_rank(max_size)",
     "lowerk.k_minus_one(max_size)",
@@ -149,31 +145,63 @@ def test_no_module_imports_another_modules_private_names():
     assert not private, f"(module, name) of private names imported across lowk: {private}"
 
 
-def _defaulted(fn):
+def _defaulted(fn, bound):
+    """(parameter, position in a call or None if keyword-only) for each defaulted
+    parameter of `fn`; `bound` is 1 for a method, whose self or cls no call passes."""
     args = fn.args
     positional = args.posonlyargs + args.args
-    named = positional[len(positional) - len(args.defaults):]
-    named += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-    return [a.arg for a in named]
+    first = len(positional) - len(args.defaults)
+    named = [(a.arg, i - bound) for i, a in enumerate(positional) if i >= first]
+    named += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return named
 
 
-def library_options():
-    """`module.function(parameter)` for the defaulted parameters of public functions."""
-    out = set()
+def library_parameters():
+    """(option, name a call uses, parameter, position or None) for the defaulted
+    parameters of public functions; a constructor is called by its class name."""
     for path in SRC.glob("*.py"):
         for node in _parse(path).body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                out.update(f"{path.stem}.{node.name}({a})" for a in _defaulted(node))
+                for a, pos in _defaulted(node, 0):
+                    yield f"{path.stem}.{node.name}({a})", node.name, a, pos
             elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
                 for method in node.body:
                     if isinstance(method, ast.FunctionDef) and (
                         method.name == "__init__" or not method.name.startswith("_")
                     ):
-                        out.update(
-                            f"{path.stem}.{node.name}.{method.name}({a})"
-                            for a in _defaulted(method)
-                        )
-    return out
+                        called = node.name if method.name == "__init__" else method.name
+                        for a, pos in _defaulted(method, 1):
+                            yield f"{path.stem}.{node.name}.{method.name}({a})", called, a, pos
+
+
+def library_options():
+    """`module.function(parameter)` for the defaulted parameters of public functions."""
+    return {option for option, *_ in library_parameters()}
+
+
+def _calls_outside_tests():
+    """The (name, keyword) pairs, and per name the most positional arguments,
+    of the calls in lowk and the benchmark."""
+    keywords, most_positional = set(), {}
+    paths = [*SRC.glob("*.py"), *(p for p in PERFBENCH.glob("*.py") if not p.name.startswith("test_"))]
+    for path in paths:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                keywords.update((name, k.arg) for k in node.keywords)
+                most_positional[name] = max(most_positional.get(name, 0), len(node.args))
+    return keywords, most_positional
+
+
+def test_every_library_option_is_set_outside_the_tests():
+    keywords, most_positional = _calls_outside_tests()
+    unset = sorted(
+        option for option, name, parameter, position in library_parameters()
+        if (name, parameter) not in keywords
+        and (position is None or most_positional.get(name, 0) <= position)
+    )
+    assert not unset, f"options no call in src/lowk or perfbench sets: {unset}"
 
 
 def cli_options(parser=None, command=""):

@@ -89,13 +89,11 @@ def test_group_report_errors():
 
 
 def test_nil_groups_q8():
-    assert nil_groups_q8(1, 1) == AbelianGroupExpr.summand(Z2_INF)
-    assert nil_groups_q8(0, 3) == AbelianGroupExpr.summand(Z2_INF)
-    assert nil_groups_q8(0, 2) == AbelianGroupExpr.summand(W_NAME)
+    assert nil_groups_q8(1) == AbelianGroupExpr.summand(Z2_INF)
+    assert nil_groups_q8(3) == AbelianGroupExpr.summand(Z2_INF)
+    assert nil_groups_q8(2) == AbelianGroupExpr.summand(W_NAME)
     with pytest.raises(ValueError):
-        nil_groups_q8(2, 1)
-    with pytest.raises(ValueError):
-        nil_groups_q8(0, 4)
+        nil_groups_q8(4)
 
 
 def test_b4_report_values():
