@@ -9,14 +9,16 @@ it, such as a class census.  So a closed-form answer for Z_m, Dic_4m or
 Q_{2^k} costs nothing proportional to the group order.  `closure` is the one
 loop that enumerates a group from generators; the binary polyhedral groups
 T*, O* and I* come from it as 2x2 matrices over the fields of 3, 7 and 5
-elements.
+elements.  Those three are built once per process and shared (the
+four-strand model's T* is the same object), so each gets one class census
+and one order/inverse cache; callers must not mutate them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 ElementId = Any
@@ -330,6 +332,7 @@ _BINARY_POLYHEDRAL = {
 }
 
 
+@cache
 def build_binary_polyhedral(kind: str) -> FiniteGroup:
     """The binary tetrahedral/octahedral/icosahedral group, as T*, O* or I*.
 
@@ -337,7 +340,8 @@ def build_binary_polyhedral(kind: str) -> FiniteGroup:
     T* = SL(2, 3), I* = SL(2, 5), and O* is an order-48 subgroup of SL(2, 7).
     Construction self-checks the order and the uniqueness of the order-2
     element; that check takes every element's order, which fills the cache
-    `inv` reads.
+    `inv` reads.  Each kind is built once per process and the one object is
+    shared (`build_b4`'s T* is it), so callers must not mutate it.
     """
     if kind not in _BINARY_POLYHEDRAL:
         raise ValueError(f"unknown binary polyhedral kind {kind!r} (want T*, O* or I*)")

@@ -261,6 +261,15 @@ def test_model_and_gamma_specs_are_built_once():
     assert build_gamma_specs() is build_gamma_specs()
 
 
+@pytest.mark.parametrize("kind", ["T*", "O*", "I*"])
+def test_binary_polyhedral_groups_are_built_once(kind):
+    assert build_binary_polyhedral(kind) is build_binary_polyhedral(kind)
+
+
+def test_b4_model_shares_the_binary_tetrahedral_group():
+    assert build_b4().spec.factors[1] is build_binary_polyhedral("T*")
+
+
 def test_gamma_specs_share_the_b4_groups():
     b4 = build_b4().spec
     q16, embed = b4.factors[0], b4.embeddings[0]

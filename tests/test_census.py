@@ -218,9 +218,11 @@ def test_census_is_kept_while_the_group_lives():
     assert len(census_module._CENSUS) <= kept
 
 
-def count_products(group):
-    """The census of `group` (elements built beforehand) and the products it took."""
+def count_products(group, monkeypatch):
+    """A census of `group` built here (elements built beforehand), and the
+    products it took with r1 and r2."""
     group.elements
+    census_module._CENSUS.pop(group, None)
     calls = []
     mul = group.mul
 
@@ -228,19 +230,18 @@ def count_products(group):
         calls.append((a, b))
         return mul(a, b)
 
-    group.mul = counting
+    monkeypatch.setattr(group, "mul", counting)
     census = conjugacy_classes(group)
     census.r1_by_order, census.r2_by_order
-    group.mul = mul
     return census, len(calls)
 
 
-def test_abelian_partition_makes_constant_products():
+def test_abelian_partition_makes_constant_products(monkeypatch):
     # the one generator of Z_m is central, so the census conjugates nothing,
     # walks no subgroup, and the only products are the commutation check's
     for m in (30, 1024, 3000):
         group = build_cyclic(m)
-        census, products = count_products(group)
+        census, products = count_products(group, monkeypatch)
         assert products <= 2
         by_order = sorted(group.elements, key=lambda g: (group.order_of(g), g))
         assert census.classes == tuple((g,) for g in by_order)
@@ -255,9 +256,9 @@ def test_abelian_partition_makes_constant_products():
      (build_binary_polyhedral("I*"), 4)],
     ids=lambda x: getattr(x, "name", str(x)),
 )
-def test_census_products_are_linear(group, per_element):
+def test_census_products_are_linear(group, per_element, monkeypatch):
     # each cyclic subgroup is walked once and only its generator conjugated
-    _, products = count_products(group)
+    _, products = count_products(group, monkeypatch)
     assert products <= per_element * group.order
 
 
@@ -266,9 +267,10 @@ def test_census_products_are_linear(group, per_element):
     [build_dicyclic(899), generalized_quaternion(10), build_binary_polyhedral("I*")],
     ids=lambda g: g.name,
 )
-def test_census_takes_one_order_per_walk(group):
+def test_census_takes_one_order_per_walk(group, monkeypatch):
     # only an element that starts a walk has its order taken
     group.elements
+    census_module._CENSUS.pop(group, None)
     calls = []
     order_of = group.order_of
 
@@ -276,7 +278,6 @@ def test_census_takes_one_order_per_walk(group):
         calls.append(g)
         return order_of(g)
 
-    group.order_of = counting
+    monkeypatch.setattr(group, "order_of", counting)
     census = conjugacy_classes(group)
-    group.order_of = order_of
     assert 0 < len(calls) <= len(census._transport)

@@ -219,7 +219,7 @@ def test_lazy_element_count_is_checked_against_the_order():
 
 @pytest.mark.parametrize("group", [build_dicyclic(7), build_binary_polyhedral("T*")],
                          ids=lambda g: g.name)
-def test_power_uses_the_fewest_square_and_multiply_steps(group):
+def test_power_uses_the_fewest_square_and_multiply_steps(group, monkeypatch):
     calls = []
     mul = group.mul
 
@@ -227,7 +227,7 @@ def test_power_uses_the_fewest_square_and_multiply_steps(group):
         calls.append(None)
         return mul(a, b)
 
-    group.mul = counting
+    monkeypatch.setattr(group, "mul", counting)
     for g in group.generators:
         for k in [*range(0, 9), *range(-4, 0)]:
             calls.clear()

@@ -340,6 +340,33 @@ def test_group_report_partitions_the_group_once(monkeypatch):
     assert report.rf["field"] == "Q_3"
 
 
+def test_istar_census_is_built_once_per_process(monkeypatch, capsys):
+    from lowk import census
+    from lowk.groups import build_binary_polyhedral
+
+    census._CENSUS.pop(build_binary_polyhedral("I*"), None)
+    calls = []
+    partition = census._build_census
+
+    def counting(group):
+        calls.append(group.name)
+        return partition(group)
+
+    monkeypatch.setattr(census, "_build_census", counting)
+    for field in ("Q", "Qp:2", "Fp:3"):
+        code, _, err = run_cli(capsys, "group", "istar", "--invariants", "kminus1,rf",
+                               "--field", field)
+        assert (code, err) == (0, "")
+    assert calls == ["I*"]
+
+
+def test_shared_group_still_checks_the_brute_force_bound(capsys):
+    assert run_cli(capsys, "group", "tstar")[0] == 0
+    code, out, err = run_cli(capsys, "group", "tstar", "--max-brute-force", "10")
+    assert (code, out) == (2, "")
+    assert "no closed form" in err
+
+
 # -- bounded cost for closed-form paths -------------------------------------------
 
 def test_closed_form_reports_leave_elements_unbuilt(monkeypatch):
