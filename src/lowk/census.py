@@ -22,13 +22,17 @@ generator of H.  When every generator is central, as for Z_m, no product is
 taken: a cyclic subgroup is its own class and H = {1}.  The element classes
 are derived from the records on first read.  `conjugacy_classes` is the one
 way in: it checks the brute-force bound, builds the census of the whole
-group once and keeps it while the group lives.
+group once and keeps it while the group lives.  The bound is the context
+variable `BOUND`, a resource limit set per query, which the periodicity
+checks and the `lowk.lowerk` rules read too: it decides which path runs and
+whether lowk refuses, never a value.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -41,16 +45,17 @@ from .groups import ElementId, FiniteGroup
 
 # the largest group order the census machinery brute-forces by default
 BRUTE_FORCE_BOUND = 5000
+BOUND: ContextVar[int] = ContextVar("brute_force_bound", default=BRUTE_FORCE_BOUND)
 
 
 class GroupTooLargeError(Exception):
     """The group exceeds the configured brute-force bound."""
 
 
-def _check_size(group: FiniteGroup, max_size: int) -> None:
-    if group.order > max_size:
+def _check_size(group: FiniteGroup) -> None:
+    if group.order > (bound := BOUND.get()):
         raise GroupTooLargeError(
-            f"{group.name} has order {group.order} > brute-force bound {max_size}"
+            f"{group.name} has order {group.order} > brute-force bound {bound}"
         )
 
 
@@ -255,9 +260,9 @@ def _build_census(group: FiniteGroup) -> ClassCensus:
 _CENSUS: WeakKeyDictionary[FiniteGroup, ClassCensus] = WeakKeyDictionary()
 
 
-def conjugacy_classes(group: FiniteGroup, *, max_size: int = BRUTE_FORCE_BOUND) -> ClassCensus:
+def conjugacy_classes(group: FiniteGroup) -> ClassCensus:
     """The census of the whole group, made once per group and kept while the group lives."""
-    _check_size(group, max_size)
+    _check_size(group)
     census = _CENSUS.get(group)
     if census is None:
         census = _CENSUS[group] = _build_census(group)
@@ -266,7 +271,7 @@ def conjugacy_classes(group: FiniteGroup, *, max_size: int = BRUTE_FORCE_BOUND) 
 
 def check_p2_condition(group: FiniteGroup) -> bool:
     """No subgroup Z_p x Z_p for any prime p dividing the order."""
-    _check_size(group, BRUTE_FORCE_BOUND)
+    _check_size(group)
     mul = group.mul
     for p in prime_divisors(group.order):
         stratum = group.elements_of_orders(frozenset((p,)))
@@ -285,7 +290,7 @@ def check_2p_condition(group: FiniteGroup) -> bool:
     inverted by an order-2 element outside its span, so scanning those pairs
     is exhaustive.
     """
-    _check_size(group, BRUTE_FORCE_BOUND)
+    _check_size(group)
     involutions = group.elements_of_orders(frozenset((2,)))
     for p in prime_divisors(group.order):
         for a in group.elements_of_orders(frozenset((p,))):

@@ -3,26 +3,31 @@
 Subcommands: `group`, `lambda`, `classify`, `b4 verify`, `b4 report`.
 Each subcommand returns its answer and `main` writes it, in the one format
 asked for, so a command writes stdout only once it has its whole answer; a
-command that fails writes nothing there.
+command that fails writes nothing there, and one `error:` line to stderr.
+`main` runs each command in a copy of the current context, so the census
+bound `group --max-brute-force` sets (`census.BOUND`, at most
+`groups.MAX_CLOSURE_SIZE`) ends with the command.
 Exit codes: 0 success, 1 failed verification checks, 2 usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextvars
 import functools
 import json
 import sys
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .b4 import SUITES, verify_all, verify_suite
-from .census import BRUTE_FORCE_BOUND, GroupTooLargeError
+from .census import BOUND, BRUTE_FORCE_BOUND, GroupTooLargeError
 from .classify import (
     maximal_finite_subgroups,
     vc_classes_b4,
     virtually_cyclic_classes_odd,
 )
 from .galois import FieldDescriptor
+from .groups import MAX_CLOSURE_SIZE
 from .lowerk import lambda_value
 from .report import (
     FAMILIES,
@@ -35,11 +40,22 @@ from .report import (
 )
 
 
-def _non_negative(text: str) -> int:
+def _bound(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    # a census lists every element of its group; past the most elements lowk
+    # closes for one group, a bound would let it list a group past memory
+    if value > MAX_CLOSURE_SIZE:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_CLOSURE_SIZE}, got {value}")
     return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Writes a usage error as one `error:` line, as a failing command does."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {message}\n")
 
 
 @functools.cache
@@ -49,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     `parse_args` fills a fresh namespace on every call, so one parser serves
     every `main` call.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lowk",
         description="Lower algebraic K-theory of the finite subgroups of sphere "
                     "braid groups, and the verified amalgam model for four strands.",
@@ -63,9 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
     group_p.add_argument("--invariants", default="wh,k0,kminus1",
                          help="comma list from wh,k0,kminus1,rf,wedderburn")
     group_p.add_argument("--field", help="field for rf: Q, Qp:<p> or Fp:<p>")
-    group_p.add_argument("--max-brute-force", type=_non_negative, metavar="N",
+    group_p.add_argument("--max-brute-force", type=_bound, metavar="N",
                          default=BRUTE_FORCE_BOUND,
-                         help="largest group order handled by census machinery")
+                         help="largest group order handled by census machinery "
+                              f"(at most {MAX_CLOSURE_SIZE})")
 
     lambda_p = sub.add_parser("lambda", help="rank multiplier for Dic_{4m}, m an odd prime")
     lambda_p.add_argument("--m", type=int, required=True)
@@ -109,13 +126,13 @@ def _cmd_group(args: argparse.Namespace) -> tuple[KReport, int]:
     field_descriptor = None
     if args.field is not None:
         field_descriptor = FieldDescriptor.parse(args.field)
+    BOUND.set(args.max_brute_force)
     report = group_report(
         args.family,
         m=args.m,
         k=args.k,
         invariants=invariants,
         field_descriptor=field_descriptor,
-        max_size=args.max_brute_force,
     )
     return report, 0
 
@@ -181,7 +198,7 @@ def _cmd_b4_report(args: argparse.Namespace) -> tuple[KReport, int]:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        answer, code = args.run(args)
+        answer, code = contextvars.copy_context().run(args.run, args)
         if args.format == "json":
             out = json.dumps(answer.to_json(), indent=2, ensure_ascii=False)
         else:

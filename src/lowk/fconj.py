@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .census import BRUTE_FORCE_BOUND, SubgroupClass, conjugacy_classes, count_blocks
+from .census import SubgroupClass, conjugacy_classes, count_blocks
 from .galois import FieldDescriptor, phi_generators
 from .groups import FiniteGroup
 
@@ -44,17 +44,15 @@ def _blocks(records: Sequence[SubgroupClass], field: FieldDescriptor) -> int:
     return sum(count_blocks(records, phi_generators(field, modulus)).values())
 
 
-def f_partition(
-    group: FiniteGroup, field: FieldDescriptor, *, max_size: int = BRUTE_FORCE_BOUND
-) -> FPartition:
+def f_partition(group: FiniteGroup, field: FieldDescriptor) -> FPartition:
     p = field.characteristic
-    records = conjugacy_classes(group, max_size=max_size).subgroups
+    records = conjugacy_classes(group).subgroups
     return FPartition(_blocks([r for r in records if not p or r.order % p], field))
 
 
-def r_f(group: FiniteGroup, field: FieldDescriptor, *, max_size: int = BRUTE_FORCE_BOUND) -> int:
+def r_f(group: FiniteGroup, field: FieldDescriptor) -> int:
     """Number of irreducible F-representations (Witt-Berman count)."""
-    return f_partition(group, field, max_size=max_size).block_count
+    return f_partition(group, field).block_count
 
 
 def singular_blocks(subgroups: Iterable[SubgroupClass], p: int) -> int:

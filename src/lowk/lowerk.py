@@ -7,7 +7,9 @@ shapes of the rational group algebras, and the Bass-Heller-Swan splitting.
 
 Each rule states the path it took (census, closed form, family rule or
 lookup table) where it takes it; inside a `provenance()` block those lines
-are collected, outside one they are dropped.
+are collected, outside one they are dropped.  A rule with a closed form
+compares the group order with the census bound `census.BOUND` before any
+census call, and takes the closed form past it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .census import BRUTE_FORCE_BOUND, GroupTooLargeError, conjugacy_classes
+from .census import BOUND, GroupTooLargeError, conjugacy_classes
 from .fconj import singular_blocks
 from .galois import (
     divisors,
@@ -255,21 +257,21 @@ def _whitehead_closed_form(group: FiniteGroup) -> int | None:
     return None if row is None else row.wh_rank
 
 
-def whitehead_rank(group: FiniteGroup, *, max_size: int = BRUTE_FORCE_BOUND) -> int:
+def whitehead_rank(group: FiniteGroup) -> int:
     """Rank of the Whitehead group: sum over orders of r1(d) - r2(d).
 
     When a family closed form exists and the group is small enough for the
     census, both are computed and must agree.
     """
     closed = _whitehead_closed_form(group)
-    if group.order > max_size:
+    if group.order > (bound := BOUND.get()):
         if closed is None:
             raise GroupTooLargeError(
-                f"{group.name}: no closed form and order {group.order} > {max_size}"
+                f"{group.name}: no closed form and order {group.order} > {bound}"
             )
         _record("wh: family closed form")
         return closed
-    census = conjugacy_classes(group, max_size=max_size)
+    census = conjugacy_classes(group)
     rank = sum(census.r1_by_order[d] - census.r2_by_order[d] for d in census.r1_by_order)
     line = "wh: class census sum of r1(d) - r2(d)"
     if closed is not None:
@@ -295,7 +297,7 @@ def lambda_value(m: int) -> int:
     return (m - 1) // k if k % 2 == 0 else (m - 1) // (2 * k)
 
 
-def carter_rank(group: FiniteGroup, *, max_size: int = BRUTE_FORCE_BOUND) -> int:
+def carter_rank(group: FiniteGroup) -> int:
     """Rank of K_-1(Z[G]): 1 - r_Q + sum over primes p | |G| of (r_Qp - r_Fp).
 
     Both counts come from one census: r_Q is the number of its records
@@ -303,8 +305,8 @@ def carter_rank(group: FiniteGroup, *, max_size: int = BRUTE_FORCE_BOUND) -> int
     among the p-singular records (`fconj.singular_blocks`), since the Q_p
     and F_p Galois images agree modulo every p-regular order.
     """
-    if group.order <= max_size:
-        records = conjugacy_classes(group, max_size=max_size).subgroups
+    if group.order <= (bound := BOUND.get()):
+        records = conjugacy_classes(group).subgroups
         rank = 1 - len(records)
         rank += sum(singular_blocks(records, p) for p in prime_divisors(group.order))
         if rank < 0:
@@ -319,7 +321,7 @@ def carter_rank(group: FiniteGroup, *, max_size: int = BRUTE_FORCE_BOUND) -> int
         _record("kminus1 rank: dicyclic odd-prime closed form via |<2>| mod m")
         return lambda_value(m)
     raise GroupTooLargeError(
-        f"{group.name}: order {group.order} > {max_size} and no closed form applies"
+        f"{group.name}: order {group.order} > {bound} and no closed form applies"
     )
 
 
@@ -349,9 +351,9 @@ def k_minus_one_torsion(group: FiniteGroup) -> int:
     raise UnsupportedFamilyError(f"no torsion rule for family {group.family}")
 
 
-def k_minus_one(group: FiniteGroup, *, max_size: int = BRUTE_FORCE_BOUND) -> AbelianGroupExpr:
+def k_minus_one(group: FiniteGroup) -> AbelianGroupExpr:
     """K_-1(Z[G]) = Z^r (+) Z_2^s with r the Carter rank and s the torsion bit."""
-    rank = carter_rank(group, max_size=max_size)
+    rank = carter_rank(group)
     s = k_minus_one_torsion(group)
     return AbelianGroupExpr(free_rank=rank, torsion=(2,) * s)
 

@@ -1,7 +1,8 @@
 """Per-group invariant reports and the assembled n = 4 lower-K report.
 
 A group report's provenance is what the `lowerk` rules recorded while they
-ran, plus the lines that involve no choice of path (SK_1, r_F).  Reports
+ran, plus the lines that involve no choice of path (SK_1, r_F); the path
+follows the census bound `census.BOUND` in force.  Reports
 serialise to canonical JSON (fixed key order, sorted torsion and
 summands), so identical inputs produce byte-identical output.
 """
@@ -13,7 +14,6 @@ import sys
 from dataclasses import dataclass, field
 
 from .b4 import build_b4
-from .census import BRUTE_FORCE_BOUND
 from .galois import FieldDescriptor
 from .fconj import r_f
 from .groups import (
@@ -178,7 +178,6 @@ def group_report(
     k: int | None = None,
     invariants: tuple[str, ...] = ("wh", "k0", "kminus1"),
     field_descriptor: FieldDescriptor | None = None,
-    max_size: int = BRUTE_FORCE_BOUND,
 ) -> KReport:
     """Invariant report for one supported group; unknown values stay unknown."""
     for inv in invariants:
@@ -193,18 +192,18 @@ def group_report(
     try:
         with provenance() as lines:
             if "wh" in invariants:
-                wh = AbelianGroupExpr.free(whitehead_rank(group, max_size=max_size))
+                wh = AbelianGroupExpr.free(whitehead_rank(group))
                 lines.append("wh torsion: SK_1 vanishes for the supported families")
             if "k0" in invariants:
                 k0 = k0_tilde_lookup(group)
             if "kminus1" in invariants:
-                kminus1 = k_minus_one(group, max_size=max_size)
+                kminus1 = k_minus_one(group)
             if "rf" in invariants:
                 if field_descriptor is None:
                     raise UnsupportedParameterError("the rf invariant needs --field")
                 rf = {
                     "field": field_descriptor.label,
-                    "value": r_f(group, field_descriptor, max_size=max_size),
+                    "value": r_f(group, field_descriptor),
                 }
                 lines.append(
                     f"r_F: Witt-Berman count of {field_descriptor.label}-conjugacy classes"

@@ -6,12 +6,24 @@ lowk's faster paths against it.
 
 import math
 import random
+from contextlib import contextmanager
 from functools import cache
 from typing import NamedTuple
 
+from lowk.census import BOUND
 from lowk.fconj import r_f
 from lowk.galois import FieldDescriptor, generated_subgroup, prime_divisors
 from lowk.groups import CUSTOM, FamilyTag, FiniteGroup
+
+
+@contextmanager
+def brute_force_bound(bound):
+    """Run the block with the census brute-force bound `BOUND` set to `bound`."""
+    token = BOUND.set(bound)
+    try:
+        yield
+    finally:
+        BOUND.reset(token)
 
 
 def build_abelian(factors):

@@ -40,7 +40,7 @@ from lowk.classify import (
 )
 from lowk.report import b4_lower_k_report
 
-from helpers import blocks_of_order
+from helpers import blocks_of_order, brute_force_bound
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -120,7 +120,8 @@ def test_criterion_2_pair_vs_subgroup_classes_small_orders():
         roster += [build_binary_polyhedral(kind) for kind in ("T*", "O*", "I*")]
         small_orders = (1, 2, 3, 4, 6)
         for group in roster:
-            census = conjugacy_classes(group, max_size=2000)
+            with brute_force_bound(2000):
+                census = conjugacy_classes(group)
             for d in small_orders:
                 assert census.r1_by_order.get(d, 0) == census.r2_by_order.get(d, 0), (
                     group.name, d,

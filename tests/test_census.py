@@ -20,7 +20,7 @@ from lowk.groups import (
     generalized_quaternion,
 )
 
-from helpers import build_abelian, centralizer, class_of
+from helpers import brute_force_bound, build_abelian, centralizer, class_of
 
 
 def test_dicyclic_rotation_classes_are_inverse_pairs():
@@ -193,14 +193,14 @@ def test_subgroup_counts_match_set_oracle():
 
 
 def test_size_guard():
-    with pytest.raises(GroupTooLargeError):
-        conjugacy_classes(build_dicyclic(2000), max_size=5000)
+    with brute_force_bound(5000), pytest.raises(GroupTooLargeError):
+        conjugacy_classes(build_dicyclic(2000))
 
 
 def test_field_count_is_guarded_by_the_census():
     # r_f reaches the census only through conjugacy_classes, which checks the bound
-    with pytest.raises(GroupTooLargeError):
-        r_f(build_dicyclic(2000), FieldDescriptor.rational(), max_size=5000)
+    with brute_force_bound(5000), pytest.raises(GroupTooLargeError):
+        r_f(build_dicyclic(2000), FieldDescriptor.rational())
 
 
 def test_census_is_kept_while_the_group_lives():

@@ -29,7 +29,7 @@ from lowk.lowerk import (
 from lowk.fconj import r_f
 from lowk.galois import FieldDescriptor, divisors, is_prime
 
-from helpers import build_abelian, carter_by_r_f
+from helpers import brute_force_bound, build_abelian, carter_by_r_f
 
 
 # -- abelian group expressions -------------------------------------------------
@@ -150,7 +150,8 @@ def test_rules_record_their_path_only_inside_a_provenance_block():
 
     def run_rules():
         whitehead_rank(build_abelian([2, 2]))
-        whitehead_rank(q16, max_size=8)
+        with brute_force_bound(8):
+            whitehead_rank(q16)
         k_minus_one(q16)
         k0_tilde_lookup(build_cyclic(23))
         wedderburn_shape(q16)
@@ -203,7 +204,25 @@ def test_carter_census_agrees_with_closed_form_for_odd_primes():
         if not is_prime(m):
             continue
         g = build_dicyclic(m)
-        assert carter_rank(g) == carter_rank(g, max_size=1) == lambda_value(m), m
+        with brute_force_bound(1):
+            closed = carter_rank(g)
+        assert carter_rank(g) == closed == lambda_value(m), m
+
+
+def test_one_bound_reaches_every_rule():
+    # |Dic_20| = 20: past a bound of 19 the census refuses and both rules
+    # take their closed forms
+    g = build_dicyclic(5)
+    with brute_force_bound(19):
+        with pytest.raises(GroupTooLargeError, match="order 20 > brute-force bound 19"):
+            r_f(g, FieldDescriptor.rational())
+        with lowerk.provenance() as lines:
+            assert whitehead_rank(g) == 5 + 1 - delta(10)
+            assert carter_rank(g) == lambda_value(5)
+    assert lines == [
+        "wh: family closed form",
+        "kminus1 rank: dicyclic odd-prime closed form via |<2>| mod m",
+    ]
 
 
 def test_carter_rank_matches_the_r_f_formula():

@@ -1,7 +1,7 @@
 """Every name `lowk` exports has a caller outside the tests, no lowk module
 imports another's private (underscore) names, the options lowk takes
-are the ones listed in `OPTIONS`, and each library option is set by some
-call outside the tests.
+are the ones listed in `OPTIONS`, each library option is set by some
+call outside the tests, and the brute-force bound is set only by the CLI.
 
 A name counts as used when another lowk module, or the same module outside
 the name's own definition, reads it, or when the benchmark under
@@ -31,21 +31,14 @@ AWAITING_CALLER = {"check_p2_condition", "check_2p_condition", "check_milnor", "
 OPTIONS = {
     "amalgam.AmalgamSpec.__init__(core_names)",
     "amalgam.AmalgamSpec.__init__(letter_names)",
-    "census.conjugacy_classes(max_size)",
     "census.count_blocks(exponents)",
     "cli.main(argv)",
-    "fconj.f_partition(max_size)",
-    "fconj.r_f(max_size)",
     "groups.FiniteGroup.from_closure(family)",
     "groups.closure(limit)",
-    "lowerk.carter_rank(max_size)",
-    "lowerk.k_minus_one(max_size)",
-    "lowerk.whitehead_rank(max_size)",
     "report.group_report(field_descriptor)",
     "report.group_report(invariants)",
     "report.group_report(k)",
     "report.group_report(m)",
-    "report.group_report(max_size)",
     "group --m",
     "group --k",
     "group --invariants",
@@ -219,3 +212,20 @@ def cli_options(parser=None, command=""):
 
 def test_option_inventory_is_pinned():
     assert library_options() | cli_options() == OPTIONS
+
+
+def test_the_brute_force_bound_is_set_only_by_the_cli():
+    # the census bound is the context variable census.BOUND, not a parameter
+    takes_max_size, sets_bound = set(), set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.arg) and node.arg == "max_size":
+                takes_max_size.add(path.name)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                owner = node.func.value  # BOUND or census.BOUND
+                if node.func.attr == "set" and "BOUND" in (
+                    getattr(owner, "id", None), getattr(owner, "attr", None)
+                ):
+                    sets_bound.add(path.name)
+    assert not takes_max_size, f"modules with a max_size parameter: {takes_max_size}"
+    assert sets_bound == {"cli.py"}

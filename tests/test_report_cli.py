@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import lowk
-from lowk import lowerk, report as report_module
+from lowk import census, lowerk, report as report_module
 from lowk.cli import main
 from lowk.lowerk import UNKNOWN, AbelianGroupExpr, Z2_INF, W_NAME
 from lowk.galois import FieldDescriptor
@@ -19,6 +19,8 @@ from lowk.report import (
     group_report,
     nil_groups_q8,
 )
+
+from helpers import brute_force_bound
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = str(Path(lowk.__file__).resolve().parents[1])
@@ -250,6 +252,26 @@ def test_cli_usage_error_exit_code(capsys):
                   "--invariants", invariants])
         assert exc.value.code == 2
         assert "non-negative" in capsys.readouterr().err
+    # a bound past groups.MAX_CLOSURE_SIZE is refused, naming the option
+    with pytest.raises(SystemExit) as exc:
+        main(["group", "cyclic", "--m", "12", "--max-brute-force", "100001"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == (
+        "error: argument --max-brute-force: must be at most 100000, got 100001\n"
+    )
+
+
+def test_a_bound_set_by_one_command_ends_with_it(capsys):
+    code, out, err = run_cli(capsys, "group", "tstar", "--max-brute-force", "10")
+    assert (code, out) == (2, "")
+    assert err == "error: T*: order 24 > 10 and no closed form applies\n"
+    # b4 report takes carter_rank(Q16), order 16, by the census
+    code, out, err = run_cli(capsys, "b4", "report", "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "b4_report.json").read_text()
+    code, _, err = run_cli(capsys, "group", "tstar")
+    assert (code, err) == (0, "")
+    assert census.BOUND.get() == census.BRUTE_FORCE_BOUND == 5000
 
 
 @pytest.mark.parametrize("argv", [
@@ -285,13 +307,13 @@ LAMBDA = "kminus1 rank: dicyclic odd-prime closed form via |<2>| mod m"
 SK1 = "wh torsion: SK_1 vanishes for the supported families"
 
 
-@pytest.mark.parametrize("max_size, wh_line, rank_line", [
+@pytest.mark.parametrize("bound, wh_line, rank_line", [
     (20, CROSS_CHECKED, CARTER),   # |Dic_20| = 20: census
     (19, "wh: family closed form", LAMBDA),
 ])
-def test_provenance_follows_the_path_taken(max_size, wh_line, rank_line):
-    report = group_report("dicyclic", m=5, invariants=("wh", "kminus1"),
-                          max_size=max_size)
+def test_provenance_follows_the_path_taken(bound, wh_line, rank_line):
+    with brute_force_bound(bound):
+        report = group_report("dicyclic", m=5, invariants=("wh", "kminus1"))
     torsion = "kminus1 torsion: dicyclic odd-prime rule, m = 5 = 1 mod 4"
     assert report.provenance == (wh_line, SK1, rank_line, torsion)
 
@@ -319,8 +341,6 @@ def test_cli_unsupported_parameters(capsys):
 
 
 def test_group_report_partitions_the_group_once(monkeypatch):
-    from lowk import census
-
     calls = []
     partition = census._build_census
 
@@ -341,7 +361,6 @@ def test_group_report_partitions_the_group_once(monkeypatch):
 
 
 def test_istar_census_is_built_once_per_process(monkeypatch, capsys):
-    from lowk import census
     from lowk.groups import build_binary_polyhedral
 
     census._CENSUS.pop(build_binary_polyhedral("I*"), None)
@@ -431,6 +450,9 @@ def test_huge_closed_form_answers_in_bounded_memory(argv):
     ("group", "quaternion", "--k", "14290"),
     ("group", "quaternion", "--k", "10000000000"),
     ("group", "dicyclic", "--m", NINES, "--invariants", "k0"),
+    # a bound past the closure cap would let the census list 5 * 10^7 elements
+    ("group", "cyclic", "--m", "50000000", "--max-brute-force", "100000000000",
+     "--invariants", "wh"),
 ])
 def test_huge_census_only_query_exits_2_in_bounded_memory(argv):
     done = _cli_in_child(*argv)
