@@ -5,10 +5,13 @@ the braid presentation, the conjugation tables, the quotient maps rho (to
 Z3 * Z2), psi (permutation of the three order-4 core subgroups) and pi (the
 abelianisation onto Z/6), the two Q16 *_{Q8} Q16 amalgams, and the
 Reidemeister-Schreier bases of the two finite-index kernels.  The factors
-come from `lowk.groups`.  Every equality check is a row whose statement (or
-an equation standing for a prose statement) is parsed as words over the named
-elements and compared by normal form; sampled and structural checks are code.
-Every claim is reported as pass/fail, never assumed.
+come from `lowk.groups`.  Every check is a row of its suite's table whose
+check is an equation (the statement itself, or one standing for a prose
+statement), parsed as words over the named elements and compared by normal
+form, or, where no equation states the claim (every core element, a seeded
+sample, an infinite order, a count), a function of the model returning
+(holds, witness).  `check_row` alone turns a row into a result, and every
+claim is reported as pass/fail, never assumed.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .amalgam import (
     AmalgamElement,
@@ -182,10 +185,11 @@ _DEFINITIONS = (
     ("z", "sigma2^7 sigma1"),
 )
 _ORDERS = {"alpha0": 8, "alpha1": 6, "delta4": 4, "ft": 2}
+# the ACTION_ROWS rows `build_b4` runs on the model it builds
 _SELF_CHECKS = (
-    "delta4 alpha0 delta4^-1 = alpha0^-1",
-    "alpha0^4 = ft",
-    "alpha0^-2 delta4 = sigma1 sigma3^-1",
+    "actions.halftwist_inverts_alpha0",
+    "actions.alpha0_fourth_fulltwist",
+    "actions.s1s3inv",
 )
 
 
@@ -216,9 +220,10 @@ def build_b4() -> B4Model:
             for q in (J_UNIT, I_UNIT, K_UNIT)
         ),
     )
-    for equation in _SELF_CHECKS:
-        if not check_row(("b4.self_check", equation), model).ok:
-            raise AmalgamError(f"self-check failed: {equation}")
+    rows = {row[0]: row for row in ACTION_ROWS}
+    for check_id in _SELF_CHECKS:
+        if not check_row(rows[check_id], model).ok:
+            raise AmalgamError(f"self-check failed: {rows[check_id][-1]}")
     return model
 
 
@@ -341,24 +346,27 @@ class CheckResult:
         }
 
 
-def _cond(cid: str, statement: str, ok: bool, witness: str = "") -> CheckResult:
-    return CheckResult(cid, statement, "pass" if ok else "fail", witness)
-
-
 # quotient maps a row may apply to a word, with how their values print
 _QUOTIENT_FORMAT = {"psi": perm_cycles, "rho": str, "pi": str}
 _QUOTIENT_CALL = re.compile(r"\s*(psi|rho|pi)\((.*)\)\s*")
 
 
-def check_row(row: tuple[str, ...], model: B4Model) -> CheckResult:
-    """Evaluate one check row: (check_id, statement) or (check_id, statement, equation).
+def check_row(row: tuple, model: B4Model | RSResult) -> CheckResult:
+    """Evaluate one check row: (check_id, statement) or (check_id, statement, check).
 
-    The equation (the statement itself when no equation is given) is
-    "word = word", compared by normal form, or "f(word) = value" for f one
-    of the quotient maps psi, rho, pi, compared by the printed value.
+    The check (the statement itself when none is given) is an equation or,
+    where no equation states the claim, a function of the model returning
+    (holds, witness).  An equation is "word = word", compared by normal
+    form, or "f(word) = value" for f one of the quotient maps psi, rho, pi,
+    compared by the printed value.
     """
     check_id, statement, *rest = row
-    equation = rest[0] if rest else statement
+    check = rest[0] if rest else statement
+    holds, witness = check(model) if callable(check) else _equation(check_id, check, model)
+    return CheckResult(check_id, statement, "pass" if holds else "fail", witness)
+
+
+def _equation(check_id: str, equation: str, model: B4Model) -> tuple[bool, str]:
     if equation.count("=") != 1:
         raise ValueError(f"{check_id}: expected one '=' in {equation!r}")
     lhs_text, _, rhs_text = equation.partition("=")
@@ -368,17 +376,11 @@ def check_row(row: tuple[str, ...], model: B4Model) -> CheckResult:
         fn, arg = call.groups()
         # looked up at call time, so wrappers installed on the module are seen
         value = _QUOTIENT_FORMAT[fn](globals()[fn](model, evaluate_word(arg, spec, named)))
-        return _cond(check_id, statement, value == rhs_text.strip(), value)
+        return value == rhs_text.strip(), value
     lhs = evaluate_word(lhs_text, spec, named)
     rhs = evaluate_word(rhs_text, spec, named)
     fmt = spec.format_element
-    if lhs == rhs:
-        return CheckResult(check_id, statement, "pass", fmt(lhs))
-    return CheckResult(check_id, statement, "fail", f"lhs={fmt(lhs)} rhs={fmt(rhs)}")
-
-
-def _check_rows(model: B4Model, rows: Iterable[tuple[str, ...]]) -> list[CheckResult]:
-    return [check_row(row, model) for row in rows]
+    return (True, fmt(lhs)) if lhs == rhs else (False, f"lhs={fmt(lhs)} rhs={fmt(rhs)}")
 
 
 BRAID_ROWS = (
@@ -427,166 +429,105 @@ ACTION_ROWS = (
     for w, image in zip(("x", "y"), images)
 )
 
-PSI_ROWS = (
+
+def _core(model: B4Model) -> Iterator[AmalgamElement]:
+    """The core elements, as elements of the amalgam."""
+    return (model.spec.from_core(q) for q in model.spec.core.elements)
+
+
+def _random_words(pool: list, longest: int, count: int) -> Iterator[list]:
+    """`count` seeded random words of 1 to `longest` letters from `pool`."""
+    rng = random.Random(0xB4)
+    for _ in range(count):
+        yield [rng.choice(pool) for _ in range(rng.randint(1, longest))]
+
+
+def _psi_is_a_homomorphism(model: B4Model) -> tuple[bool, str]:
+    pool = [model[n] for n in ("sigma1", "sigma2", "sigma3", "alpha0", "alpha1", "delta4")]
+    words = _random_words(pool + [invert(g) for g in pool], 8, 1000)
+    identity = model.spec.identity()
+    for u, v in zip(words, words):  # consecutive words pair up
+        g, h = reduce(multiply, u, identity), reduce(multiply, v, identity)
+        pg, ph = psi(model, g), psi(model, h)
+        if psi(model, multiply(g, h)) != tuple(pg[i - 1] for i in ph):
+            return False, ""
+    return True, ""
+
+
+def _pi_is_the_exponent_sum(model: B4Model) -> tuple[bool, str]:
+    sigmas = [model[f"sigma{i}"] for i in (1, 2, 3)]
+    pool = [(s, 1) for s in sigmas] + [(invert(s), -1) for s in sigmas]
+    identity = model.spec.identity()
+    return all(
+        pi(model, reduce(multiply, (g for g, _ in w), identity)) == sum(e for _, e in w) % 6
+        for w in _random_words(pool, 10, 500)
+    ), ""
+
+
+def _xy_words_distinct(model: B4Model) -> tuple[bool, str]:
+    # a word is reduced when no letter follows its inverse (x X, Y y, ...);
+    # each level keeps its words' last letters and values
+    x, y = model["x"], model["y"]
+    gens = {"x": x, "X": invert(x), "y": y, "Y": invert(y)}
+    identity = model.spec.identity()
+    level, seen, words = [("", identity)], {identity}, 1
+    for _ in range(6):
+        level = [(nm, multiply(el, g)) for last, el in level
+                 for nm, g in gens.items() if nm != last.swapcase()]
+        seen.update(el for _, el in level)
+        words += len(level)
+    return len(seen) == words, f"{len(seen)} words"
+
+
+def _core_is_normal(model: B4Model) -> tuple[bool, str]:
+    # conjugates through `multiply`, so the check also tests the normal forms
+    for side, gen in ((1, (1, 0)), (2, R_REP)):
+        g = model.spec.from_factor(side, gen)
+        g_inv = invert(g)
+        if any(multiply(multiply(g, q), g_inv).letters for q in _core(model)):
+            return False, ""
+    return True, ""
+
+
+KERNEL_ROWS = (
     ("kernel.psi_sigma1", "psi(sigma1) = (1,2)"),
     ("kernel.psi_sigma2", "psi(sigma2) = (2,3)"),
     ("kernel.psi_alpha0", "psi(alpha0) = (1,3)"),
     ("kernel.psi_alpha1", "psi(alpha1) cycles H1 -> H2 -> H3", "psi(alpha1) = (1,2,3)"),
-)
-RHO_ROWS = (
+    ("kernel.psi_trivial_on_core", "psi(q) = id for every core element q",
+     lambda m: (all(psi(m, q) == (1, 2, 3) for q in _core(m)), "")),
+    ("kernel.psi_homomorphism_sample", "psi(gh) = psi(g) psi(h) on 500 random pairs",
+     _psi_is_a_homomorphism),
+    ("kernel.rho_kills_core", "rho(q) = e for every core element q",
+     lambda m: (all(rho(m, q).is_identity for q in _core(m)), "")),
     ("kernel.rho_sigma1", "rho(sigma1) = ba"),
     ("kernel.rho_sigma1_sq", "rho(sigma1^2) = (ba)^2", "rho(sigma1^2) = baba"),
     ("kernel.rho_sigma2_sq", "rho(sigma2^2) = (ab)^2", "rho(sigma2^2) = abab"),
-)
-Z_CYCLE_ROWS = (
+    # these three print no witness, unlike a psi/rho/pi equation
+    ("kernel.pi_alpha0", "pi(alpha0) = 3", lambda m: (pi(m, m["alpha0"]) == 3, "")),
+    ("kernel.pi_halftwist", "pi(delta4) = 0", lambda m: (pi(m, m["delta4"]) == 0, "")),
+    ("kernel.pi_sigma1", "pi(sigma1) = 1", lambda m: (pi(m, m["sigma1"]) == 1, "")),
+    ("kernel.pi_x_y_cubed", "pi(x y^3) lies outside {0, 3}", "pi(x y^3) = 2"),
+    ("kernel.pi_matches_exponent_sum",
+     "pi equals the braid exponent sum mod 6 on 500 random words", _pi_is_the_exponent_sum),
+    ("kernel.xy_commute_with_core", "x and y commute with every core element",
+     lambda m: (all(multiply(w, q) == multiply(q, w)
+                    for w in (m["x"], m["y"]) for q in _core(m)), "")),
+    ("kernel.xy_free_words_distinct",
+     "reduced words in x, y of length <= 6 have distinct normal forms", _xy_words_distinct),
+    ("kernel.core_normal", "conjugates of the core by the factor generators stay in the core",
+     _core_is_normal),
+    # z = sigma2^7 sigma1: order-3 action on the core, itself of infinite order
     ("kernel.z_psi_three_cycle", "psi(z) is a 3-cycle", "psi(z) = (1,3,2)"),
     ("kernel.z_cycle_1", "z alpha0^2 z^-1 = delta4^-1"),
     ("kernel.z_cycle_2", "z delta4^-1 z^-1 = (alpha0^2 delta4)^-1"),
     ("kernel.z_cycle_3", "z (alpha0^2 delta4)^-1 z^-1 = alpha0^2"),
+    ("kernel.z_infinite_order", "z has infinite order",
+     lambda m: (not has_finite_order(m["z"]), m.spec.format_element(m["z"]))),
+    ("kernel.z_cube_nontrivial", "z^3 is not the identity",
+     lambda m: (not power(m["z"], 3).is_identity, m.spec.format_element(power(m["z"], 3)))),
+    ("kernel.z_pi", "pi(z) = 2"),
 )
-
-# in both Q16 *_{Q8} Q16 presentations a^2 = i and b = j in the core
-GAMMA1_ROWS = (
-    ("gamma.g1_actxa_a2", "a^-1 x fixes a^2", "(a^-1 x) a^2 (a^-1 x)^-1 = a^2"),
-    ("gamma.g1_actxa_b", "a^-1 x fixes b", "(a^-1 x) b (a^-1 x)^-1 = b"),
-    ("gamma.g1_actxa_a2b", "a^-1 x fixes a^2 b", "(a^-1 x) a^2 b (a^-1 x)^-1 = a^2 b"),
-    ("gamma.g1_actxax_a2", "x a^-1 x fixes a^2", "(x a^-1 x) a^2 (x a^-1 x)^-1 = a^2"),
-    ("gamma.g1_actxax_b", "x a^-1 x maps b to a^2 b",
-     "(x a^-1 x) b (x a^-1 x)^-1 = a^2 b"),
-    ("gamma.g1_actxax_a2b", "x a^-1 x maps a^2 b to b^-1",
-     "(x a^-1 x) a^2 b (x a^-1 x)^-1 = b^-1"),
-)
-GAMMA2_ROWS = (
-    ("gamma.g2_cycle_a2", "a^-1 x maps a^2 to b^-1", "(a^-1 x) a^2 (a^-1 x)^-1 = b^-1"),
-    ("gamma.g2_cycle_binv", "a^-1 x maps b^-1 to a^-2 b^-1",
-     "(a^-1 x) b^-1 (a^-1 x)^-1 = a^-2 b^-1"),
-    ("gamma.g2_cycle_a2inv_binv", "a^-1 x maps a^-2 b^-1 to a^2",
-     "(a^-1 x) a^-2 b^-1 (a^-1 x)^-1 = a^2"),
-)
-
-
-def verify_kernel_facts(model: B4Model) -> list[CheckResult]:
-    spec = model.spec
-    core = spec.core.elements
-    s1, s2, s3 = model["sigma1"], model["sigma2"], model["sigma3"]
-    x, y = model["x"], model["y"]
-    checks = _check_rows(model, PSI_ROWS)
-    checks.append(_cond(
-        "kernel.psi_trivial_on_core", "psi(q) = id for every core element q",
-        all(psi(model, spec.from_core(q)) == (1, 2, 3) for q in core),
-    ))
-
-    rng = random.Random(0xB4)
-    pool = [s1, s2, s3, model["alpha0"], model["alpha1"], model["delta4"]]
-    pool += [invert(g) for g in pool]
-
-    def random_element() -> AmalgamElement:
-        e = spec.identity()
-        for _ in range(rng.randint(1, 8)):
-            e = multiply(e, rng.choice(pool))
-        return e
-
-    hom_ok = True
-    for _ in range(500):
-        g, h = random_element(), random_element()
-        pg, ph = psi(model, g), psi(model, h)
-        composed = tuple(pg[ph[i] - 1] for i in range(3))
-        if psi(model, multiply(g, h)) != composed:
-            hom_ok = False
-            break
-    checks.append(_cond("kernel.psi_homomorphism_sample",
-                        "psi(gh) = psi(g) psi(h) on 500 random pairs", hom_ok))
-
-    checks.append(_cond(
-        "kernel.rho_kills_core", "rho(q) = e for every core element q",
-        all(rho(model, spec.from_core(q)).is_identity for q in core),
-    ))
-    checks += _check_rows(model, RHO_ROWS)
-
-    # these three print no witness, unlike a psi/rho/pi row
-    checks.append(_cond("kernel.pi_alpha0", "pi(alpha0) = 3",
-                        pi(model, model["alpha0"]) == 3))
-    checks.append(_cond("kernel.pi_halftwist", "pi(delta4) = 0",
-                        pi(model, model["delta4"]) == 0))
-    checks.append(_cond("kernel.pi_sigma1", "pi(sigma1) = 1", pi(model, s1) == 1))
-    checks.append(check_row(
-        ("kernel.pi_x_y_cubed", "pi(x y^3) lies outside {0, 3}", "pi(x y^3) = 2"), model))
-
-    sigma_pool = [(s1, 1), (s2, 1), (s3, 1), (invert(s1), -1), (invert(s2), -1), (invert(s3), -1)]
-    oracle_ok = True
-    for _ in range(500):
-        e = spec.identity()
-        total = 0
-        for _ in range(rng.randint(1, 10)):
-            g, sign = rng.choice(sigma_pool)
-            e = multiply(e, g)
-            total += sign
-        if pi(model, e) != total % 6:
-            oracle_ok = False
-            break
-    checks.append(_cond("kernel.pi_matches_exponent_sum",
-                        "pi equals the braid exponent sum mod 6 on 500 random words",
-                        oracle_ok))
-
-    commute_ok = all(
-        multiply(w, spec.from_core(q)) == multiply(spec.from_core(q), w)
-        for w in (x, y)
-        for q in core
-    )
-    checks.append(_cond("kernel.xy_commute_with_core",
-                        "x and y commute with every core element", commute_ok))
-
-    # a word is reduced when no letter follows its inverse (x X, Y y, ...);
-    # the frontier keeps each word's last letter and value
-    gens = {"x": x, "X": invert(x), "y": y, "Y": invert(y)}
-    seen = {spec.identity()}
-    frontier = [("", spec.identity())]
-    free_ok = True
-    for _ in range(6):
-        nxt = []
-        for last, el in frontier:
-            for nm, g in gens.items():
-                if nm == last.swapcase():
-                    continue
-                el2 = multiply(el, g)
-                if el2 in seen:
-                    free_ok = False
-                else:
-                    seen.add(el2)
-                    nxt.append((nm, el2))
-        frontier = nxt
-    checks.append(_cond("kernel.xy_free_words_distinct",
-                        "reduced words in x, y of length <= 6 have distinct normal forms",
-                        free_ok, f"{len(seen)} words"))
-
-    normal_ok = True
-    for side, gen in ((1, (1, 0)), (2, R_REP)):
-        g = spec.from_factor(side, gen)
-        g_inv = invert(g)
-        for q in core:
-            if multiply(multiply(g, spec.from_core(q)), g_inv).letters:
-                normal_ok = False
-    checks.append(_cond("kernel.core_normal",
-                        "conjugates of the core by the factor generators stay in the core",
-                        normal_ok))
-
-    checks.extend(verify_z_infinite(model))
-    return checks
-
-
-def verify_z_infinite(model: B4Model) -> list[CheckResult]:
-    """z = sigma2^7 sigma1: order-3 action on the core, itself of infinite order."""
-    spec = model.spec
-    z = model["z"]
-    checks = _check_rows(model, Z_CYCLE_ROWS)
-    checks += [
-        _cond("kernel.z_infinite_order", "z has infinite order",
-              not has_finite_order(z), spec.format_element(z)),
-        _cond("kernel.z_cube_nontrivial", "z^3 is not the identity",
-              not power(z, 3).is_identity, spec.format_element(power(z, 3))),
-    ]
-    checks += _check_rows(model, (("kernel.z_pi", "pi(z) = 2"),))
-    return checks
 
 
 # -- the two Q16 *_{Q8} Q16 amalgams ------------------------------------------
@@ -621,29 +562,48 @@ def build_gamma_specs() -> tuple[AmalgamSpec, AmalgamSpec]:
             gamma("Gamma2", _hom_from_generators(core, q16, {J_UNIT: (2, 0), K_UNIT: (0, 1)})))
 
 
-def verify_gamma_identities() -> list[CheckResult]:
-    gamma1, gamma2 = (
-        B4Model(spec, {"a": spec.from_factor(1, (1, 0)), "x": spec.from_factor(2, (1, 0)),
-                       "b": spec.from_core(J_UNIT)})
-        for spec in build_gamma_specs()
-    )
-    ax1, ax2 = (evaluate_word("a^-1 x", g.spec, g.named) for g in (gamma1, gamma2))
-    checks = _check_rows(gamma1, GAMMA1_ROWS)
-    checks.append(_cond("gamma.g1_ax_infinite_order", "a^-1 x has infinite order in Gamma1",
-                        not has_finite_order(ax1)))
-    checks += _check_rows(gamma2, GAMMA2_ROWS)
-    a2 = cur = power(gamma2["a"], 2)
-    orbit = {a2}
-    for _ in range(6):
-        cur = multiply(multiply(ax2, cur), invert(ax2))
-        if cur in orbit:
-            break
-        orbit.add(cur)
-    checks.append(_cond("gamma.g2_orbit_size_3", "the a^-1 x conjugation orbit of a^2 has size 3",
-                        len(orbit) == 3, f"orbit size {len(orbit)}"))
-    checks.append(_cond("gamma.g2_ax_infinite_order", "a^-1 x has infinite order in Gamma2",
-                        not has_finite_order(ax2)))
-    return checks
+def _gamma_model(i: int) -> B4Model:
+    """Gamma1 (i = 0) or Gamma2 (i = 1) with its letters a, x and b = j in the core."""
+    spec = build_gamma_specs()[i]
+    return B4Model(spec, {"a": spec.from_factor(1, (1, 0)), "x": spec.from_factor(2, (1, 0)),
+                          "b": spec.from_core(J_UNIT)})
+
+
+def _a2_orbit_size(model: B4Model) -> tuple[bool, str]:
+    # the orbit under conjugation by a^-1 x, cut off past 6 elements
+    orbit = closure(evaluate_word("a^2", model.spec, model.named),
+                    [evaluate_word("a^-1 x", model.spec, model.named)],
+                    lambda c, g: multiply(multiply(g, c), invert(g)), limit=6)
+    return len(orbit) == 3, f"orbit size {len(orbit)}"
+
+
+def _ax_has_infinite_order(model: B4Model) -> tuple[bool, str]:
+    return not has_finite_order(evaluate_word("a^-1 x", model.spec, model.named)), ""
+
+
+# in both Q16 *_{Q8} Q16 presentations a^2 = i and b = j in the core
+GAMMA1_ROWS = (
+    ("gamma.g1_actxa_a2", "a^-1 x fixes a^2", "(a^-1 x) a^2 (a^-1 x)^-1 = a^2"),
+    ("gamma.g1_actxa_b", "a^-1 x fixes b", "(a^-1 x) b (a^-1 x)^-1 = b"),
+    ("gamma.g1_actxa_a2b", "a^-1 x fixes a^2 b", "(a^-1 x) a^2 b (a^-1 x)^-1 = a^2 b"),
+    ("gamma.g1_actxax_a2", "x a^-1 x fixes a^2", "(x a^-1 x) a^2 (x a^-1 x)^-1 = a^2"),
+    ("gamma.g1_actxax_b", "x a^-1 x maps b to a^2 b",
+     "(x a^-1 x) b (x a^-1 x)^-1 = a^2 b"),
+    ("gamma.g1_actxax_a2b", "x a^-1 x maps a^2 b to b^-1",
+     "(x a^-1 x) a^2 b (x a^-1 x)^-1 = b^-1"),
+    ("gamma.g1_ax_infinite_order", "a^-1 x has infinite order in Gamma1",
+     _ax_has_infinite_order),
+)
+GAMMA2_ROWS = (
+    ("gamma.g2_cycle_a2", "a^-1 x maps a^2 to b^-1", "(a^-1 x) a^2 (a^-1 x)^-1 = b^-1"),
+    ("gamma.g2_cycle_binv", "a^-1 x maps b^-1 to a^-2 b^-1",
+     "(a^-1 x) b^-1 (a^-1 x)^-1 = a^-2 b^-1"),
+    ("gamma.g2_cycle_a2inv_binv", "a^-1 x maps a^-2 b^-1 to a^2",
+     "(a^-1 x) a^-2 b^-1 (a^-1 x)^-1 = a^2"),
+    ("gamma.g2_orbit_size_3", "the a^-1 x conjugation orbit of a^2 has size 3", _a2_orbit_size),
+    ("gamma.g2_ax_infinite_order", "a^-1 x has infinite order in Gamma2",
+     _ax_has_infinite_order),
+)
 
 
 # -- Reidemeister-Schreier ----------------------------------------------------
@@ -733,7 +693,7 @@ _STANDARD_TRANSVERSAL = tuple(
 
 # (check-id prefix, quotient builder, images of a and b, index claim, basis
 # claim, basis words); the bases are written for a of order 3 and b of order 2
-_RS_ROWS = (
+_RS_KERNELS = (
     ("sym3", _sym3, (2, 0, 1), (2, 1, 0), "the permutation quotient has index 6",
      "the Schreier generators contain (ab)^2 and (ba)^2",
      (("a", "b", "a", "b"), ("b", "a", "b", "a"))),
@@ -743,36 +703,46 @@ _RS_ROWS = (
 )
 
 
-def verify_reidemeister_schreier() -> list[CheckResult]:
-    checks: list[CheckResult] = []
-    for prefix, quotient, a_image, b_image, index_claim, basis_claim, basis in _RS_ROWS:
-        rs = reidemeister_schreier(quotient(), a_image, b_image, _STANDARD_TRANSVERSAL)
+def _rs_part(prefix, quotient, a_image, b_image, index_claim, basis_claim, basis) -> tuple:
+    """(builder of the kernel's RSResult, its index, rank and basis rows)."""
+    words = [FreeProductWord(w) for w in basis]
+
+    def contains_basis(rs: RSResult) -> tuple[bool, str]:
         found = set(rs.generators)
-        checks += [
-            _cond(f"rs.{prefix}_index", index_claim, rs.index == 6, str(rs.index)),
-            _cond(f"rs.{prefix}_rank", "Euler characteristic certifies rank 2",
-                  rs.rank == 2, str(rs.rank)),
-            _cond(f"rs.{prefix}_basis", basis_claim,
-                  all(w in found or w.inverse() in found for w in map(FreeProductWord, basis)),
-                  "; ".join(str(g) for g in rs.generators)),
-        ]
-    return checks
+        return (all(w in found or w.inverse() in found for w in words),
+                "; ".join(str(g) for g in rs.generators))
+
+    return (lambda: reidemeister_schreier(quotient(), a_image, b_image, _STANDARD_TRANSVERSAL), (
+        (f"rs.{prefix}_index", index_claim, lambda rs: (rs.index == 6, str(rs.index))),
+        (f"rs.{prefix}_rank", "Euler characteristic certifies rank 2",
+         lambda rs: (rs.rank == 2, str(rs.rank))),
+        (f"rs.{prefix}_basis", basis_claim, contains_basis),
+    ))
 
 
-SUITES = ("braid", "actions", "gamma", "kernel", "rs")
+# -- the suites ---------------------------------------------------------------
+
+# suite -> its parts, each (builder of the model its rows read, the rows); the
+# builders call build_b4 through the module global, so a wrapper installed on
+# the module sees those calls
+_SUITE_TABLE = {
+    "braid": ((lambda: build_b4(), BRAID_ROWS),),
+    "actions": ((lambda: build_b4(), ACTION_ROWS),),
+    "gamma": ((lambda: _gamma_model(0), GAMMA1_ROWS), (lambda: _gamma_model(1), GAMMA2_ROWS)),
+    "kernel": ((lambda: build_b4(), KERNEL_ROWS),),
+    "rs": tuple(_rs_part(*kernel) for kernel in _RS_KERNELS),
+}
+SUITES = tuple(_SUITE_TABLE)
 
 
 def verify_suite(name: str) -> list[CheckResult]:
-    if name not in SUITES:
+    if name not in _SUITE_TABLE:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES} or 'all'")
-    if name == "gamma":
-        return verify_gamma_identities()
-    if name == "rs":
-        return verify_reidemeister_schreier()
-    model = build_b4()
-    if name == "kernel":
-        return verify_kernel_facts(model)
-    return _check_rows(model, BRAID_ROWS if name == "braid" else ACTION_ROWS)
+    checks = []
+    for build, rows in _SUITE_TABLE[name]:
+        model = build()
+        checks += [check_row(row, model) for row in rows]
+    return checks
 
 
 def verify_all() -> dict[str, list[CheckResult]]:

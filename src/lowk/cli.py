@@ -30,7 +30,9 @@ from .galois import FieldDescriptor
 from .groups import MAX_CLOSURE_SIZE
 from .lowerk import lambda_value
 from .report import (
+    DEFAULT_INVARIANTS,
     FAMILIES,
+    INVARIANT_ORDER,
     SCHEMA,
     KReport,
     UnsupportedParameterError,
@@ -76,8 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     group_p.add_argument("family", choices=tuple(FAMILIES))
     group_p.add_argument("--m", type=int, help="parameter m (cyclic Z_m, dicyclic Dic_4m)")
     group_p.add_argument("--k", type=int, help="parameter k for Q_{2^k}")
-    group_p.add_argument("--invariants", default="wh,k0,kminus1",
-                         help="comma list from wh,k0,kminus1,rf,wedderburn")
+    group_p.add_argument("--invariants", default=",".join(DEFAULT_INVARIANTS),
+                         help=f"comma list from {','.join(INVARIANT_ORDER)}")
     group_p.add_argument("--field", help="field for rf: Q, Qp:<p> or Fp:<p>")
     group_p.add_argument("--max-brute-force", type=_bound, metavar="N",
                          default=BRUTE_FORCE_BOUND,

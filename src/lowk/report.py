@@ -40,6 +40,7 @@ from .lowerk import (
 SCHEMA = "lowk/1"
 
 INVARIANT_ORDER = ("wh", "k0", "kminus1", "rf", "wedderburn")
+DEFAULT_INVARIANTS = ("wh", "k0", "kminus1")
 
 _DEFINITIONS = {
     Z2_INF: "countable direct sum of copies of Z_2",
@@ -176,7 +177,7 @@ def group_report(
     *,
     m: int | None = None,
     k: int | None = None,
-    invariants: tuple[str, ...] = ("wh", "k0", "kminus1"),
+    invariants: tuple[str, ...] = DEFAULT_INVARIANTS,
     field_descriptor: FieldDescriptor | None = None,
 ) -> KReport:
     """Invariant report for one supported group; unknown values stay unknown."""

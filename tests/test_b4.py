@@ -1,13 +1,17 @@
+import ast
 import json
 import random
 from pathlib import Path
 
 import pytest
 
+import lowk.b4
 from lowk.amalgam import AmalgamError, AmalgamSpec, has_finite_order, invert, multiply, power
 from lowk.b4 import (
+    ACTION_ROWS,
     I_UNIT,
     J_UNIT,
+    KERNEL_ROWS,
     QUATERNION_NAMES,
     R2_REP,
     R_REP,
@@ -248,6 +252,50 @@ def test_reidemeister_schreier_rejects_torsion_kernel():
         reidemeister_schreier(build_cyclic(6), 2, 0, _STANDARD_TRANSVERSAL)
 
 
+def test_check_ids_are_unique_and_carry_their_suite():
+    results = verify_all()
+    ids = [c.check_id for checks in results.values() for c in checks]
+    assert len(ids) == len(set(ids))
+    assert all(c.check_id.startswith(suite + ".")
+               for suite, checks in results.items() for c in checks)
+
+
+def test_only_check_row_constructs_a_check_result():
+    makers = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and "CheckResult" in (
+                getattr(child.func, "id", None), getattr(child.func, "attr", None)
+            ):
+                makers.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(Path(lowk.b4.__file__).read_text()), None)
+    assert makers == ["check_row"]
+
+
+def test_core_normal_conjugates_through_the_amalgam_arithmetic(model, monkeypatch):
+    row = next(row for row in KERNEL_ROWS if row[0] == "kernel.core_normal")
+    assert check_row(row, model).ok
+    # a product that gains a letter: the conjugates leave the core
+    r = model.spec.from_factor(2, R_REP)
+    monkeypatch.setattr(lowk.b4, "multiply", lambda a, b: multiply(multiply(a, b), r))
+    assert not check_row(row, model).ok
+
+
+def test_a_failing_self_check_names_its_equation(monkeypatch):
+    false_row = ("actions.s1s3inv", "alpha0^-2 delta4 = sigma1 sigma3")
+    rows = tuple(false_row if row[0] == false_row[0] else row for row in ACTION_ROWS)
+    monkeypatch.setattr(lowk.b4, "ACTION_ROWS", rows)
+    message = r"^self-check failed: alpha0\^-2 delta4 = sigma1 sigma3$"
+    with pytest.raises(AmalgamError, match=message):
+        build_b4.__wrapped__()
+
+
 def test_verify_suite_dispatch():
     assert all(c.ok for c in verify_suite("braid"))
     with pytest.raises(ValueError):
@@ -359,6 +407,13 @@ def test_prose_row_evaluates_its_equation(model):
     assert result.statement == "full twist is trivial"
     assert result.status == "fail"
     assert result.witness_normal_form == "lhs=-1 rhs=1"
+
+
+def test_function_row_reports_what_its_check_returns(model):
+    ok = check_row(("t.fn", "z is named", lambda m: ("z" in m.named, "named z")), model)
+    bad = check_row(("t.fn", "tau is named", lambda m: ("tau" in m.named, "no tau")), model)
+    assert (ok.statement, ok.status, ok.witness_normal_form) == ("z is named", "pass", "named z")
+    assert (bad.statement, bad.status, bad.witness_normal_form) == ("tau is named", "fail", "no tau")
 
 
 def test_quotient_row_compares_printed_values(model):
