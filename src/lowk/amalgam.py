@@ -101,7 +101,6 @@ class AmalgamSpec:
     def _split_table(self, side: int) -> dict[ElementId, Split]:
         """g -> (t, f) with g = t f, t the coset rep (None when g lies in F)."""
         g = self.factors[side]
-        emb = self.embeddings[side]
         unembed = self._unembed[side]
         table: dict[ElementId, Split] = {}
         for x in g.elements:

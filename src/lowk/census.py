@@ -304,6 +304,7 @@ def check_2p_condition(group: FiniteGroup) -> bool:
 
 def check_milnor(group: FiniteGroup) -> bool:
     """At most one element of order 2."""
+    _check_size(group)
     count = 0
     for g in group.elements:
         if group.order_of(g) == 2:

@@ -7,9 +7,10 @@ shapes of the rational group algebras, and the Bass-Heller-Swan splitting.
 
 Each rule states the path it took (census, closed form, family rule or
 lookup table) where it takes it; inside a `provenance()` block those lines
-are collected, outside one they are dropped.  A rule with a closed form
-compares the group order with the census bound `census.BOUND` before any
-census call, and takes the closed form past it.
+are collected, outside one they are dropped.  The Whitehead and Carter
+ranks share `_census_or_closed_form`, which compares the group order with
+`census.BOUND` before any census call, takes the closed form past it, and
+below it checks the census against any closed form that applies.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
-from .census import BOUND, GroupTooLargeError, conjugacy_classes
+from .census import BOUND, ClassCensus, GroupTooLargeError, conjugacy_classes
 from .fconj import singular_blocks
 from .galois import (
     divisors,
@@ -63,6 +64,11 @@ class Unknown:
 
     def __repr__(self) -> str:
         return "Unknown"
+
+    def to_json(self) -> str:
+        return "unknown"
+
+    render = to_json
 
 
 UNKNOWN = Unknown()
@@ -257,6 +263,27 @@ def _whitehead_closed_form(group: FiniteGroup) -> int | None:
     return None if row is None else row.wh_rank
 
 
+def _census_or_closed_form(group: FiniteGroup, name: str, closed: int | None,
+                           lines: tuple[str, str], count: Callable[[ClassCensus], int]) -> int:
+    """Within the census bound, `count` of the group's census, which must equal
+    the closed form if one applies; past the bound the closed form, or a
+    refusal.  `lines` are the provenance of the census and closed-form paths."""
+    if group.order > (bound := BOUND.get()):
+        if closed is None:
+            raise GroupTooLargeError(
+                f"{group.name}: order {group.order} > {bound} and no closed form applies"
+            )
+        _record(lines[1])
+        return closed
+    value = count(conjugacy_classes(group))
+    if closed is not None and closed != value:
+        raise ConsistencyError(
+            f"{name} mismatch for {group.name}: closed form {closed} != census {value}"
+        )
+    _record(lines[0])
+    return value
+
+
 def whitehead_rank(group: FiniteGroup) -> int:
     """Rank of the Whitehead group: sum over orders of r1(d) - r2(d).
 
@@ -264,25 +291,14 @@ def whitehead_rank(group: FiniteGroup) -> int:
     census, both are computed and must agree.
     """
     closed = _whitehead_closed_form(group)
-    if group.order > (bound := BOUND.get()):
-        if closed is None:
-            raise GroupTooLargeError(
-                f"{group.name}: no closed form and order {group.order} > {bound}"
-            )
-        _record("wh: family closed form")
-        return closed
-    census = conjugacy_classes(group)
-    rank = sum(census.r1_by_order[d] - census.r2_by_order[d] for d in census.r1_by_order)
     line = "wh: class census sum of r1(d) - r2(d)"
     if closed is not None:
-        if closed != rank:
-            raise ConsistencyError(
-                f"whitehead rank mismatch for {group.name}: "
-                f"closed form {closed} != census {rank}"
-            )
         line += ", cross-checked against the family closed form"
-    _record(line)
-    return rank
+    return _census_or_closed_form(
+        group, "whitehead rank", closed, (line, "wh: family closed form"),
+        lambda census: sum(census.r1_by_order[d] - census.r2_by_order[d]
+                           for d in census.r1_by_order),
+    )
 
 
 def lambda_value(m: int) -> int:
@@ -303,26 +319,24 @@ def carter_rank(group: FiniteGroup) -> int:
     Both counts come from one census: r_Q is the number of its records
     (classes of cyclic subgroups), and r_Qp - r_Fp the number of Q_p-blocks
     among the p-singular records (`fconj.singular_blocks`), since the Q_p
-    and F_p Galois images agree modulo every p-regular order.
+    and F_p Galois images agree modulo every p-regular order.  For Dic_4m,
+    m an odd prime, the closed form is lambda(m).
     """
-    if group.order <= (bound := BOUND.get()):
-        records = conjugacy_classes(group).subgroups
+
+    def count(census: ClassCensus) -> int:
+        records = census.subgroups
         rank = 1 - len(records)
         rank += sum(singular_blocks(records, p) for p in prime_divisors(group.order))
         if rank < 0:
             raise ConsistencyError(f"negative Carter rank {rank} for {group.name}")
-        _record(
-            "kminus1 rank: Carter formula 1 - r_Q + sum_p (r_Qp - r_Fp) "
-            "from Witt-Berman counts"
-        )
         return rank
+
     m = dicyclic_parameter(group)
-    if m is not None and m % 2 == 1 and is_prime(m):
-        _record("kminus1 rank: dicyclic odd-prime closed form via |<2>| mod m")
-        return lambda_value(m)
-    raise GroupTooLargeError(
-        f"{group.name}: order {group.order} > {bound} and no closed form applies"
-    )
+    closed = lambda_value(m) if m is not None and m % 2 == 1 and is_prime(m) else None
+    return _census_or_closed_form(group, "Carter rank", closed, (
+        "kminus1 rank: Carter formula 1 - r_Q + sum_p (r_Qp - r_Fp) from Witt-Berman counts",
+        "kminus1 rank: dicyclic odd-prime closed form via |<2>| mod m",
+    ), count)
 
 
 def k_minus_one_torsion(group: FiniteGroup) -> int:

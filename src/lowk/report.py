@@ -1,8 +1,10 @@
 """Per-group invariant reports and the assembled n = 4 lower-K report.
 
-A group report's provenance is what the `lowerk` rules recorded while they
-ran, plus the lines that involve no choice of path (SK_1, r_F); the path
-follows the census bound `census.BOUND` in force.  Reports
+Every entry is one row of `_ENTRIES`, in output order, and reports, their
+JSON and their text each loop over it.  A group report's provenance is
+what the `lowerk` rules recorded while they ran, plus the rows' fixed
+lines that involve no choice of path (SK_1, r_F); the path follows the
+census bound `census.BOUND` in force.  Reports
 serialise to canonical JSON (fixed key order, sorted torsion and
 summands), so identical inputs produce byte-identical output.
 """
@@ -11,7 +13,8 @@ from __future__ import annotations
 
 import functools
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .b4 import build_b4
 from .galois import FieldDescriptor
@@ -26,9 +29,7 @@ from .groups import (
 from .lowerk import (
     AbelianGroupExpr,
     UnsupportedFamilyError,
-    Unknown,
     W_NAME,
-    WedderburnComponent,
     Z2_INF,
     k0_tilde_lookup,
     k_minus_one,
@@ -38,9 +39,6 @@ from .lowerk import (
 )
 
 SCHEMA = "lowk/1"
-
-INVARIANT_ORDER = ("wh", "k0", "kminus1", "rf", "wedderburn")
-DEFAULT_INVARIANTS = ("wh", "k0", "kminus1")
 
 _DEFINITIONS = {
     Z2_INF: "countable direct sum of copies of Z_2",
@@ -58,60 +56,70 @@ class AssemblyError(Exception):
     """An input the B4(S^2) assembly relies on has the wrong value (signals a bug)."""
 
 
+class _Entry(NamedTuple):
+    """JSON key and value, text line, compute step (None: the B4 report fills
+    it) and fixed provenance line, formatted with the value, of one entry."""
+
+    key: str
+    encode: Callable[[Any], Any]
+    line: Callable[[Any], str] | None
+    compute: Callable[[FiniteGroup, FieldDescriptor | None], Any] | None = None
+    note: str | None = None
+
+
+def _rf(group: FiniteGroup, field_descriptor: FieldDescriptor | None) -> dict:
+    if field_descriptor is None:
+        raise UnsupportedParameterError("the rf invariant needs --field")
+    return {"field": field_descriptor.label, "value": r_f(group, field_descriptor)}
+
+
+# entry name -> _Entry, in output order; the invariants are the rows that compute
+_ENTRIES = {
+    "wh": _Entry("wh", lambda v: v.to_json(), lambda v: f"Wh: {v.render()}",
+                 lambda g, _: AbelianGroupExpr.free(whitehead_rank(g)),
+                 "wh torsion: SK_1 vanishes for the supported families"),
+    "k0": _Entry("k0", lambda v: v.to_json(), lambda v: f"K0~: {v.render()}",
+                 lambda g, _: k0_tilde_lookup(g)),
+    "kminus1": _Entry("kminus1", lambda v: v.to_json(), lambda v: f"K_-1: {v.render()}",
+                      lambda g, _: k_minus_one(g)),
+    "rf": _Entry("r_F", dict, lambda v: f"r_{v['field']}: {v['value']}", _rf,
+                 "r_F: Witt-Berman count of {value[field]}-conjugacy classes"),
+    "wedderburn": _Entry("wedderburn", lambda v: [c.to_json() for c in v],
+                         lambda v: "Q[G] components: " + ", ".join(c.symbol() for c in v),
+                         lambda g, _: wedderburn_shape(g)),
+    "nil": _Entry(
+        "nil",
+        lambda v: {n: {"copies": "countable", "summand": e.to_json()} for n, e in v.items()},
+        lambda v: "\n".join(f"{n} = (+)_oo [{e.render()}]" for n, e in v.items()),
+    ),
+    "definitions": _Entry("definitions", dict, None),
+}
+
+INVARIANT_ORDER = tuple(name for name, entry in _ENTRIES.items() if entry.compute)
+DEFAULT_INVARIANTS = ("wh", "k0", "kminus1")
+
+
 @dataclass(frozen=True)
 class KReport:
-    """Invariant values for one group, each summand backed by a rule citation."""
+    """Entry values for one group, keyed by entry name, each summand backed by a rule citation."""
 
     group: dict
-    wh: AbelianGroupExpr | None = None
-    k0: AbelianGroupExpr | Unknown | None = None
-    kminus1: AbelianGroupExpr | None = None
-    rf: dict | None = None
-    wedderburn: tuple[WedderburnComponent, ...] | None = None
-    nil_terms: dict[str, AbelianGroupExpr] | None = None
-    definitions: dict | None = None
-    provenance: tuple[str, ...] = ()
+    values: dict[str, Any]
+    provenance: tuple[str, ...]
+
+    def _present(self) -> Iterator[tuple[_Entry, Any]]:
+        return ((e, self.values[n]) for n, e in _ENTRIES.items() if n in self.values)
 
     def to_json(self) -> dict:
         out: dict = {"schema": SCHEMA, "group": self.group}
-        if self.wh is not None:
-            out["wh"] = self.wh.to_json()
-        if self.k0 is not None:
-            out["k0"] = "unknown" if isinstance(self.k0, Unknown) else self.k0.to_json()
-        if self.kminus1 is not None:
-            out["kminus1"] = self.kminus1.to_json()
-        if self.rf is not None:
-            out["r_F"] = self.rf
-        if self.wedderburn is not None:
-            out["wedderburn"] = [c.to_json() for c in self.wedderburn]
-        if self.nil_terms is not None:
-            out["nil"] = {
-                name: {"copies": "countable", "summand": expr.to_json()}
-                for name, expr in self.nil_terms.items()
-            }
-        if self.definitions is not None:
-            out["definitions"] = self.definitions
+        out.update((entry.key, entry.encode(value)) for entry, value in self._present())
         out["provenance"] = list(self.provenance)
         return out
 
     def render_text(self) -> str:
         lines = [f"group: {self.group.get('name', self.group)}"]
-        if self.wh is not None:
-            lines.append(f"Wh: {self.wh.render()}")
-        if self.k0 is not None:
-            k0 = "unknown" if isinstance(self.k0, Unknown) else self.k0.render()
-            lines.append(f"K0~: {k0}")
-        if self.kminus1 is not None:
-            lines.append(f"K_-1: {self.kminus1.render()}")
-        if self.rf is not None:
-            lines.append(f"r_{self.rf['field']}: {self.rf['value']}")
-        if self.wedderburn is not None:
-            lines.append("Q[G] components: " + ", ".join(c.symbol() for c in self.wedderburn))
-        if self.nil_terms is not None:
-            for name, expr in self.nil_terms.items():
-                lines.append(f"{name} = (+)_oo [{expr.render()}]")
-        for p in self.provenance:
-            lines.append(f"  [{p}]")
+        lines += (entry.line(value) for entry, value in self._present() if entry.line)
+        lines += (f"  [{p}]" for p in self.provenance)
         return "\n".join(lines)
 
 
@@ -182,46 +190,24 @@ def group_report(
 ) -> KReport:
     """Invariant report for one supported group; unknown values stay unknown."""
     for inv in invariants:
-        if inv not in INVARIANT_ORDER:
+        if inv not in _ENTRIES or _ENTRIES[inv].compute is None:
             raise UnsupportedParameterError(
                 f"unknown invariant {inv!r}; choose from {INVARIANT_ORDER}"
             )
     if field_descriptor is not None and "rf" not in invariants:
         raise UnsupportedParameterError("--field is used only by the rf invariant")
     group = _build_group(family, m, k)
-    wh = k0 = kminus1 = rf = wedderburn = None
+    values: dict[str, Any] = {}
     try:
         with provenance() as lines:
-            if "wh" in invariants:
-                wh = AbelianGroupExpr.free(whitehead_rank(group))
-                lines.append("wh torsion: SK_1 vanishes for the supported families")
-            if "k0" in invariants:
-                k0 = k0_tilde_lookup(group)
-            if "kminus1" in invariants:
-                kminus1 = k_minus_one(group)
-            if "rf" in invariants:
-                if field_descriptor is None:
-                    raise UnsupportedParameterError("the rf invariant needs --field")
-                rf = {
-                    "field": field_descriptor.label,
-                    "value": r_f(group, field_descriptor),
-                }
-                lines.append(
-                    f"r_F: Witt-Berman count of {field_descriptor.label}-conjugacy classes"
-                )
-            if "wedderburn" in invariants:
-                wedderburn = wedderburn_shape(group)
+            for name, entry in _ENTRIES.items():
+                if name in invariants:
+                    values[name] = value = entry.compute(group, field_descriptor)
+                    if entry.note is not None:
+                        lines.append(entry.note.format(value=value))
     except UnsupportedFamilyError as exc:
         raise UnsupportedParameterError(str(exc)) from exc
-    return KReport(
-        group=_group_info(group),
-        wh=wh,
-        k0=k0,
-        kminus1=kminus1,
-        rf=rf,
-        wedderburn=wedderburn,
-        provenance=tuple(lines),
-    )
+    return KReport(_group_info(group), values, tuple(lines))
 
 
 def nil_groups_q8(twist_order: int) -> AbelianGroupExpr:
@@ -259,7 +245,6 @@ def b4_lower_k_report() -> KReport:
         raise AssemblyError(f"K_-1 of {q8.name} is not zero")
 
     nil_block = nil_groups_q8(1).times(2) + nil_groups_q8(2).times(2)
-    nil_terms = {name: nil_block for name in ("Nil_0", "Nil_1")}
     wh = wh_cokernel + AbelianGroupExpr.summand("Nil_1")
     k0 = k0_assembled + AbelianGroupExpr.summand("Nil_0")
 
@@ -274,10 +259,8 @@ def b4_lower_k_report() -> KReport:
     )
     return KReport(
         group={"name": "B4(S2)", "family": "amalgam", "order": "infinite"},
-        wh=wh,
-        k0=k0,
-        kminus1=kminus1,
-        nil_terms=nil_terms,
-        definitions=dict(_DEFINITIONS),
+        values={"wh": wh, "k0": k0, "kminus1": kminus1,
+                "nil": {name: nil_block for name in ("Nil_0", "Nil_1")},
+                "definitions": dict(_DEFINITIONS)},
         provenance=provenance,
     )

@@ -253,9 +253,9 @@ def test_criterion_7_b4_verification(capsys):
 def test_criterion_8_b4_report(capsys):
     with Stopwatch(8, budget=60.0):
         report = b4_lower_k_report()
-        assert report.wh == AbelianGroupExpr(1, (), (("Nil_1", 1),))
-        assert report.k0 == AbelianGroupExpr(0, (2,), (("Nil_0", 1),))
-        assert report.kminus1 == AbelianGroupExpr(1, (2,))
+        assert report.values["wh"] == AbelianGroupExpr(1, (), (("Nil_1", 1),))
+        assert report.values["k0"] == AbelianGroupExpr(0, (2,), (("Nil_0", 1),))
+        assert report.values["kminus1"] == AbelianGroupExpr(1, (2,))
         block = {
             "rank": 0,
             "torsion": [],

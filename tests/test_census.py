@@ -142,6 +142,15 @@ def test_milnor_condition():
     assert check_milnor(build_cyclic(3))
 
 
+def test_every_periodicity_check_refuses_past_the_bound():
+    # a refused group never sorts its elements, so no order drives the memory
+    group = build_cyclic(10**8)
+    for check in (check_p2_condition, check_2p_condition, check_milnor):
+        with pytest.raises(GroupTooLargeError, match="Z_100000000 has order 100000000"):
+            check(group)
+    assert "elements" not in vars(group)
+
+
 def test_all_three_conditions_on_families():
     for group in (build_dicyclic(2), build_dicyclic(5), build_dicyclic(8),
                   generalized_quaternion(5), build_binary_polyhedral("T*"),

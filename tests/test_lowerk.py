@@ -14,6 +14,7 @@ from lowk.groups import (
 from lowk.lowerk import (
     UNKNOWN,
     AbelianGroupExpr,
+    ConsistencyError,
     UnsupportedFamilyError,
     Z2_INF,
     bhs_decompose,
@@ -223,6 +224,32 @@ def test_one_bound_reaches_every_rule():
         "wh: family closed form",
         "kminus1 rank: dicyclic odd-prime closed form via |<2>| mod m",
     ]
+
+
+@pytest.mark.parametrize("rule, closed_form, wrong, message", [
+    (carter_rank, "lambda_value", lambda m: lambda_value(m) + 1,
+     "Carter rank mismatch for Dic_20: closed form 2 != census 1"),
+    (whitehead_rank, "_whitehead_closed_form", lambda group: 3,
+     "whitehead rank mismatch for Dic_20: closed form 3 != census 2"),
+])
+def test_a_wrong_closed_form_fails_the_census_cross_check(
+    monkeypatch, rule, closed_form, wrong, message
+):
+    # |Dic_20| = 20 is within the bound, so the census answers and each
+    # rule's closed form, lambda(5) for K_-1, must agree with it
+    monkeypatch.setattr(lowerk, closed_form, wrong)
+    with pytest.raises(ConsistencyError, match=message):
+        rule(build_dicyclic(5))
+
+
+def test_both_rules_refuse_alike_without_a_closed_form():
+    group = build_abelian([2, 2])
+    messages = set()
+    for rule in (whitehead_rank, carter_rank):
+        with brute_force_bound(2), pytest.raises(GroupTooLargeError) as info:
+            rule(group)
+        messages.add(str(info.value))
+    assert messages == {f"{group.name}: order 4 > 2 and no closed form applies"}
 
 
 def test_carter_rank_matches_the_r_f_formula():

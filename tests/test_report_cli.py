@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -28,17 +29,17 @@ SRC = str(Path(lowk.__file__).resolve().parents[1])
 
 def test_group_report_dic20():
     report = group_report("dicyclic", m=5)
-    assert report.wh == AbelianGroupExpr.free(2)
-    assert report.k0 == AbelianGroupExpr.torsion_group(2)
-    assert report.kminus1 == AbelianGroupExpr(1, (2,))
+    assert report.values["wh"] == AbelianGroupExpr.free(2)
+    assert report.values["k0"] == AbelianGroupExpr.torsion_group(2)
+    assert report.values["kminus1"] == AbelianGroupExpr(1, (2,))
     assert report.provenance
 
 
 def test_group_report_tstar():
     report = group_report("tstar")
-    assert report.wh == AbelianGroupExpr.zero()
-    assert report.k0 == AbelianGroupExpr.torsion_group(2)
-    assert report.kminus1 == AbelianGroupExpr.free(1)
+    assert report.values["wh"] == AbelianGroupExpr.zero()
+    assert report.values["k0"] == AbelianGroupExpr.torsion_group(2)
+    assert report.values["kminus1"] == AbelianGroupExpr.free(1)
 
 
 def test_families_come_from_one_table(capsys):
@@ -56,7 +57,7 @@ def test_families_come_from_one_table(capsys):
 
 def test_group_report_unknown_k0():
     report = group_report("dicyclic", m=13, invariants=("k0",))
-    assert report.k0 is UNKNOWN
+    assert report.values["k0"] is UNKNOWN
     assert report.to_json()["k0"] == "unknown"
 
 
@@ -65,8 +66,8 @@ def test_group_report_rf_and_wedderburn():
         "quaternion", k=4, invariants=("rf", "wedderburn"),
         field_descriptor=FieldDescriptor.p_adic(2),
     )
-    assert report.rf == {"field": "Q_2", "value": 6}
-    assert len(report.wedderburn) == 6
+    assert report.values["rf"] == {"field": "Q_2", "value": 6}
+    assert len(report.values["wedderburn"]) == 6
 
 
 def test_group_report_every_field_has_provenance():
@@ -75,6 +76,22 @@ def test_group_report_every_field_has_provenance():
     text = "\n".join(report.provenance)
     for key in ("wh", "k0", "kminus1", "wedderburn"):
         assert f"{key}" in text
+
+
+def test_every_entry_is_one_table_row(monkeypatch):
+    assert [f.name for f in fields(report_module.KReport)] == ["group", "values", "provenance"]
+    probe = report_module._Entry(
+        "probe_key", str, lambda v: f"probe: {v}", lambda group, _: group.order,
+        "probe: order of the group, {value}",
+    )
+    monkeypatch.setitem(report_module._ENTRIES, "probe", probe)
+    report = group_report("cyclic", m=6, invariants=("probe", "wh"))
+    assert report.values == {"wh": AbelianGroupExpr.free(0), "probe": 6}
+    doc = report.to_json()
+    assert list(doc) == ["schema", "group", "wh", "probe_key", "provenance"]
+    assert doc["probe_key"] == "6"
+    assert doc["provenance"][-1] == "probe: order of the group, 6"
+    assert report.render_text().splitlines()[1:3] == ["Wh: 0", "probe: 6"]
 
 
 def test_group_report_errors():
@@ -100,9 +117,9 @@ def test_nil_groups_q8():
 
 def test_b4_report_values():
     report = b4_lower_k_report()
-    assert report.wh == AbelianGroupExpr(1, (), (("Nil_1", 1),))
-    assert report.k0 == AbelianGroupExpr(0, (2,), (("Nil_0", 1),))
-    assert report.kminus1 == AbelianGroupExpr(1, (2,))
+    assert report.values["wh"] == AbelianGroupExpr(1, (), (("Nil_1", 1),))
+    assert report.values["k0"] == AbelianGroupExpr(0, (2,), (("Nil_0", 1),))
+    assert report.values["kminus1"] == AbelianGroupExpr(1, (2,))
     nil = report.to_json()["nil"]
     block = nil["Nil_0"]["summand"]
     assert block["infinite"] == [
@@ -357,7 +374,7 @@ def test_group_report_partitions_the_group_once(monkeypatch):
     report = group_report("cyclic", m=1830, invariants=("wh", "kminus1", "rf"),
                           field_descriptor=FieldDescriptor.p_adic(3))
     assert calls == ["Z_1830"]
-    assert report.rf["field"] == "Q_3"
+    assert report.values["rf"]["field"] == "Q_3"
 
 
 def test_istar_census_is_built_once_per_process(monkeypatch, capsys):
