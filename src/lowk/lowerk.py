@@ -3,7 +3,8 @@
 Whitehead rank (pair classes minus cyclic-subgroup classes, with per-family
 closed forms), the Carter rank of K_-1 from Witt-Berman counts, rule-based
 K_-1 torsion, the Swan lookup table for reduced K_0, symbolic Wedderburn
-shapes of the rational group algebras, and the Bass-Heller-Swan splitting.
+shapes of Q[G] for every dicyclic and binary polyhedral group, and the
+Bass-Heller-Swan splitting.
 
 Each rule states the path it took (census, closed form, family rule or
 lookup table) where it takes it; inside a `provenance()` block those lines
@@ -351,10 +352,9 @@ def k_minus_one_torsion(group: FiniteGroup) -> int:
         return row.kminus1_torsion
     m = dicyclic_parameter(group)
     if m is not None:
-        if m & (m - 1) == 0:  # power of two: generalized quaternion Q_{2^k}
+        if m & (m - 1) == 0:  # power of two: generalized quaternion Q_{4m}
             _record("kminus1 torsion: quaternion 2-group rule")
-            k = (4 * m).bit_length() - 1
-            return 0 if k == 3 else 1
+            return 0 if m == 2 else 1
         if m % 2 == 1 and is_prime(m):
             _record(f"kminus1 torsion: dicyclic odd-prime rule, m = {m} = {m % 4} mod 4")
             return 1 if m % 4 == 1 else 0
@@ -393,27 +393,26 @@ def k0_tilde_lookup(group: FiniteGroup) -> AbelianGroupExpr | Unknown:
 
 
 def wedderburn_shape(group: FiniteGroup) -> tuple[WedderburnComponent, ...]:
-    """Symbolic simple components of Q[G] for the supported families."""
+    """Symbolic simple components of Q[G], from `_POLYHEDRAL` or the Dic_4m rule.
+
+    Q[Dic_4m] is Q[D_2m] (y^2 = x^m = 1), then its x^m = -1 part.  Only the
+    odd part of m is factored, so every power of two answers.
+    """
     row = _POLYHEDRAL.get(group.family.kind)
     m = dicyclic_parameter(group)
     if row is not None:
         comps = list(row.wedderburn)
     elif m is None:
         raise UnsupportedFamilyError(f"no Wedderburn shape for family {group.family}")
-    elif m % 2 == 1:
-        comps = [_field("Q"), _field("Q")]
-        comps += [_matrix(2, _real_cyclotomic(d)) for d in divisors(m) if d > 2]
-        comps.append(_field("Q(i)"))
-        comps += [_skew(2 * d0) for d0 in divisors(m) if d0 > 1]
-    elif m & (m - 1) == 0:
-        k = (4 * m).bit_length() - 1
-        comps = [_field("Q")] * 4
-        comps += [_matrix(2, _real_cyclotomic(2 ** i)) for i in range(2, k - 1)]
-        comps.append(_skew(2 ** (k - 1)))
     else:
-        raise UnsupportedFamilyError(
-            f"no Wedderburn shape rule for Dic_{4 * m} with even m={m} not a power of two"
-        )
+        e = (m & -m).bit_length() - 1  # m = 2^e * odd
+        odd = divisors(m >> e)
+        comps = [_field("Q")] * (2 if e == 0 else 4)
+        # Q[D_2m]: one M_2 for each d | m with d > 2
+        comps += [_matrix(2, _real_cyclotomic(d))
+                  for d in sorted(o << i for o in odd for i in range(e + 1)) if d > 2]
+        # x^m = -1: one quaternion component for each d | 2m with v_2(d) = e + 1
+        comps += [_field("Q(i)") if d == 2 else _skew(d) for d in (o << (e + 1) for o in odd)]
     _record("wedderburn: rational group algebra decomposition table")
     return tuple(comps)
 

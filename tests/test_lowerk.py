@@ -1,10 +1,11 @@
 import itertools
+import re
 import time
 
 import pytest
 
 from lowk import lowerk
-from lowk.census import GroupTooLargeError
+from lowk.census import GroupTooLargeError, conjugacy_classes
 from lowk.groups import (
     build_binary_polyhedral,
     build_cyclic,
@@ -28,7 +29,7 @@ from lowk.lowerk import (
     whitehead_rank,
 )
 from lowk.fconj import r_f
-from lowk.galois import FieldDescriptor, divisors, is_prime
+from lowk.galois import FieldDescriptor, divisors, is_prime, totient
 
 from helpers import brute_force_bound, build_abelian, carter_by_r_f
 
@@ -327,25 +328,53 @@ def test_wedderburn_dic20():
     assert symbols == ["Q", "Q", "M_2(Q(zeta_5+zeta_5^-1))", "Q(i)", "H_10"]
 
 
+def test_wedderburn_dic24():
+    symbols = [c.symbol() for c in wedderburn_shape(build_dicyclic(6))]
+    assert symbols == ["Q", "Q", "Q", "Q", "M_2(Q(zeta_3+zeta_3^-1))",
+                       "M_2(Q(zeta_6+zeta_6^-1))", "H_4", "H_12"]
+
+
 def test_wedderburn_tstar():
     symbols = [c.symbol() for c in wedderburn_shape(build_binary_polyhedral("T*"))]
     assert symbols == ["Q", "Q(zeta_3)", "M_3(Q)", "H_4", "H(Q(zeta_3))"]
 
 
+# (Q-dimension, degree of the centre over Q) of the symbols that no shape rule covers
+_IRREGULAR = {
+    "Q": (1, 1), "Q(i)": (2, 2), "Q(zeta_3)": (2, 2), "H(Q(zeta_3))": (8, 2),
+    "H_hat": (4, 1), "H(Q)": (4, 1), "Q(sqrt5)": (2, 2),
+}
+
+
+def _dim_and_centre(symbol):
+    if match := re.fullmatch(r"M_(\d+)\((.+)\)", symbol):
+        dim, centre = _dim_and_centre(match[2])
+        return int(match[1]) ** 2 * dim, centre
+    if match := re.fullmatch(r"Q\(zeta_(\d+)\+zeta_\1\^-1\)", symbol):
+        return totient(int(match[1])) // 2, totient(int(match[1])) // 2
+    if match := re.fullmatch(r"H_(\d+)", symbol):
+        return 2 * totient(int(match[1])), totient(int(match[1])) // 2
+    return _IRREGULAR[symbol]
+
+
 def test_wedderburn_component_count_matches_rational_count():
-    groups = [build_dicyclic(m) for m in (3, 5, 7, 9, 15)]
-    groups += [generalized_quaternion(k) for k in (3, 4, 5, 6)]
+    """Components = r_Q, dimensions sum to |G|, centre degrees to the class count."""
+    groups = [build_dicyclic(m) for m in range(2, 251)]
+    groups += [generalized_quaternion(k) for k in range(3, 11)]
     groups += [build_binary_polyhedral(k) for k in ("T*", "O*", "I*")]
     for group in groups:
-        shape = wedderburn_shape(group)
-        assert len(shape) == r_f(group, FieldDescriptor.rational()), group.name
+        census = conjugacy_classes(group)
+        sizes = [_dim_and_centre(c.symbol()) for c in wedderburn_shape(group)]
+        assert len(sizes) == len(census.subgroups), group.name
+        assert sum(dim for dim, _ in sizes) == group.order, group.name
+        assert sum(centre for _, centre in sizes) == len(census.classes), group.name
 
 
 def test_wedderburn_unsupported():
     with pytest.raises(UnsupportedFamilyError):
-        wedderburn_shape(build_dicyclic(6))
-    with pytest.raises(UnsupportedFamilyError):
         wedderburn_shape(build_cyclic(5))
+    with pytest.raises(UnsupportedFamilyError):
+        wedderburn_shape(build_abelian([2, 2]))
 
 
 # -- Bass-Heller-Swan ------------------------------------------------------------

@@ -461,6 +461,7 @@ def test_huge_closed_form_answers_in_bounded_memory(argv):
     # 2^61 - 1 and 10^17 + 3 are past the trial division bound
     ("lambda", "--m", "2305843009213693951"),
     ("group", "dicyclic", "--m", "2305843009213693951", "--invariants", "wh"),
+    ("group", "dicyclic", "--m", str(2 * (2**61 - 1)), "--invariants", "wedderburn"),
     ("classify", "--n", "100000000000000003", "--vc"),
     # group orders too long to print, refused before the group is built
     ("group", "quaternion", "--k", str(LAST_PRINTABLE_K + 1)),
@@ -478,6 +479,13 @@ def test_huge_census_only_query_exits_2_in_bounded_memory(argv):
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     assert "Traceback" not in done.stderr
     assert "set_int_max_str_digits" not in done.stderr
+
+
+def test_wedderburn_factors_only_the_odd_part_of_m(capsys):
+    code, out, _ = run_cli(capsys, "group", "dicyclic", "--m", str(3 * 2**60),
+                           "--invariants", "wedderburn", "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["wedderburn"]) == 126  # 4 + (2 * 61 - 2) + 2
 
 
 # family -> its parameter, and the least value of it whose group order has
