@@ -392,11 +392,20 @@ def k0_tilde_lookup(group: FiniteGroup) -> AbelianGroupExpr | Unknown:
     return value
 
 
+# Q[Dic_4m] with m = 2^e * odd has (e + 2) * d(odd) simple components, plus
+# 1 or 2; for Q_{2^k} that product is k.  The bound is the largest k whose
+# order prints (14 284 at Python's default 4300-digit limit), so every such
+# Q_{2^k} and every odd m up to 10^14 (d(m) <= 5760) answers, while
+# m = 105 * 2^14000 would print over 10^5 indices of up to 4200 digits.
+_MAX_COMPONENTS = 14_284
+
+
 def wedderburn_shape(group: FiniteGroup) -> tuple[WedderburnComponent, ...]:
     """Symbolic simple components of Q[G], from `_POLYHEDRAL` or the Dic_4m rule.
 
     Q[Dic_4m] is Q[D_2m] (y^2 = x^m = 1), then its x^m = -1 part.  Only the
-    odd part of m is factored, so every power of two answers.
+    odd part of m is factored, so every power of two answers.  Raises
+    ValueError, before any component is built, past `_MAX_COMPONENTS`.
     """
     row = _POLYHEDRAL.get(group.family.kind)
     m = dicyclic_parameter(group)
@@ -407,6 +416,11 @@ def wedderburn_shape(group: FiniteGroup) -> tuple[WedderburnComponent, ...]:
     else:
         e = (m & -m).bit_length() - 1  # m = 2^e * odd
         odd = divisors(m >> e)
+        if (e + 2) * len(odd) > _MAX_COMPONENTS:
+            raise ValueError(
+                f"Q[Dic_4m] has over {_MAX_COMPONENTS} simple components for this m; "
+                "no longer shape is listed"
+            )
         comps = [_field("Q")] * (2 if e == 0 else 4)
         # Q[D_2m]: one M_2 for each d | m with d > 2
         comps += [_matrix(2, _real_cyclotomic(d))

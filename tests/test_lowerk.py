@@ -323,15 +323,21 @@ def test_k0_lookup_cyclic_and_binary():
 
 # -- Wedderburn shapes -----------------------------------------------------------
 
-def test_wedderburn_dic20():
-    symbols = [c.symbol() for c in wedderburn_shape(build_dicyclic(5))]
-    assert symbols == ["Q", "Q", "M_2(Q(zeta_5+zeta_5^-1))", "Q(i)", "H_10"]
+@pytest.mark.parametrize("m, symbols", [
+    (5, ["Q", "Q", "M_2(Q(zeta_5+zeta_5^-1))", "Q(i)", "H_10"]),
+    (6, ["Q", "Q", "Q", "Q", "M_2(Q(zeta_3+zeta_3^-1))", "M_2(Q(zeta_6+zeta_6^-1))",
+         "H_4", "H_12"]),
+])
+def test_wedderburn_dicyclic(m, symbols):
+    assert [c.symbol() for c in wedderburn_shape(build_dicyclic(m))] == symbols
 
 
-def test_wedderburn_dic24():
-    symbols = [c.symbol() for c in wedderburn_shape(build_dicyclic(6))]
-    assert symbols == ["Q", "Q", "Q", "Q", "M_2(Q(zeta_3+zeta_3^-1))",
-                       "M_2(Q(zeta_6+zeta_6^-1))", "H_4", "H_12"]
+def test_wedderburn_component_bound():
+    """The odd m <= 10^14 with the most divisors (5760) answers; twice it is refused."""
+    m = 3**4 * 5**2 * 7**2 * 11 * 13 * 17 * 19 * 23 * 29 * 31
+    assert len(wedderburn_shape(build_dicyclic(m))) == 2 * 5760 + 1
+    with pytest.raises(ValueError, match="simple components"):
+        wedderburn_shape(build_dicyclic(2 * m))
 
 
 def test_wedderburn_tstar():

@@ -462,6 +462,8 @@ def test_huge_closed_form_answers_in_bounded_memory(argv):
     ("lambda", "--m", "2305843009213693951"),
     ("group", "dicyclic", "--m", "2305843009213693951", "--invariants", "wh"),
     ("group", "dicyclic", "--m", str(2 * (2**61 - 1)), "--invariants", "wedderburn"),
+    # Q[Dic_4m] would have over 10^5 components, each printing a 4200-digit index
+    ("group", "dicyclic", "--m", str(105 * 2**14000), "--invariants", "wedderburn"),
     ("classify", "--n", "100000000000000003", "--vc"),
     # group orders too long to print, refused before the group is built
     ("group", "quaternion", "--k", str(LAST_PRINTABLE_K + 1)),
