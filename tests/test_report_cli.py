@@ -316,6 +316,16 @@ def test_group_report_matches_golden_byte_for_byte(capsys, command):
     assert out == GROUP_REPORTS[command]
 
 
+CLASSIFY = json.loads((GOLDEN / "classify.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(CLASSIFY))
+def test_classify_matches_golden_byte_for_byte(capsys, command):
+    code, out, err = run_cli(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert out == CLASSIFY[command]
+
+
 CENSUS_WH = "wh: class census sum of r1(d) - r2(d)"
 CROSS_CHECKED = CENSUS_WH + ", cross-checked against the family closed form"
 CARTER = ("kminus1 rank: Carter formula 1 - r_Q + sum_p (r_Qp - r_Fp) "
