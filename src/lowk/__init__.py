@@ -40,6 +40,7 @@ from .classify import (
     maximal_finite_subgroups,
     maximal_vc_classes_b4,
     vc_classes_b4,
+    virtually_cyclic_classes,
     virtually_cyclic_classes_odd,
 )
 from .fconj import FPartition, f_partition, r_f

@@ -1,8 +1,10 @@
 """Rule-based enumeration of the finite and virtually cyclic subgroup classes.
 
 The known classification of subgroups of sphere braid groups is encoded as
-congruence/divisor predicates; descriptors re-validate their own constraint
-and lists are emitted in a fixed sorted order.
+congruence/divisor predicates. A descriptor is a plain record whose
+constructors (`_finite`, `_type_i`, `_type_ii`) fill in its name and order;
+`virtually_cyclic_classes` picks the list for a strand count, and lists are
+emitted in a fixed sorted order.
 """
 
 from __future__ import annotations
@@ -19,11 +21,26 @@ def _dicyclic_name(m: int) -> str:
     return f"Dic_{4 * m}"
 
 
+# finite kind -> (name, order) of its member with parameter m, in sort order
+_FINITE = {
+    "cyclic": (lambda m: f"Z_{m}", lambda m: m),
+    "dicyclic": (_dicyclic_name, lambda m: 4 * m),
+    "tstar": (lambda m: "T*", lambda m: 24),
+    "ostar": (lambda m: "O*", lambda m: 48),
+    "istar": (lambda m: "I*", lambda m: 120),
+}
+_RANK = {kind: rank for rank, kind in enumerate((*_FINITE, "type_I", "type_II"))}
+_JSON_KEYS = ("kind", "name", "m", "order", "finite_part", "action_order",
+              "factors", "core", "maximal", "notes")
+
+
 @dataclass(frozen=True)
 class SubgroupDescriptor:
     """One isomorphism class of subgroups, finite or virtually cyclic."""
 
     kind: str  # cyclic | dicyclic | tstar | ostar | istar | type_I | type_II
+    name: str
+    order: int | None = None                # finite kinds only
     m: int | None = None                    # Z_m, or Dic_{4m}
     finite_part: str | None = None          # type I: torsion subgroup name
     action_order: int | None = None         # type I: order of the Z-action
@@ -32,45 +49,9 @@ class SubgroupDescriptor:
     maximal: bool | None = None
     notes: tuple[str, ...] = ()
 
-    @property
-    def name(self) -> str:
-        if self.kind == "cyclic":
-            return f"Z_{self.m}"
-        if self.kind == "dicyclic":
-            assert self.m is not None
-            return _dicyclic_name(self.m)
-        if self.kind == "tstar":
-            return "T*"
-        if self.kind == "ostar":
-            return "O*"
-        if self.kind == "istar":
-            return "I*"
-        if self.kind == "type_I":
-            if self.finite_part in (None, "Z_1"):
-                return "Z"
-            if self.action_order == 1:
-                return f"{self.finite_part} x Z"
-            return f"{self.finite_part} x|_{self.action_order} Z"
-        assert self.factors is not None and self.core is not None
-        return f"{self.factors[0]} *_{{{self.core}}} {self.factors[1]}"
-
-    @property
-    def order(self) -> int | None:
-        """Group order for the finite kinds, None for the infinite ones."""
-        if self.kind == "cyclic":
-            return self.m
-        if self.kind == "dicyclic":
-            assert self.m is not None
-            return 4 * self.m
-        return {"tstar": 24, "ostar": 48, "istar": 120}.get(self.kind)
-
     def sort_key(self):
-        rank = {
-            "cyclic": 0, "dicyclic": 1, "tstar": 2, "ostar": 3, "istar": 4,
-            "type_I": 5, "type_II": 6,
-        }[self.kind]
         return (
-            rank,
+            _RANK[self.kind],
             self.m or 0,
             self.finite_part or "",
             self.action_order or 0,
@@ -79,41 +60,33 @@ class SubgroupDescriptor:
         )
 
     def to_json(self) -> dict:
-        out: dict = {"kind": self.kind, "name": self.name}
-        if self.m is not None:
-            out["m"] = self.m
-        if self.order is not None:
-            out["order"] = self.order
-        if self.finite_part is not None:
-            out["finite_part"] = self.finite_part
-        if self.action_order is not None:
-            out["action_order"] = self.action_order
-        if self.factors is not None:
-            out["factors"] = list(self.factors)
-            out["core"] = self.core
-        if self.maximal is not None:
-            out["maximal"] = self.maximal
-        if self.notes:
-            out["notes"] = list(self.notes)
+        out: dict = {}
+        for key in _JSON_KEYS:
+            value = getattr(self, key)
+            if value is not None and value != ():
+                out[key] = list(value) if isinstance(value, tuple) else value
         return out
 
 
-def _cyclic(m: int, **kw) -> SubgroupDescriptor:
-    return SubgroupDescriptor(kind="cyclic", m=m, **kw)
+def _finite(kind: str, m: int | None = None, **kw) -> SubgroupDescriptor:
+    name, order = _FINITE[kind]
+    return SubgroupDescriptor(kind, name(m), order(m), m=m, **kw)
 
 
-def _dicyclic(m: int, **kw) -> SubgroupDescriptor:
-    return SubgroupDescriptor(kind="dicyclic", m=m, **kw)
+def _type_i(finite_part: str, action_order: int, **kw) -> SubgroupDescriptor:
+    if finite_part == "Z_1":
+        name = "Z"
+    elif action_order == 1:
+        name = f"{finite_part} x Z"
+    else:
+        name = f"{finite_part} x|_{action_order} Z"
+    return SubgroupDescriptor("type_I", name, finite_part=finite_part,
+                              action_order=action_order, **kw)
 
 
-def _type_i(finite_part: str, action_order: int) -> SubgroupDescriptor:
-    return SubgroupDescriptor(
-        kind="type_I", finite_part=finite_part, action_order=action_order
-    )
-
-
-def _type_ii(f1: str, f2: str, core: str) -> SubgroupDescriptor:
-    return SubgroupDescriptor(kind="type_II", factors=(f1, f2), core=core)
+def _type_ii(f1: str, f2: str, core: str, **kw) -> SubgroupDescriptor:
+    return SubgroupDescriptor("type_II", f"{f1} *_{{{core}}} {f2}",
+                              factors=(f1, f2), core=core, **kw)
 
 
 def maximal_finite_subgroups(n: int) -> list[SubgroupDescriptor]:
@@ -124,24 +97,24 @@ def maximal_finite_subgroups(n: int) -> list[SubgroupDescriptor]:
     if n < 1:
         raise ValueError(f"strand count must be >= 1, got {n}")
     if n == 1:
-        return [_cyclic(1, maximal=True)]
+        return [_finite("cyclic", 1, maximal=True)]
     if n == 2:
-        return [_cyclic(2, maximal=True)]
+        return [_finite("cyclic", 2, maximal=True)]
     if n == 3:
-        return [_dicyclic(3, maximal=True)]
+        return [_finite("dicyclic", 3, maximal=True)]
     notes = ("single conjugacy class",) if n == 4 else ()
     out: list[SubgroupDescriptor] = []
     if n >= 5:
-        out.append(_cyclic(2 * (n - 1), maximal=True))
-    out.append(_dicyclic(n, maximal=True, notes=notes))
+        out.append(_finite("cyclic", 2 * (n - 1), maximal=True))
+    out.append(_finite("dicyclic", n, maximal=True, notes=notes))
     if n == 5 or n >= 7:
-        out.append(_dicyclic(n - 2, maximal=True))
+        out.append(_finite("dicyclic", n - 2, maximal=True))
     if n % 6 == 4:
-        out.append(SubgroupDescriptor(kind="tstar", maximal=True, notes=notes))
+        out.append(_finite("tstar", maximal=True, notes=notes))
     if n % 6 in (0, 2):
-        out.append(SubgroupDescriptor(kind="ostar", maximal=True))
+        out.append(_finite("ostar", maximal=True))
     if n % 30 in (0, 2, 12, 20):
-        out.append(SubgroupDescriptor(kind="istar", maximal=True))
+        out.append(_finite("istar", maximal=True))
     return sorted(out, key=SubgroupDescriptor.sort_key)
 
 
@@ -153,10 +126,10 @@ def virtually_cyclic_classes_odd(n: int) -> list[SubgroupDescriptor]:
 
     for m in divisors(n) + divisors(n - 2):
         if m >= 3:
-            found.add(_dicyclic(m))
+            found.add(_finite("dicyclic", m))
     for q in (2 * n, 2 * (n - 1), 2 * (n - 2)):
         for m in divisors(q):
-            found.add(_cyclic(m))
+            found.add(_finite("cyclic", m))
 
     if n >= 5:
         for i in (0, 2):
@@ -184,6 +157,16 @@ def virtually_cyclic_classes_odd(n: int) -> list[SubgroupDescriptor]:
     return sorted(found, key=SubgroupDescriptor.sort_key)
 
 
+
+def virtually_cyclic_classes(n: int) -> list[SubgroupDescriptor]:
+    """The virtually cyclic classes lowk lists for n strands: odd n >= 3, or n = 4."""
+    if n == 4:
+        return vc_classes_b4()
+    if n >= 3 and n % 2 == 1:
+        return virtually_cyclic_classes_odd(n)
+    raise ValueError("virtually cyclic classification is available for odd n >= 3 and n = 4")
+
+
 _INFINITELY_MANY = "infinitely many conjugacy classes of maximal representatives"
 _BOTH_KINDS = "maximal and non-maximal realisations both occur"
 
@@ -204,10 +187,7 @@ def vc_classes_b4() -> list[SubgroupDescriptor]:
         _type_ii("Z_8", "Z_8", "Z_4"),
         _type_ii("Z_8", "Q8", "Z_4"),
         _type_ii("Q8", "Q8", "Z_4"),
-        SubgroupDescriptor(
-            kind="type_II", factors=("Q16", "Q16"), core="Q8",
-            notes=("two abstract isomorphism classes",),
-        ),
+        _type_ii("Q16", "Q16", "Q8", notes=("two abstract isomorphism classes",)),
     ]
     return sorted(type_i + type_ii, key=SubgroupDescriptor.sort_key)
 
@@ -215,18 +195,15 @@ def vc_classes_b4() -> list[SubgroupDescriptor]:
 def maximal_vc_classes_b4() -> list[SubgroupDescriptor]:
     """Maximal virtually cyclic classes for n = 4, with realisation flags."""
     out = [
-        SubgroupDescriptor(kind="tstar", maximal=True,
-                           notes=("the only finite maximal class",)),
-        _dicyclic(4, maximal=False,
-                  notes=("not maximal: it is a factor of Q16 *_{Q8} Q16",)),
+        _finite("tstar", maximal=True, notes=("the only finite maximal class",)),
+        _finite("dicyclic", 4, maximal=False,
+                notes=("not maximal: it is a factor of Q16 *_{Q8} Q16",)),
     ]
     for j in (1, 2, 3):
-        out.append(SubgroupDescriptor(
-            kind="type_I", finite_part="Q8", action_order=j, maximal=True,
-            notes=(_BOTH_KINDS, _INFINITELY_MANY),
-        ))
-    out.append(SubgroupDescriptor(
-        kind="type_II", factors=("Q16", "Q16"), core="Q8", maximal=True,
+        out.append(_type_i("Q8", j, maximal=True,
+                           notes=(_BOTH_KINDS, _INFINITELY_MANY)))
+    out.append(_type_ii(
+        "Q16", "Q16", "Q8", maximal=True,
         notes=("two abstract isomorphism classes", _BOTH_KINDS, _INFINITELY_MANY),
     ))
     return sorted(out, key=SubgroupDescriptor.sort_key)

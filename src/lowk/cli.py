@@ -21,11 +21,7 @@ from typing import NamedTuple, NoReturn
 
 from .b4 import SUITES, verify_all, verify_suite
 from .census import BOUND, BRUTE_FORCE_BOUND, GroupTooLargeError
-from .classify import (
-    maximal_finite_subgroups,
-    vc_classes_b4,
-    virtually_cyclic_classes_odd,
-)
+from .classify import maximal_finite_subgroups, virtually_cyclic_classes
 from .galois import FieldDescriptor
 from .groups import MAX_CLOSURE_SIZE
 from .lowerk import lambda_value
@@ -154,16 +150,8 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[_Answer, int]:
             f"{sys.get_int_max_str_digits()} decimal digits"
         )
     if args.vc:
-        if n == 4:
-            descriptors = vc_classes_b4()
-            label = "virtually_cyclic"
-        elif n >= 3 and n % 2 == 1:
-            descriptors = virtually_cyclic_classes_odd(n)
-            label = "virtually_cyclic"
-        else:
-            raise UnsupportedParameterError(
-                "virtually cyclic classification is available for odd n >= 3 and n = 4"
-            )
+        descriptors = virtually_cyclic_classes(n)
+        label = "virtually_cyclic"
     else:
         descriptors = maximal_finite_subgroups(n)
         label = "maximal_finite"

@@ -241,6 +241,8 @@ def b4_lower_k_report() -> KReport:
     if not isinstance(k0_assembled, AbelianGroupExpr):
         raise AssemblyError(f"reduced K_0 of {q16.name} is not tabulated")
     kminus1 = k_minus_one(q16) + k_minus_one(tstar)
+    if whitehead_rank(q8) != 0:
+        raise AssemblyError(f"Wh of {q8.name} is not zero")
     if not k_minus_one(q8).is_zero:
         raise AssemblyError(f"K_-1 of {q8.name} is not zero")
 

@@ -8,6 +8,7 @@ from lowk.classify import (
     maximal_finite_subgroups,
     maximal_vc_classes_b4,
     vc_classes_b4,
+    virtually_cyclic_classes,
     virtually_cyclic_classes_odd,
 )
 from lowk.groups import (
@@ -70,6 +71,13 @@ def test_vc_odd_rejects_even():
         virtually_cyclic_classes_odd(6)
     with pytest.raises(ValueError):
         virtually_cyclic_classes_odd(1)
+    # the one dispatcher answers n = 4 and odd n >= 3, and refuses every other n
+    assert virtually_cyclic_classes(4) == vc_classes_b4()
+    for n in range(3, 62, 2):
+        assert virtually_cyclic_classes(n) == virtually_cyclic_classes_odd(n), n
+    for n in (-1, 0, 1, 2, 6, 8):
+        with pytest.raises(ValueError, match="odd n >= 3 and n = 4"):
+            virtually_cyclic_classes(n)
 
 
 def test_vc_n3_finite_only():

@@ -133,7 +133,8 @@ def test_b4_report_values():
 @pytest.mark.parametrize("name, order, value", [
     ("k_minus_one", 8, AbelianGroupExpr.free(1)),
     ("k0_tilde_lookup", 16, UNKNOWN),
-], ids=["kminus1_q8_nonzero", "k0_q16_unknown"])
+    ("whitehead_rank", 8, 1),
+], ids=["kminus1_q8_nonzero", "k0_q16_unknown", "wh_q8_nonzero"])
 def test_b4_report_rejects_a_wrong_assembly_input(monkeypatch, name, order, value):
     real = getattr(report_module, name)
 
