@@ -10,22 +10,23 @@ takes the exponent -1, r2 is the number of records of each order, and
 `lowk.fconj` picks the records and the Galois image of each F-conjugacy
 count.
 
-The census walks each cyclic subgroup once, the group generators first and
-then the elements in their sorted order; an element's order is taken only
-when it starts a walk.  One walk g, g^2, ... names every element of <g> as
-a power of its subgroup's generator.  A power g^k that an earlier walk
-named was named with all of <g^k>, so the walk order changes only the
-number of products, never the records.  Only the subgroups' generators are
-conjugated, by each non-central group generator, and a search over the
-subgroups finds the classes; each edge that closes a loop gives one
-generator of H.  When every generator is central, as for Z_m, no product is
-taken: a cyclic subgroup is its own class and H = {1}.  The element classes
-are derived from the records on first read.  `conjugacy_classes` is the one
-way in: it checks the brute-force bound, builds the census of the whole
-group once and keeps it while the group lives.  The bound is the context
-variable `BOUND`, a resource limit set per query, which the periodicity
-checks and the `lowk.lowerk` rules read too: it decides which path runs and
-whether lowk refuses, never a value.
+The census walks each cyclic subgroup once, from the first of its
+generators in the sorted element order; an element's order is taken only
+when it starts a walk.  The walk g, g^2, ..., g^(d-1) of <g> names exactly
+its phi(d) generators g^t, gcd(t, d) = 1, so every element is named once,
+as a unit power of its own subgroup's generator.  The walks take
+sum_C (|C| - 2) products over the cyclic subgroups C of order at least 2,
+a group invariant whatever the element order.  Only the subgroups'
+generators are conjugated, by each non-central group generator, and a
+search over the subgroups finds the classes; each edge that closes a loop
+gives one generator of H.  When every generator is central, as for Z_m, no
+product is taken: a cyclic subgroup is its own class and H = {1}.  The
+element classes are derived from the records on first read.
+`conjugacy_classes` is the one way in: it checks the brute-force bound,
+builds the census of the whole group once and keeps it while the group
+lives.  The bound is the context variable `BOUND`, a resource limit set per
+query, which the periodicity checks and the `lowk.lowerk` rules read too: it
+decides which path runs and whether lowk refuses, never a value.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from collections import Counter, defaultdict
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import Collection, Iterable, NamedTuple, Sequence
 from weakref import WeakKeyDictionary
 
@@ -127,13 +127,14 @@ class ClassCensus:
     """The classes of cyclic subgroups, the per-order pair/subgroup class
     counts r1, r2, and the conjugacy classes derived from them.
 
-    `_position[x]` is (S, t) for x = g_S^t: S indexes the walked cyclic
-    subgroups and g_S is the generator its walk met first.  S's transport
-    (i, e) = (`_transport[S]`, `_transport_power[S]`) says g_S^e is
-    conjugate to g, the generator of the i-th record's subgroup.  So
-    x ~ g^(t/e), and x's class is the coset of t/e modulo that record's
-    automizer.  With no walk (`_position` None) every generator is central,
-    every class a singleton, and `_by_order` lists the elements by order.
+    `_position[x]` is (S, t) for x = g_S^t, t a unit modulo x's order: S
+    indexes the cyclic subgroups, <x> among them, and g_S is the generator
+    that started S's walk.  S's transport (i, e) = (`_transport[S]`,
+    `_transport_power[S]`) says g_S^e is conjugate to g, the generator of
+    the i-th record's subgroup.  So x ~ g^(t/e), and x's class is the coset
+    of t/e modulo that record's automizer.  With no walk (`_position` None)
+    every generator is central, every class a singleton, and `_by_order`
+    lists the elements by order.
     """
 
     subgroups: tuple[SubgroupClass, ...]
@@ -190,41 +191,28 @@ def _build_census(group: FiniteGroup) -> ClassCensus:
         )
         return ClassCensus(subgroups, by_order, None, [], [])
 
-    # Walk each cyclic subgroup once, the group generators first (the walk of
-    # Dic_4m's rotation x names half the group).  The powers g^t with
-    # gcd(t, d) = k generate <g^k>, g^t as its (t/k)-th power, so one walk
-    # g, g^2, ..., g^(d-1) names every element of <g> but the identity, which
-    # is walked on its own (d = 1).  <g^k> is new when g^k, met first at
-    # t = k, is: a named g^k was named with all of <g^k> by an earlier walk.
+    # Walk each cyclic subgroup once, from the first of its generators in
+    # sorted order.  An unnamed g starts a walk g, g^2, ..., g^(d-1) that
+    # names g^t as (S, t) exactly when gcd(t, d) = 1, so S names its own
+    # phi(d) generators and nothing else; every other power generates a
+    # smaller subgroup, walked when met.  The walks take sum_C (|C| - 2)
+    # products over the cyclic subgroups C of order at least 2.
     position: dict[ElementId, tuple[int, int]] = {}
     generators: list[ElementId] = []
     sub_order: list[int] = []
-    steps_of: dict[int, list[tuple[int, int, int]]] = {}
-    for g in chain(gens, group.elements):
+    for g in group.elements:
         if g in position:
             continue
         d = order_of(g)
-        steps = steps_of.get(d)
-        if steps is None:
-            # for t = 2, ..., d - 1: k, t/k, and d/k when t = k
-            steps = steps_of[d] = [(k, t // k, d // k if k == t else 0)
-                                   for t in range(2, d) for k in (math.gcd(t, d),)]
-        strata = {1: len(generators)}
-        position[g] = (len(generators), 1 % d)
+        s = len(generators)
+        position[g] = (s, 1 % d)
         generators.append(g)
         sub_order.append(d)
         x = g
-        for k, q, e in steps:
+        for t in range(2, d):
             x = mul(x, g)
-            if e:
-                new = x not in position
-                strata[k] = len(generators) if new else -1
-                if new:
-                    generators.append(x)
-                    sub_order.append(e)
-            s = strata[k]
-            if s >= 0:
-                position[x] = (s, q)
+            if math.gcd(t, d) == 1:
+                position[x] = (s, t)
 
     # Search the subgroups under conjugation by the movers.  A transport
     # (i, e) of S says g_S^e ~ g_R, R the first subgroup of S's class met;

@@ -92,7 +92,8 @@ def _type_ii(f1: str, f2: str, core: str, **kw) -> SubgroupDescriptor:
 def maximal_finite_subgroups(n: int) -> list[SubgroupDescriptor]:
     """Maximal finite subgroup classes of the n-strand sphere braid group.
 
-    For n <= 3 the group itself is finite (trivial, Z_2, Dic_12).
+    For n <= 3 the group itself is finite (trivial, Z_2, Dic_12); n = 3
+    takes the general rules, which give Dic_12 alone.
     """
     if n < 1:
         raise ValueError(f"strand count must be >= 1, got {n}")
@@ -100,8 +101,6 @@ def maximal_finite_subgroups(n: int) -> list[SubgroupDescriptor]:
         return [_finite("cyclic", 1, maximal=True)]
     if n == 2:
         return [_finite("cyclic", 2, maximal=True)]
-    if n == 3:
-        return [_finite("dicyclic", 3, maximal=True)]
     notes = ("single conjugacy class",) if n == 4 else ()
     out: list[SubgroupDescriptor] = []
     if n >= 5:

@@ -203,7 +203,8 @@ def phi_generators(field: FieldDescriptor, n: int) -> tuple[int, ...] | None:
     and 5 when p = 2), and the Frobenius p acts on the prime-to-p part; both
     are lifted to residues mod n by the Chinese remainder theorem.  Moduli
     n = 2 mod 4 are reduced to n/2 and lifted back through the canonical
-    unit-group isomorphism.
+    unit-group isomorphism.  Every generator is a residue 1 < r < n; the
+    trivial image has none.
     """
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
@@ -213,22 +214,24 @@ def phi_generators(field: FieldDescriptor, n: int) -> tuple[int, ...] | None:
     assert p is not None
     if field.kind == "Fp" and n % p == 0:
         raise ValueError(f"phi_generators over F_{p} needs a modulus prime to {p}")
-    if n == 1:
-        return ()
     if n % p:
-        return (p % n,)
-    # Q_p.  zeta_n and zeta_{n/2} generate the same field when n = 2 mod 4.
-    if n % 4 == 2:
+        gens: tuple[int, ...] = (p,)
+    elif n % 4 == 2:
+        # Q_p.  zeta_n and zeta_{n/2} generate the same field when n = 2 mod 4.
         half = phi_generators(field, n // 2)
-        return None if half is None else tuple(r if r % 2 else r + n // 2 for r in half)
-    q, n1 = 1, n
-    while n1 % p == 0:
-        n1 //= p
-        q *= p
-    if n1 == 1:
-        return None
-    inertia = (q - 1, 5) if p == 2 else (_primitive_root(p),)
-    return (*(_crt(g, q, 1, n1) for g in inertia), _crt(1, q, p, n1))
+        if half is None:
+            return None
+        gens = tuple(r if r % 2 else r + n // 2 for r in half)
+    else:
+        q, n1 = 1, n
+        while n1 % p == 0:
+            n1 //= p
+            q *= p
+        if n1 == 1:
+            return None
+        inertia = (q - 1, 5) if p == 2 else (_primitive_root(p),)
+        gens = (*(_crt(g, q, 1, n1) for g in inertia), _crt(1, q, p, n1))
+    return tuple(r for r in (g % n for g in gens) if r != 1 % n)
 
 
 def phi_image(field: FieldDescriptor, n: int) -> tuple[int, ...]:

@@ -20,7 +20,14 @@ from lowk.groups import (
     generalized_quaternion,
 )
 
-from helpers import brute_force_bound, build_abelian, centralizer, class_of
+from helpers import (
+    brute_force_bound,
+    build_abelian,
+    build_affine,
+    centralizer,
+    class_of,
+    relabel,
+)
 
 
 def test_dicyclic_rotation_classes_are_inverse_pairs():
@@ -290,3 +297,26 @@ def test_census_takes_one_order_per_walk(group, monkeypatch):
     monkeypatch.setattr(group, "order_of", counting)
     census = conjugacy_classes(group)
     assert 0 < len(calls) <= len(census._transport)
+
+
+def census_shape(group, monkeypatch):
+    """What a census says whatever the element ids: its records sorted, r1,
+    r2, the class sizes and the products the walk and search took."""
+    census, products = count_products(group, monkeypatch)
+    sizes = sorted(len(c) for c in census.classes)
+    return sorted(census.subgroups), census.r1_by_order, census.r2_by_order, sizes, products
+
+
+@pytest.mark.parametrize(
+    "group",
+    [build_binary_polyhedral("T*"), build_binary_polyhedral("O*"),
+     build_binary_polyhedral("I*"), build_dicyclic(15), generalized_quaternion(5),
+     build_affine(7, 3)],
+    ids=lambda g: g.name,
+)
+def test_census_does_not_depend_on_the_element_order(group, monkeypatch):
+    # every cyclic subgroup C is walked once, in |C| - 2 products, whichever
+    # of its generators comes first
+    own = census_shape(group, monkeypatch)
+    for seed in (1, 2, 3):
+        assert census_shape(relabel(group, seed), monkeypatch) == own, seed

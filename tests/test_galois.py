@@ -10,6 +10,7 @@ from lowk.galois import (
     generated_subgroup,
     is_prime,
     mult_order,
+    phi_generators,
     phi_image,
     prime_divisors,
 )
@@ -118,6 +119,22 @@ def test_closed_form_image_equals_enumerated_image():
             if n % p:
                 fields.append(FieldDescriptor.finite_prime(p))
             for f in fields:
+                assert phi_image(f, n) == enumerated_phi_image(f, n), (f.label, n)
+
+
+def test_phi_generators_are_reduced_nontrivial_units():
+    """Each generator r is a unit with 1 < r < n, so the trivial image has
+    none, and the image they generate is the enumerated one."""
+    assert phi_generators(FieldDescriptor.p_adic(2), 12) == (7, 5)
+    assert phi_generators(FieldDescriptor.finite_prime(13), 12) == ()
+    for n in range(1, 400):
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23):
+            fields = [FieldDescriptor.p_adic(p)]
+            if n % p:
+                fields.append(FieldDescriptor.finite_prime(p))
+            for f in fields:
+                gens = phi_generators(f, n)
+                assert all(1 < r < n and math.gcd(r, n) == 1 for r in gens or ()), (f.label, n)
                 assert phi_image(f, n) == enumerated_phi_image(f, n), (f.label, n)
 
 
