@@ -6,15 +6,14 @@ Frobenius p, a primitive root of the p-power part lifted by the Chinese
 remainder theorem, or "all units".  `phi_image` is the subgroup they
 generate, as its sorted residue tuple, enumerated by `groups.closure`; the
 trivial group modulo 1 is the tuple (0,).  Only the image matters
-downstream, so no cyclotomic arithmetic is ever performed.  Primality and
-factorisation use trial division up to TRIAL_BOUND, and divisors are read
-off the factorisation: an input that needs more, such as a prime past
-10^14, raises ValueError with the reason instead of running unbounded.
+downstream, so no cyclotomic arithmetic is ever performed.  One search,
+trial division up to TRIAL_BOUND, serves primality and factorisation, and
+divisors are read off the factorisation: an input that needs more, such as
+a prime past 10^14, raises ValueError with the reason instead of running.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,23 +24,24 @@ from .groups import closure
 TRIAL_BOUND = 10**7
 
 
-def is_prime(n: int) -> bool:
-    """Trial division by odd f <= sqrt(n); raises past TRIAL_BOUND."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
+def _least_factor(n: int, start: int) -> int:
+    """The least factor f >= start of n (none lies below start), or n when
+    none is at most sqrt(n).  Raises when sqrt(n) > TRIAL_BOUND and none is
+    at most TRIAL_BOUND."""
+    if start == 2 and n % 2 == 0:
+        return 2
     root = math.isqrt(n)
-    for f in range(3, min(root, TRIAL_BOUND) + 1, 2):
+    for f in range(start | 1, min(root, TRIAL_BOUND) + 1, 2):
         if n % f == 0:
-            return False
+            return f
     if root > TRIAL_BOUND:
-        raise ValueError(
-            f"cannot test {n} for primality: trial division stops at {TRIAL_BOUND}"
-        )
-    return True
+        raise ValueError(f"cannot factor {n}: trial division stops at {TRIAL_BOUND}")
+    return n
+
+
+def is_prime(n: int) -> bool:
+    """n >= 2 with no factor below itself; raises past TRIAL_BOUND."""
+    return n >= 2 and _least_factor(n, 2) == n
 
 
 def divisors(n: int) -> list[int]:
@@ -65,26 +65,20 @@ def divisors(n: int) -> list[int]:
 def factorization(n: int) -> list[tuple[int, int]]:
     """(p, e) for each prime power p^e exactly dividing n, p ascending.
 
-    Trial division whose bound shrinks as factors are stripped out, so a
-    number with small factors, such as 2^k, costs O(log n) divisions.
+    One pass of `_least_factor`, resumed after each prime stripped out, so
+    a number with small factors, such as 2^k, costs O(log n) divisions.
     Raises when the cofactor left after trial division up to TRIAL_BOUND
     could still be composite, that is, when its square root passes the bound.
     """
     out = []
-    for f in itertools.chain((2,), range(3, TRIAL_BOUND + 1, 2)):
-        if f * f > n:
-            break
-        if n % f == 0:
-            e = 0
-            while n % f == 0:
-                n //= f
-                e += 1
-            out.append((f, e))
-    else:
-        if math.isqrt(n) > TRIAL_BOUND:
-            raise ValueError(f"cannot factor {n}: trial division stops at {TRIAL_BOUND}")
-    if n > 1:
-        out.append((n, 1))
+    f = 2
+    while n > 1:
+        f = _least_factor(n, f)
+        e = 0
+        while n % f == 0:
+            n //= f
+            e += 1
+        out.append((f, e))
     return out
 
 
@@ -201,10 +195,10 @@ def phi_generators(field: FieldDescriptor, n: int) -> tuple[int, ...] | None:
     dividing n: the Frobenius p.  Q_p with n = p^a * n1, n1 prime to p: the
     inertia group is all of (Z/p^a)^*, generated by a primitive root (by -1
     and 5 when p = 2), and the Frobenius p acts on the prime-to-p part; both
-    are lifted to residues mod n by the Chinese remainder theorem.  Moduli
-    n = 2 mod 4 are reduced to n/2 and lifted back through the canonical
-    unit-group isomorphism.  Every generator is a residue 1 < r < n; the
-    trivial image has none.
+    are lifted to residues mod n by the Chinese remainder theorem, one rule
+    for every n.  Every generator is a residue 1 < r < n, and one that is 1
+    mod n drops out, such as the inertia generators of (Z/2)^* when
+    n = 2 mod 4 over Q_2; the trivial image has none.
     """
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
@@ -216,12 +210,6 @@ def phi_generators(field: FieldDescriptor, n: int) -> tuple[int, ...] | None:
         raise ValueError(f"phi_generators over F_{p} needs a modulus prime to {p}")
     if n % p:
         gens: tuple[int, ...] = (p,)
-    elif n % 4 == 2:
-        # Q_p.  zeta_n and zeta_{n/2} generate the same field when n = 2 mod 4.
-        half = phi_generators(field, n // 2)
-        if half is None:
-            return None
-        gens = tuple(r if r % 2 else r + n // 2 for r in half)
     else:
         q, n1 = 1, n
         while n1 % p == 0:

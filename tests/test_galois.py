@@ -78,7 +78,7 @@ def test_phi_image_mixed_padic_against_crt_oracle():
 
 
 def test_phi_image_two_mod_four_reduction():
-    # modulus 2 mod 4 reduces to the odd half and lifts back
+    # modulus 2 mod 4: the image is the odd half's image, read on odd residues
     img = phi_image(FieldDescriptor.p_adic(3), 14)
     half = phi_image(FieldDescriptor.p_adic(3), 7)
     assert {r % 7 for r in img} == set(half)
@@ -214,6 +214,65 @@ def test_trial_division_stops_at_the_bound(monkeypatch):
     assert divisors(10000)[-1] == 10000
     with pytest.raises(ValueError, match="trial division stops"):
         divisors(101 * 101)
+
+
+def _least_prime_factors(bound):
+    """lpf[n] for 2 <= n < bound, by a sieve; lpf[0] = lpf[1] = 0."""
+    lpf = [0] * bound
+    for p in range(2, bound):
+        if lpf[p] == 0:
+            for n in range(p, bound, p):
+                if lpf[n] == 0:
+                    lpf[n] = p
+    return lpf
+
+
+def _sieve_factorization(n, lpf):
+    out = []
+    while n > 1:
+        p, e = lpf[n], 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        out.append((p, e))
+    return out
+
+
+def test_trial_division_matches_a_sieve():
+    bound = 200_000
+    lpf = _least_prime_factors(bound)
+    for n in range(bound):
+        assert is_prime(n) == (n >= 2 and lpf[n] == n), n
+    for n in range(1, bound):
+        assert factorization(n) == _sieve_factorization(n, lpf), n
+
+
+def test_trial_division_refuses_exactly_past_the_bound(monkeypatch):
+    """At a bound of 100, is_prime refuses exactly when sqrt(n) > 100 and
+    no prime up to 100 divides n, factorization exactly when the cofactor
+    left by the primes up to 100 has its square root past 100; every other
+    answer is the sieve's."""
+    bound = 20_000
+    lpf = _least_prime_factors(bound)
+    monkeypatch.setattr(galois, "TRIAL_BOUND", 100)
+    for n in range(bound):
+        root = math.isqrt(n)
+        if n >= 2 and lpf[n] > min(root, 100) and root > 100:
+            with pytest.raises(ValueError, match="trial division stops"):
+                is_prime(n)
+        else:
+            assert is_prime(n) == (n >= 2 and lpf[n] == n), n
+        if n < 1:
+            continue
+        cofactor = n
+        for p in range(2, 101):
+            while cofactor % p == 0:
+                cofactor //= p
+        if math.isqrt(cofactor) > 100:
+            with pytest.raises(ValueError, match="trial division stops"):
+                factorization(n)
+        else:
+            assert factorization(n) == _sieve_factorization(n, lpf), n
 
 
 def test_trivial_modulus_unit_group():

@@ -208,6 +208,25 @@ def test_cli_lambda_usage_error(capsys):
     assert "odd primes" in err
 
 
+# 3 (2^61 - 1): the factor 3 settles that it is not prime, although the
+# cofactor is a prime past what trial division can test
+SMALL_TIMES_HUGE = 3 * (2**61 - 1)
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["lambda", "--m", str(SMALL_TIMES_HUGE)], "lambda is defined for odd primes"),
+    (["group", "cyclic", "--m", "6", "--invariants", "rf", "--field", f"Qp:{SMALL_TIMES_HUGE}"],
+     "Qp requires a prime"),
+    (["group", "dicyclic", "--m", str(SMALL_TIMES_HUGE), "--invariants", "kminus1"],
+     "no closed form applies"),
+])
+def test_cli_small_factor_with_a_huge_cofactor(capsys, argv, reason):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert reason in err
+
+
 def test_cli_classify(capsys):
     code, out, _ = run_cli(capsys, "classify", "--n", "4", "--format", "json")
     assert code == 0
