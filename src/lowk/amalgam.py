@@ -14,9 +14,9 @@ to a normal form is one lookup and multiplies no factor elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .groups import ElementId, FiniteGroup, binary_power
+from .groups import ElementId, FiniteGroup, binary_power, embedding
 
 Letter = tuple[int, ElementId]  # (side 1|2, transversal representative)
 Word = Sequence[tuple[int, ElementId]]  # arbitrary factor elements tagged by side
@@ -30,9 +30,10 @@ class AmalgamError(Exception):
 class AmalgamSpec:
     """Two finite factors glued along embeddings of a common finite core.
 
-    `transversal1`/`transversal2` are left-coset representatives (t F), with
-    the identity representing F itself.  Compared by identity; specs are
-    immutable after validation.
+    `embed1`/`embed2` are images of core generators (or whole maps), closed by
+    `groups.embedding`.  `transversal1`/`transversal2` are left-coset
+    representatives (t F), with the identity representing F itself.  Compared
+    by identity; specs are immutable after validation.
     """
 
     def __init__(
@@ -41,20 +42,20 @@ class AmalgamSpec:
         g1: FiniteGroup,
         g2: FiniteGroup,
         core: FiniteGroup,
-        embed1: dict[ElementId, ElementId],
-        embed2: dict[ElementId, ElementId],
+        embed1: Mapping[ElementId, ElementId],
+        embed2: Mapping[ElementId, ElementId],
         transversal1: Sequence[ElementId],
         transversal2: Sequence[ElementId],
-        letter_names: dict[tuple[int, ElementId], str] | None = None,
-        core_names: dict[ElementId, str] | None = None,
+        letter_names: dict[tuple[int, ElementId], str],
+        core_names: dict[ElementId, str],
     ) -> None:
         self.name = name
         self.factors = (g1, g2)
         self.core = core
-        self.embeddings = (embed1, embed2)
+        self.embeddings = (self._embed(1, g1, embed1), self._embed(2, g2, embed2))
         self.transversals = (tuple(transversal1), tuple(transversal2))
-        self.letter_names = dict(letter_names or {})
-        self.core_names = dict(core_names or {})
+        self.letter_names = dict(letter_names)
+        self.core_names = dict(core_names)
         self._validate()
         self._unembed = tuple(
             {img: src for src, img in emb.items()} for emb in self.embeddings
@@ -65,38 +66,23 @@ class AmalgamSpec:
 
     # -- validation ---------------------------------------------------------
 
+    def _embed(self, side: int, g: FiniteGroup, images: Mapping) -> dict:
+        try:
+            return embedding(self.core, g, images)
+        except ValueError as exc:
+            raise AmalgamError(f"{self.name}: embedding {side}: {exc}") from None
+
     def _validate(self) -> None:
+        """Transversal shapes; with index-many reps, `_split_table` catches a repeated coset."""
         for side in (0, 1):
             g = self.factors[side]
-            emb = self.embeddings[side]
-            if set(emb) != set(self.core.elements):
-                raise AmalgamError(f"{self.name}: embedding {side + 1} is not total")
-            if len(set(emb.values())) != self.core.order:
-                raise AmalgamError(f"{self.name}: embedding {side + 1} not injective")
-            if emb[self.core.identity] != g.identity:
-                raise AmalgamError(f"{self.name}: embedding {side + 1} moves identity")
-            for a in self.core.elements:
-                for b in self.core.elements:
-                    if emb[self.core.mul(a, b)] != g.mul(emb[a], emb[b]):
-                        raise AmalgamError(
-                            f"{self.name}: embedding {side + 1} is not a homomorphism"
-                        )
             trans = self.transversals[side]
-            index, rem = divmod(g.order, self.core.order)
-            if rem:
-                raise AmalgamError(f"{self.name}: core order does not divide factor {side + 1}")
-            if len(trans) != index or g.identity not in trans:
+            index = g.order // self.core.order
+            if len(trans) != index or g.identity not in trans or any(t not in g for t in trans):
                 raise AmalgamError(
                     f"{self.name}: transversal {side + 1} must hold {index} coset reps "
-                    "including the identity"
+                    f"from factor {side + 1}, the identity among them"
                 )
-            image = set(emb.values())
-            for i, t in enumerate(trans):
-                for u in trans[i + 1:]:
-                    if g.mul(g.inv(t), u) in image:
-                        raise AmalgamError(
-                            f"{self.name}: transversal {side + 1} repeats a coset"
-                        )
 
     def _split_table(self, side: int) -> dict[ElementId, Split]:
         """g -> (t, f) with g = t f, t the coset rep (None when g lies in F)."""

@@ -52,6 +52,7 @@ QUATERNION_NAMES = {
     (1, 1): "k", (3, 1): "-k",
 }
 I_UNIT, J_UNIT, K_UNIT, MINUS_ONE = (1, 0), (0, 1), (1, 1), (2, 0)
+Q8_IN_Q16 = MappingProxyType({I_UNIT: (2, 0), J_UNIT: (0, 1)})  # i -> x^2, j -> y in Q16
 
 # T* = SL(2, 3) with flat matrices (a, b, c, d).  i and j go to matrices
 # squaring to -1 and anticommuting; r = -(1+i+j+k)/2 (order 3, conjugation
@@ -59,27 +60,6 @@ I_UNIT, J_UNIT, K_UNIT, MINUS_ONE = (1, 0), (0, 1), (1, 1), (2, 0)
 TSTAR_I, TSTAR_J = (0, 1, 2, 0), (1, 1, 1, 2)
 R_REP = (0, 1, 2, 2)
 R2_REP = (2, 2, 1, 0)  # r^2 = (-1+i+j+k)/2
-
-
-def _hom_from_generators(
-    src: FiniteGroup, dst: FiniteGroup, gen_map: dict
-) -> dict:
-    """Extend generator images to a homomorphism; fails on inconsistency.
-
-    The pairs (g, image of g) generate a subgroup of src x dst; it is the
-    graph of a homomorphism exactly when no source element occurs twice.
-    """
-    graph = closure(
-        (src.identity, dst.identity),
-        gen_map.items(),
-        lambda x, g: (src.mul(x[0], g[0]), dst.mul(x[1], g[1])),
-    )
-    mapping = dict(graph)
-    if len(mapping) != len(graph):
-        raise AmalgamError("generator images do not define a homomorphism")
-    if len(mapping) != src.order:
-        raise AmalgamError("generator map does not cover the source group")
-    return mapping
 
 
 def build_b4_spec() -> AmalgamSpec:
@@ -92,8 +72,8 @@ def build_b4_spec() -> AmalgamSpec:
         g1=q16,
         g2=tstar,
         core=core,
-        embed1=_hom_from_generators(core, q16, {I_UNIT: (2, 0), J_UNIT: (0, 1)}),
-        embed2=_hom_from_generators(core, tstar, {I_UNIT: TSTAR_I, J_UNIT: TSTAR_J}),
+        embed1=Q8_IN_Q16,
+        embed2={I_UNIT: TSTAR_I, J_UNIT: TSTAR_J},
         transversal1=((0, 0), (1, 0)),
         transversal2=(tstar.identity, R_REP, R2_REP),
         letter_names={(1, (1, 0)): "u", (2, R_REP): "r", (2, R2_REP): "r2"},
@@ -536,21 +516,21 @@ KERNEL_ROWS = (
 def build_gamma_specs() -> tuple[AmalgamSpec, AmalgamSpec]:
     """The two isomorphism classes of Q16 *_{Q8} Q16, with transversals {1,a} and {1,x}.
 
-    Both factors are the Q16 of the B4 model and the core is its Q8.  The
-    first embedding is the model's (i -> x^2, j -> y); Gamma1 uses it on both
-    sides, Gamma2 sends j -> x^2, k -> y.  Built once per process; specs are
-    immutable.
+    Both factors are the Q16 of the B4 model and the core is its Q8.  Each
+    spec closes its own generator images: the first embedding is the
+    model's (i -> x^2, j -> y); Gamma1 uses it on both sides, Gamma2 sends
+    j -> x^2, k -> y.  Built once per process; specs are immutable.
     """
     b4 = build_b4().spec
-    core, q16, embed = b4.core, b4.factors[0], b4.embeddings[0]
+    core, q16 = b4.core, b4.factors[0]
 
-    def gamma(name: str, embed2: dict) -> AmalgamSpec:
+    def gamma(name: str, embed2: Mapping) -> AmalgamSpec:
         return AmalgamSpec(
             name=name,
             g1=q16,
             g2=q16,
             core=core,
-            embed1=embed,
+            embed1=Q8_IN_Q16,
             embed2=embed2,
             transversal1=((0, 0), (1, 0)),
             transversal2=((0, 0), (1, 0)),
@@ -558,8 +538,7 @@ def build_gamma_specs() -> tuple[AmalgamSpec, AmalgamSpec]:
             core_names=QUATERNION_NAMES,
         )
 
-    return (gamma("Gamma1", embed),
-            gamma("Gamma2", _hom_from_generators(core, q16, {J_UNIT: (2, 0), K_UNIT: (0, 1)})))
+    return gamma("Gamma1", Q8_IN_Q16), gamma("Gamma2", {J_UNIT: (2, 0), K_UNIT: (0, 1)})
 
 
 def _gamma_model(i: int) -> B4Model:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 ElementId = Any
 
@@ -99,6 +99,27 @@ def closure(
                     return elements
                 frontier.append(y)
     return elements
+
+
+def embedding(sub: FiniteGroup, group: FiniteGroup, images: Mapping) -> dict:
+    """The injective homomorphism sub -> group extending the generator images.
+
+    The pairs (g, image of g) generate a subgroup of sub x group.  It is the
+    graph of a homomorphism exactly when no g occurs twice, so the closure
+    stops past |sub| pairs, and that map is injective exactly when no image
+    occurs twice.  Raises ValueError for images that define no homomorphism,
+    do not generate sub, or define one that is not injective.
+    """
+    graph = closure((sub.identity, group.identity), images.items(),
+                    lambda x, g: (sub.mul(x[0], g[0]), group.mul(x[1], g[1])), limit=sub.order)
+    mapping = dict(graph)
+    if len(mapping) != len(graph):
+        raise ValueError(f"the images define no homomorphism {sub.name} -> {group.name}")
+    if len(mapping) != sub.order:
+        raise ValueError(f"the generator images do not generate {sub.name}")
+    if len(set(mapping.values())) != len(mapping):
+        raise ValueError(f"the homomorphism {sub.name} -> {group.name} is not injective")
+    return mapping
 
 
 class FiniteGroup:

@@ -17,14 +17,17 @@ from lowk.amalgam import (
 from lowk.b4 import (
     I_UNIT,
     J_UNIT,
+    Q8_IN_Q16,
     R2_REP,
     R_REP,
+    TSTAR_I,
+    TSTAR_J,
     _sym3,
     build_b4,
     build_b4_spec,
     build_gamma_specs,
 )
-from lowk.groups import build_cyclic
+from lowk.groups import build_binary_polyhedral, build_cyclic, generalized_quaternion
 
 MODEL = build_b4()
 SPECS = (MODEL.spec, *build_gamma_specs())
@@ -189,27 +192,49 @@ def test_cross_spec_multiplication_rejected(spec):
         multiply(spec.identity(), g1.identity())
 
 
-def test_transversal_validation_catches_bad_cosets():
-    from lowk.amalgam import AmalgamSpec
-    from lowk.b4 import TSTAR_I, TSTAR_J, _hom_from_generators
-    from lowk.groups import build_binary_polyhedral, generalized_quaternion
-
+# a well-formed B4 spec, for the refusal table to break one argument at a time
+def _b4_arguments():
     core = generalized_quaternion(3)
-    q16 = generalized_quaternion(4)
     tstar = build_binary_polyhedral("T*")
-    embed1 = _hom_from_generators(core, q16, {I_UNIT: (2, 0), J_UNIT: (0, 1)})
-    embed2 = _hom_from_generators(core, tstar, {I_UNIT: TSTAR_I, J_UNIT: TSTAR_J})
-    with pytest.raises(AmalgamError):
-        AmalgamSpec(
-            name="bad",
-            g1=q16,
-            g2=tstar,
-            core=core,
-            embed1=embed1,
-            embed2=embed2,
-            transversal1=((0, 0), (2, 0)),  # (2,0) lies in the core image
-            transversal2=(tstar.identity, R_REP, R2_REP),
-        )
+    return dict(
+        name="bogus", g1=generalized_quaternion(4), g2=tstar, core=core,
+        embed1=Q8_IN_Q16, embed2={I_UNIT: TSTAR_I, J_UNIT: TSTAR_J},
+        transversal1=((0, 0), (1, 0)), transversal2=(tstar.identity, R_REP, R2_REP),
+        letter_names={}, core_names={},
+    )
+
+
+def test_transversal_validation_catches_bad_cosets():
+    arguments = _b4_arguments()
+    arguments["transversal1"] = ((0, 0), (2, 0))  # (2,0) lies in the core image
+    with pytest.raises(AmalgamError, match="bogus: transversal 1 misses"):
+        AmalgamSpec(**arguments)
+
+
+@pytest.mark.parametrize("argument, value, message", [
+    # j i j^-1 = i^-1 fails on the images: x^2 is not x^-2 in Q16
+    ("embed1", {I_UNIT: (2, 0), J_UNIT: (2, 0)}, "embedding 1: the images define no homomorphism"),
+    ("embed2", {I_UNIT: TSTAR_I}, "embedding 2: the generator images do not generate Q_8"),
+    ("embed1", {I_UNIT: (4, 0), J_UNIT: (4, 0)}, "embedding 1: the homomorphism .* not injective"),
+    ("transversal2", ((0, 0), R_REP), "transversal 2 must hold 3 coset reps"),
+    ("transversal1", ((1, 0), (3, 0)), "transversal 1 must hold 2 coset reps"),
+    # (1, 7) is no element of Q16, whose ids are (a, b) with b in {0, 1}
+    ("transversal1", ((0, 0), (1, 7)), "transversal 1 must hold 2 coset reps from factor 1"),
+], ids=["not_a_homomorphism", "not_generating", "not_injective", "wrong_size",
+        "no_identity", "outside_the_factor"])
+def test_malformed_specs_are_refused_by_name(argument, value, message):
+    arguments = _b4_arguments()
+    arguments[argument] = value
+    with pytest.raises(AmalgamError, match=f"^bogus: {message}"):
+        AmalgamSpec(**arguments)
+
+
+def test_generator_images_and_the_whole_map_build_the_same_spec(spec):
+    whole = AmalgamSpec(**{
+        **_b4_arguments(), "embed1": spec.embeddings[0], "embed2": spec.embeddings[1],
+    })
+    assert whole.embeddings == spec.embeddings
+    assert whole._step == spec._step
 
 
 def test_power_uses_the_fewest_multiplies(spec, monkeypatch):
@@ -284,7 +309,7 @@ def test_non_normal_core_builds_but_cannot_conjugate():
             reps.append(x)
     spec = AmalgamSpec(
         name="S3 *_Z2 Z2", g1=s3, g2=z2, core=z2, embed1=embed1, embed2={0: 0, 1: 1},
-        transversal1=reps, transversal2=(0,),
+        transversal1=reps, transversal2=(0,), letter_names={}, core_names={},
     )
     assert not spec.core_is_normal
     a = reduce_word(spec, [(1, (2, 0, 1)), (2, 1)])

@@ -7,6 +7,7 @@ from lowk.groups import (
     build_binary_polyhedral,
     build_cyclic,
     build_dicyclic,
+    embedding,
     generalized_quaternion,
 )
 
@@ -239,3 +240,81 @@ def test_power_uses_the_fewest_square_and_multiply_steps(group, monkeypatch):
             for _ in range(n):
                 expected = mul(expected, base)
             assert got == expected
+
+
+# -- embeddings closed from generator images -----------------------------------
+
+def assert_embeds_by(sub, group, images, formula):
+    """`embedding` closes the images to g -> formula(g), an injective homomorphism."""
+    emb = embedding(sub, group, images)
+    assert emb == {g: formula(g) for g in sub.elements}
+    assert len(set(emb.values())) == sub.order
+    for g in sub.elements:
+        for h in sub.elements:
+            assert emb[sub.mul(g, h)] == group.mul(emb[g], emb[h])
+
+
+@pytest.mark.parametrize("k", range(2, 20))
+def test_dicyclic_family_inclusions_are_embeddings(k):
+    dic = build_dicyclic(k)
+    for a in range(2, k + 1):
+        if k % a == 0:
+            # Dic_4a -> Dic_4k: x -> x^(k/a), y -> y
+            assert_embeds_by(build_dicyclic(a), dic, {(1, 0): (k // a, 0), (0, 1): (0, 1)},
+                             lambda g: (g[0] * (k // a), g[1]))
+    # Z_2k -> Dic_4k: 1 -> x
+    assert_embeds_by(build_cyclic(2 * k), dic, {1: (1, 0)}, lambda n: (n, 0))
+    # Z_4 -> Dic_4k: 1 -> y, with y^2 = x^k
+    assert_embeds_by(build_cyclic(4), dic, {1: (0, 1)},
+                     lambda n: ((n // 2) * k, n % 2))
+
+
+@pytest.mark.parametrize("b", range(1, 25))
+def test_cyclic_inclusions_exist_exactly_when_the_order_divides(b):
+    zb = build_cyclic(b)
+    for a in range(1, 25):
+        za = build_cyclic(a)
+        # 1 -> b/a generates the order-a subgroup of Z_b when a | b
+        image = (b // a) % b
+        if b % a == 0:
+            assert_embeds_by(za, zb, {1 % a: image}, lambda n: n * image)
+        else:
+            with pytest.raises(ValueError):
+                embedding(za, zb, {1 % a: image})
+        # 1 -> 1 is a homomorphism exactly when b | a, injective only when a = b
+        if a == b:
+            assert embedding(za, zb, {1 % a: 1 % b}) == {n: n for n in range(a)}
+        else:
+            message = "not injective" if a % b == 0 else "no homomorphism"
+            with pytest.raises(ValueError, match=message):
+                embedding(za, zb, {1 % a: 1 % b})
+
+
+@pytest.mark.parametrize("images, message", [
+    # j i j^-1 = i^-1 fails on the images: x^2 is not x^-2 in Q16
+    ({(1, 0): (2, 0), (0, 1): (2, 0)}, "the images define no homomorphism Q_8 -> Q_16"),
+    ({(1, 0): (2, 0)}, "the generator images do not generate Q_8"),
+    # i, j -> x^4 = -1 sends Q8 onto the centre of Q16
+    ({(1, 0): (4, 0), (0, 1): (4, 0)}, "the homomorphism Q_8 -> Q_16 is not injective"),
+], ids=["not_a_homomorphism", "not_generating", "not_injective"])
+def test_embedding_rejects_bad_generator_maps(images, message):
+    q8, q16 = generalized_quaternion(3), generalized_quaternion(4)
+    with pytest.raises(ValueError, match=message):
+        embedding(q8, q16, images)
+
+
+def test_embedding_stops_the_closure_past_the_order_of_sub(monkeypatch):
+    # 1 -> 1 from Z_2 generates all of Z_(10^9) in the second coordinate; a
+    # graph of a map from Z_2 holds at most 2 pairs, so 3 products decide
+    big = build_cyclic(10**9)
+    calls = []
+    mul = big.mul
+
+    def counting(a, b):
+        calls.append(None)
+        return mul(a, b)
+
+    monkeypatch.setattr(big, "mul", counting)
+    with pytest.raises(ValueError, match="no homomorphism"):
+        embedding(build_cyclic(2), big, {1: 1})
+    assert len(calls) <= 3

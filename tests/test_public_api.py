@@ -20,8 +20,8 @@ SRC = ROOT / "src" / "lowk"
 PERFBENCH = ROOT / "perfbench"
 
 # Exported ahead of their caller: the periodicity checks wait for the
-# per-strand-count report (ROADMAP item 3), bhs_decompose for the Nil block
-# assembled from the virtually cyclic classes of B4(S^2) (ROADMAP item 4).
+# classification lists checked as data (ROADMAP item 6), bhs_decompose for
+# the lower K-theory of the virtually cyclic subgroups (ROADMAP item 5).
 AWAITING_CALLER = {"check_p2_condition", "check_2p_condition", "check_milnor", "bhs_decompose"}
 
 # Every option lowk takes: `module.function(parameter)` for each defaulted
@@ -29,8 +29,6 @@ AWAITING_CALLER = {"check_p2_condition", "check_2p_condition", "check_milnor", "
 # public methods included), and `command option` for each option a CLI
 # subcommand declares.  Adding or removing an option means editing this set.
 OPTIONS = {
-    "amalgam.AmalgamSpec.__init__(core_names)",
-    "amalgam.AmalgamSpec.__init__(letter_names)",
     "census.count_blocks(exponents)",
     "cli.main(argv)",
     "groups.FiniteGroup.from_closure(family)",
