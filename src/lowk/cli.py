@@ -1,6 +1,10 @@
 """Command-line interface.
 
 Subcommands: `group`, `lambda`, `classify`, `b4 verify`, `b4 report`.
+`group` and `lambda` load only the finite-group modules (groups, galois,
+census, fconj, lowerk, report); `classify` also loads `lowk.classify`, and
+`b4 verify` and `b4 report` load `lowk.b4` and `lowk.amalgam`, each inside
+its command, so building the parser loads none of the three.
 Each subcommand returns its answer and `main` writes it, in the one format
 asked for, so a command writes stdout only once it has its whole answer; a
 command that fails writes nothing there, and one `error:` line to stderr.
@@ -19,9 +23,7 @@ import json
 import sys
 from typing import NamedTuple, NoReturn
 
-from .b4 import SUITES, verify_all, verify_suite
 from .census import BOUND, BRUTE_FORCE_BOUND, GroupTooLargeError
-from .classify import maximal_finite_subgroups, virtually_cyclic_classes
 from .galois import FieldDescriptor
 from .groups import MAX_CLOSURE_SIZE
 from .lowerk import lambda_value
@@ -36,6 +38,9 @@ from .report import (
     group_report,
     order_too_long_to_print,
 )
+
+# `b4.SUITES`, spelled out so that building the parser does not load lowk.b4
+B4_SUITES = ("braid", "actions", "gamma", "kernel", "rs")
 
 
 def _bound(text: str) -> int:
@@ -93,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     b4_p = sub.add_parser("b4", help="the four-strand amalgam model")
     b4_sub = b4_p.add_subparsers(dest="b4_command", required=True)
     verify_p = b4_sub.add_parser("verify", help="run the verification checks")
-    verify_p.add_argument("--suite", choices=SUITES + ("all",), default="all")
+    verify_p.add_argument("--suite", choices=B4_SUITES + ("all",), default="all")
     report_p = b4_sub.add_parser("report", help="assembled lower K-theory report")
 
     for command, run in ((group_p, _cmd_group), (lambda_p, _cmd_lambda),
@@ -142,6 +147,8 @@ def _cmd_lambda(args: argparse.Namespace) -> tuple[_Answer, int]:
 
 
 def _cmd_classify(args: argparse.Namespace) -> tuple[_Answer, int]:
+    from .classify import maximal_finite_subgroups, virtually_cyclic_classes
+
     n = args.n
     # Dic_4n is the largest class either list names
     if order_too_long_to_print("dicyclic", n):
@@ -164,6 +171,8 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[_Answer, int]:
 
 
 def _cmd_b4_verify(args: argparse.Namespace) -> tuple[_Answer, int]:
+    from .b4 import verify_all, verify_suite
+
     if args.suite == "all":
         checks = [c for suite in verify_all().values() for c in suite]
     else:

@@ -16,7 +16,6 @@ import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, NamedTuple
 
-from .b4 import build_b4
 from .galois import FieldDescriptor
 from .fconj import r_f
 from .groups import (
@@ -231,6 +230,8 @@ def b4_lower_k_report() -> KReport:
     of reduced K_0 from Q8 into Q16 is zero, into T* an isomorphism)
     collapse the Mayer-Vietoris pieces.
     """
+    from .b4 import build_b4  # loads the B4 model only for this report
+
     spec = build_b4().spec
     q8, (q16, tstar) = spec.core, spec.factors
 

@@ -11,8 +11,10 @@ strings in `TARGETS`, so those strings count too.
 
 import argparse
 import ast
+import importlib
 from pathlib import Path
 
+import lowk
 from lowk.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -88,13 +90,27 @@ def _traced_names():
 
 
 def exported_names():
-    """(defining module, name) for every name lowk/__init__.py imports."""
+    """(defining module, name) for every name lowk/__init__.py imports, or
+    lists in its `_LAZY` table of names it loads on first use."""
+    body = _parse(SRC / "__init__.py").body
+    lazy = next(
+        ast.literal_eval(node.value) for node in body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "_LAZY" for t in node.targets)
+    )
     return [
         (node.module, alias.asname or alias.name)
-        for node in _parse(SRC / "__init__.py").body
+        for node in body
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
-    ]
+    ] + [(module, name) for name, module in lazy.items()]
+
+
+def test_every_exported_name_is_the_defining_modules_object():
+    names = dir(lowk)
+    for module, name in exported_names():
+        assert name in names
+        assert getattr(lowk, name) is getattr(importlib.import_module(f"lowk.{module}"), name)
 
 
 def unused_exports():

@@ -578,6 +578,87 @@ def test_module_entry_point_prints_the_golden_report():
     assert (bad.returncode, bad.stdout) == (2, "")
 
 
+# runs `python -m lowk.cli argv`, then writes the lowk modules it loaded to stderr
+_LOADED_AFTER_CLI = """
+import runpy, sys
+try:
+    runpy.run_module("lowk.cli", run_name="__main__", alter_sys=True)
+except SystemExit as done:
+    code = done.code
+print(" ".join(sorted(m for m in sys.modules if m.startswith("lowk"))), file=sys.stderr)
+sys.exit(code)
+"""
+FINITE_GROUP_MODULES = {"lowk", *(f"lowk.{m}" for m in (
+    "groups", "galois", "census", "fconj", "lowerk", "report"))}
+B4_MODULES = {"lowk.b4", "lowk.amalgam"}
+GOLDENS = {**GROUP_REPORTS, **CLASSIFY, "b4 report --format text":
+           (GOLDEN / "b4_report.txt").read_text(encoding="utf-8")}
+
+
+@pytest.mark.parametrize("command, loads", [
+    ("group dicyclic --m 5", set()),
+    ("lambda --m 7", set()),
+    ("classify --n 4", {"lowk.classify"}),
+    ("b4 verify --suite braid", B4_MODULES),
+    ("b4 report", B4_MODULES),
+])
+def test_each_command_loads_only_its_own_modules(command, loads):
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONIOENCODING": "utf-8"}
+    done = subprocess.run([sys.executable, "-c", _LOADED_AFTER_CLI, *command.split()],
+                          capture_output=True, encoding="utf-8", timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    # the command ran as __main__, so lowk.cli itself is not listed
+    assert set(done.stderr.split()) == FINITE_GROUP_MODULES | loads
+    golden = GOLDENS.get(f"{command} --format text")
+    assert golden is None or done.stdout == golden
+    if command.startswith("b4 verify"):
+        assert done.stdout.endswith(" passed, 0 failed\n")
+
+
+def test_importing_lowk_loads_only_the_finite_group_modules():
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, lowk; "
+         "print(' '.join(m for m in sys.modules if m.startswith('lowk')))"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    assert set(done.stdout.split()) == FINITE_GROUP_MODULES
+
+
+def test_cli_suite_choices_are_the_b4_suites():
+    from lowk import b4, cli
+
+    assert cli.B4_SUITES == b4.SUITES
+
+
+# a name of lowk's read for the first time while perfbench's tracer is installed
+_FIRST_READ_WHILE_TRACED = """
+import sys
+sys.path[:0] = sys.argv[1:]
+import lowk
+from perfbench.tracing import Tracer
+
+lowk.build_b4()  # loads lowk.b4 and lowk.amalgam
+tracer = Tracer()
+tracer.install()
+try:
+    traced = lowk.multiply
+finally:
+    tracer.uninstall()
+assert traced is not lowk.amalgam.multiply, "the tracer did not wrap lowk.multiply"
+assert lowk.multiply is lowk.amalgam.multiply, "a wrapper stayed behind in lowk"
+assert lowk.multiply.__module__ == "lowk.amalgam", "lowk.amalgam kept a wrapper"
+"""
+
+
+def test_a_traced_run_leaves_no_wrapper_behind():
+    root = str(Path(__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _FIRST_READ_WHILE_TRACED, SRC, root],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
 @pytest.mark.parametrize("field", ["Qp:", "Fp:2.5"])
 def test_unparsable_field_exits_2_naming_the_field(field):
     done = _cli_in_child("group", "dicyclic", "--m", "6", "--invariants", "rf", "--field", field)
