@@ -8,7 +8,10 @@ equality a tuple comparison and golden tests possible.
 Each spec tabulates, once, at construction, the step the arithmetic repeats:
 the step table maps (trailing same-side coset rep or None, core element f,
 factor element x) to the split of rep * f * x, so appending a factor element
-to a normal form is one lookup and multiplies no factor elements.
+to a normal form is one lookup and multiplies no factor elements.  A split
+holds the letter (side, rep) itself, and the spec makes one such tuple per
+coset rep, so every normal form of a spec shares its letters with the table
+and appending a letter allocates nothing.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from .groups import ElementId, FiniteGroup, binary_power, embedding
 
 Letter = tuple[int, ElementId]  # (side 1|2, transversal representative)
 Word = Sequence[tuple[int, ElementId]]  # arbitrary factor elements tagged by side
-Split = tuple[ElementId | None, ElementId]  # (coset rep or None for F, core element)
+Split = tuple[Letter | None, ElementId]  # (coset letter or None for F, core element)
 
 
 class AmalgamError(Exception):
@@ -85,22 +88,29 @@ class AmalgamSpec:
                 )
 
     def _split_table(self, side: int) -> dict[ElementId, Split]:
-        """g -> (t, f) with g = t f, t the coset rep (None when g lies in F)."""
+        """g -> (letter, f) with g = t f: letter = (side + 1, t) for the coset rep t,
+        None when g lies in F.  Each letter is one tuple per rep, shared by every split.
+        """
         g = self.factors[side]
         unembed = self._unembed[side]
+        letters = {t: (side + 1, t) for t in self.transversals[side] if t != g.identity}
         table: dict[ElementId, Split] = {}
         for x in g.elements:
             for t in self.transversals[side]:
                 rest = g.mul(g.inv(t), x)
                 if rest in unembed:
-                    table[x] = (None if t == g.identity else t, unembed[rest])
+                    table[x] = (letters.get(t), unembed[rest])
                     break
             else:
                 raise AmalgamError(f"{self.name}: transversal {side + 1} misses {x!r}")
         return table
 
     def _step_table(self, side: int) -> dict[tuple[ElementId, ElementId], dict[ElementId, Split]]:
-        """(last, f) -> {x: split of last * f * x}; last is a coset rep, None for 1."""
+        """(last, f) -> {x: split of last * f * x}; last is a coset rep, None for 1.
+
+        The entries are the split table's own tuples, so the table holds one
+        letter tuple per coset rep and `_append` appends that tuple as it is.
+        """
         g = self.factors[side]
         emb = self.embeddings[side]
         split = self._split[side]
@@ -188,9 +198,9 @@ def _append(
     Mutates `letters`, returns the new core.
     """
     last = letters.pop()[1] if letters and letters[-1][0] == side else None
-    t, f = spec._step[side - 1][last, core][x]
-    if t is not None:
-        letters.append((side, t))
+    letter, f = spec._step[side - 1][last, core][x]
+    if letter is not None:
+        letters.append(letter)
     return f
 
 

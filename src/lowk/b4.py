@@ -52,6 +52,7 @@ QUATERNION_NAMES = {
     (1, 1): "k", (3, 1): "-k",
 }
 I_UNIT, J_UNIT, K_UNIT, MINUS_ONE = (1, 0), (0, 1), (1, 1), (2, 0)
+H_GENERATORS = (J_UNIT, I_UNIT, K_UNIT)  # H1 = <j>, H2 = <i>, H3 = <k>
 Q8_IN_Q16 = MappingProxyType({I_UNIT: (2, 0), J_UNIT: (0, 1)})  # i -> x^2, j -> y in Q16
 
 # T* = SL(2, 3) with flat matrices (a, b, c, d).  i and j go to matrices
@@ -197,7 +198,7 @@ def build_b4() -> B4Model:
         named=MappingProxyType(named),
         h_subgroups=tuple(
             frozenset(spec.core.power(q, n) for n in range(4))
-            for q in (J_UNIT, I_UNIT, K_UNIT)
+            for q in H_GENERATORS
         ),
     )
     rows = {row[0]: row for row in ACTION_ROWS}
@@ -275,11 +276,24 @@ def pi(model: B4Model, g: AmalgamElement) -> int:
 
 
 def psi(model: B4Model, g: AmalgamElement) -> tuple[int, int, int]:
-    """Permutation of the order-4 core subgroups H1, H2, H3 under conjugation."""
+    """Permutation of the order-4 core subgroups H1, H2, H3 under conjugation.
+
+    Each Hi = <qi> is cyclic and conjugation by g is an automorphism of the
+    normal core, so g Hi g^-1 = <g qi g^-1>.  The Hi pairwise meet only in
+    <-1>, so the order-4 element g qi g^-1 lies in exactly one Hj, and that
+    Hj is g Hi g^-1: one conjugate per subgroup, not four.  A conjugate in
+    no Hj, or in more than one, raises AmalgamError naming g.
+    """
     images = []
-    for h in model.h_subgroups:
-        conj = conjugate_subgroup(g, h)
-        images.append(model.h_subgroups.index(conj) + 1)
+    for q in H_GENERATORS:
+        (conj,) = conjugate_subgroup(g, (q,))
+        holders = [n for n, h in enumerate(model.h_subgroups, 1) if conj in h]
+        if len(holders) != 1:
+            raise AmalgamError(
+                f"psi({g!r}): the conjugate {QUATERNION_NAMES.get(conj, conj)} of "
+                f"{QUATERNION_NAMES[q]} lies in {len(holders)} of the H subgroups, not one"
+            )
+        images.append(holders[0])
     result = tuple(images)
     if sorted(result) != [1, 2, 3]:
         raise AmalgamError(f"conjugation does not permute the H subgroups: {result}")

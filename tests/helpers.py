@@ -10,6 +10,7 @@ from contextlib import contextmanager
 from functools import cache
 from typing import NamedTuple
 
+from lowk.amalgam import conjugate_subgroup
 from lowk.census import BOUND
 from lowk.fconj import r_f
 from lowk.galois import FieldDescriptor, generated_subgroup, prime_divisors
@@ -421,3 +422,12 @@ def table_automizers(group, classes, index, tables):
         automizer = tuple(u for u in units if index[group.power(g, u)] == first)
         out.append((d, automizer, count))
     return sorted(out)
+
+
+def psi_by_whole_subgroups(model, g):
+    """psi of the B4 model by conjugating all four elements of each H subgroup.
+
+    The index (from 1) of each g Hi g^-1 among H1, H2, H3; ValueError when a
+    conjugate is none of them.
+    """
+    return tuple(model.h_subgroups.index(conjugate_subgroup(g, h)) + 1 for h in model.h_subgroups)

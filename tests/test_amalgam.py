@@ -262,8 +262,12 @@ def test_power_uses_the_fewest_multiplies(spec, monkeypatch):
 
 @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
 def test_step_table_is_the_split_of_the_factor_product(spec):
+    # each entry is ((side, t) or None, f') with t emb(f') = last emb(f) x,
+    # checked with the factor's own law, and is the split table's own tuple
+    letters = spec_letters(spec)
     for side in (0, 1):
         g, emb, split = spec.factors[side], spec.embeddings[side], spec._split[side]
+        reps = [t for t in spec.transversals[side] if t != g.identity]
         assert set(spec._step[side]) == {
             (None if rep == g.identity else rep, f)
             for rep in spec.transversals[side]
@@ -273,7 +277,43 @@ def test_step_table_is_the_split_of_the_factor_product(spec):
             assert set(row) == set(g.elements)
             prefix = emb[f] if last is None else g.mul(last, emb[f])
             for x, entry in row.items():
-                assert entry == split[g.mul(prefix, x)]
+                product = g.mul(prefix, x)
+                assert entry is split[product]
+                letter, core = entry
+                if letter is None:
+                    assert emb[core] == product
+                else:
+                    assert letter[0] == side + 1 and letter[1] in reps
+                    assert letter is letters[letter]
+                    assert g.mul(letter[1], emb[core]) == product
+
+
+def spec_letters(spec):
+    """The spec's one letter tuple per (side, rep), read off its step table."""
+    found = {}
+    for table in spec._step:
+        for row in table.values():
+            for letter, _ in row.values():
+                if letter is not None:
+                    assert found.setdefault(letter, letter) is letter
+    return found
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_normal_forms_share_the_specs_letter_tuples(spec):
+    letters = spec_letters(spec)
+    assert set(letters) == {
+        (side + 1, t)
+        for side in (0, 1)
+        for t in spec.transversals[side]
+        if t != spec.factors[side].identity
+    }
+    rng = random.Random(17)
+    for _ in range(60):
+        a = reduce_word(spec, random_word(spec, rng, rng.randint(0, 12)))
+        b = reduce_word(spec, random_word(spec, rng, rng.randint(0, 12)))
+        for el in (a, multiply(a, b), invert(a), power(a, rng.randint(-5, 5))):
+            assert all(letter is letters[letter] for letter in el.letters)
 
 
 def test_append_calls_no_factor_multiplication(spec, monkeypatch):

@@ -1,11 +1,16 @@
 import ast
+import itertools
 import json
 import random
+import re
+from functools import reduce
 from pathlib import Path
 
 import pytest
 
+import lowk.amalgam
 import lowk.b4
+from helpers import psi_by_whole_subgroups
 from lowk.amalgam import AmalgamError, AmalgamSpec, has_finite_order, invert, multiply, power
 from lowk.b4 import (
     ACTION_ROWS,
@@ -16,6 +21,7 @@ from lowk.b4 import (
     SUITES,
     TSTAR_I,
     TSTAR_J,
+    B4Model,
     FreeProductWord,
     build_b4,
     build_gamma_specs,
@@ -29,6 +35,7 @@ from lowk.b4 import (
     rho,
     verify_all,
     verify_suite,
+    _gamma_model,
     _sym3,
     _STANDARD_TRANSVERSAL,
 )
@@ -130,6 +137,62 @@ def test_psi_values(model):
     assert psi(model, model["alpha0"]) == (3, 2, 1)
     for q in model.spec.core.elements:
         assert psi(model, model.spec.from_core(q)) == (1, 2, 3)
+
+
+def test_psi_matches_the_whole_subgroup_oracle(model):
+    gens = [model[n] for n in ("sigma1", "sigma2", "sigma3", "alpha0", "alpha1", "delta4")]
+    pool = gens + [invert(g) for g in gens]
+    identity = model.spec.identity()
+    words = [w for n in (1, 2, 3) for w in itertools.product(pool, repeat=n)]
+    assert len(words) == 1884
+    for word in words:
+        g = reduce(multiply, word, identity)
+        assert psi(model, g) == psi_by_whole_subgroups(model, g)
+    for g in (identity, *model.named.values()):
+        assert psi(model, g) == psi_by_whole_subgroups(model, g)
+
+
+@pytest.mark.parametrize("make, held", [
+    (lambda m: _gamma_model(1), 0),
+    (lambda m: B4Model(m.spec, m.named, m.h_subgroups[:1]), 0),
+    (lambda m: B4Model(m.spec, m.named, (frozenset(m.spec.core.elements),) * 3), 3),
+], ids=["gamma_model", "h1_only", "whole_core"])
+def test_psi_refuses_a_conjugate_outside_exactly_one_h_subgroup(model, make, held):
+    other = make(model)
+    g = next(iter(other.named.values()))
+    message = rf"^psi\({re.escape(repr(g))}\): .* lies in {held} of the H subgroups, not one$"
+    with pytest.raises(AmalgamError, match=message):
+        psi(other, g)
+
+
+@pytest.fixture
+def conjugation_calls(monkeypatch):
+    """Counts of `multiply` and `invert` calls, by name, seen by amalgam and b4."""
+    calls = {"multiply": 0, "invert": 0}
+    for name, real in (("multiply", multiply), ("invert", invert)):
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        for module in (lowk.amalgam, lowk.b4):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_psi_conjugates_one_generator_per_subgroup(model, conjugation_calls):
+    for name in ("sigma1", "alpha1", "z"):
+        conjugation_calls.update(multiply=0, invert=0)
+        psi(model, model[name])
+        assert conjugation_calls == {"multiply": 6, "invert": 3}
+
+
+def test_psi_homomorphism_sample_cost(model, conjugation_calls):
+    row = next(row for row in KERNEL_ROWS if row[0] == "kernel.psi_homomorphism_sample")
+    assert check_row(row, model).ok
+    # 1500 psi calls at (6, 3); the 1000 words of 1-8 letters, the 500
+    # products g h and the 6 pool inverses take the rest
+    assert conjugation_calls["invert"] == 1500 * 3 + 6
+    assert conjugation_calls["multiply"] <= 1500 * 6 + 8000 + 500
 
 
 def test_pi_values(model):
