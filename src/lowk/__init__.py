@@ -19,9 +19,6 @@ import types
 from .census import (
     ClassCensus,
     GroupTooLargeError,
-    check_2p_condition,
-    check_milnor,
-    check_p2_condition,
     conjugacy_classes,
 )
 from .fconj import FPartition, f_partition, r_f
@@ -49,7 +46,6 @@ from .lowerk import (
     Unknown,
     UnsupportedFamilyError,
     WedderburnComponent,
-    bhs_decompose,
     carter_rank,
     k0_tilde_lookup,
     k_minus_one,

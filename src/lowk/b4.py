@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from functools import cache, reduce
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .amalgam import (
     AmalgamElement,
@@ -608,62 +608,43 @@ class RSResult:
     generators: tuple[FreeProductWord, ...]
 
 
-def reidemeister_schreier(
-    quotient: FiniteGroup,
-    a_image,
-    b_image,
-    transversal: Sequence[FreeProductWord],
-) -> RSResult:
+def reidemeister_schreier(quotient: FiniteGroup, a_image, b_image) -> RSResult:
     """Schreier generators of the kernel of Z3 * Z2 -> quotient.
 
     The map must embed both free factors (a_image of order 3, b_image of
     order 2), so the kernel is torsion-free and its rank is certified by the
-    Euler characteristic: rank = 1 + index/6.
+    Euler characteristic: rank = 1 + index/6, where 6 divides the index by
+    Lagrange.  The transversal is found, not given: a breadth-first search
+    from e over the tokens a, a2, b keeps the first word that reaches each
+    image, so every word's prefixes are transversal words too and the
+    number of words is the index.
     """
     if quotient.order_of(a_image) != 3 or quotient.order_of(b_image) != 2:
         raise ValueError(
             "kernel is not torsion-free: the images of a and b must have orders 3 and 2"
         )
-    image = closure(quotient.identity, (a_image, b_image), quotient.mul)
-    index = len(image)
-    if len(transversal) != index:
-        raise ValueError(f"transversal has {len(transversal)} words, index is {index}")
-
-    token_img = {
-        "a": a_image,
-        "a2": quotient.mul(a_image, a_image),
-        "b": b_image,
-    }
-
-    def word_image(w: FreeProductWord):
-        g = quotient.identity
-        for t in w.letters:
-            g = quotient.mul(g, token_img[t])
-        return g
-
-    rep_of = {}
-    for t in transversal:
-        img = word_image(t)
-        if img in rep_of:
-            raise ValueError("transversal words repeat a coset")
-        rep_of[img] = t
-    if set(rep_of) != image:
-        raise ValueError("transversal does not cover the image")
+    steps = [(FreeProductWord((tok,)), g)
+             for tok, g in (("a", a_image), ("a2", quotient.mul(a_image, a_image)),
+                            ("b", b_image))]
+    rep_of = {quotient.identity: FreeProductWord()}
+    frontier = [quotient.identity]
+    for g in frontier:
+        for step, h in steps:
+            x = quotient.mul(g, h)
+            if x not in rep_of:
+                rep_of[x] = rep_of[g] * step
+                frontier.append(x)
 
     generators: list[FreeProductWord] = []
     seen: set[tuple[str, ...]] = set()
-    for t in transversal:
-        for tok in ("a", "b"):
-            w = t * FreeProductWord((tok,))
-            rep = rep_of[word_image(w)]
-            gen = w * rep.inverse()
+    for g, t in rep_of.items():
+        for step, h in (steps[0], steps[2]):  # the generators a and b
+            gen = t * step * rep_of[quotient.mul(g, h)].inverse()
             if not gen.is_identity and gen.letters not in seen:
                 seen.add(gen.letters)
                 generators.append(gen)
-    if index % 6:
-        raise ValueError(f"index {index} is not divisible by 6")
-    rank = 1 + index // 6
-    return RSResult(index=index, rank=rank, generators=tuple(generators))
+    index = len(rep_of)
+    return RSResult(index=index, rank=1 + index // 6, generators=tuple(generators))
 
 
 def _sym3() -> FiniteGroup:
@@ -677,11 +658,6 @@ def _sym3() -> FiniteGroup:
         identity=(0, 1, 2),
         expect_order=6,
     )
-
-
-_STANDARD_TRANSVERSAL = tuple(
-    FreeProductWord(t) for t in ((), ("a",), ("a2",), ("b",), ("a", "b"), ("a2", "b"))
-)
 
 
 # (check-id prefix, quotient builder, images of a and b, index claim, basis
@@ -705,7 +681,7 @@ def _rs_part(prefix, quotient, a_image, b_image, index_claim, basis_claim, basis
         return (all(w in found or w.inverse() in found for w in words),
                 "; ".join(str(g) for g in rs.generators))
 
-    return (lambda: reidemeister_schreier(quotient(), a_image, b_image, _STANDARD_TRANSVERSAL), (
+    return (lambda: reidemeister_schreier(quotient(), a_image, b_image), (
         (f"rs.{prefix}_index", index_claim, lambda rs: (rs.index == 6, str(rs.index))),
         (f"rs.{prefix}_rank", "Euler characteristic certifies rank 2",
          lambda rs: (rs.rank == 2, str(rs.rank))),

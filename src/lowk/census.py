@@ -1,4 +1,4 @@
-"""Conjugacy machinery: classes of cyclic subgroups, element classes, periodicity.
+"""Conjugacy machinery: classes of cyclic subgroups and element classes.
 
 The census of a group is one record per conjugacy class of cyclic subgroups
 <g>: its order d and its automizer H = {u in (Z/d)^* : g^u ~ g}, the image
@@ -25,8 +25,8 @@ element classes are derived from the records on first read.
 `conjugacy_classes` is the one way in: it checks the brute-force bound,
 builds the census of the whole group once and keeps it while the group
 lives.  The bound is the context variable `BOUND`, a resource limit set per
-query, which the periodicity checks and the `lowk.lowerk` rules read too: it
-decides which path runs and whether lowk refuses, never a value.
+query, which the `lowk.lowerk` rules read too: it decides which path runs
+and whether lowk refuses, never a value.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from functools import cached_property
 from typing import Collection, Iterable, NamedTuple, Sequence
 from weakref import WeakKeyDictionary
 
-from .galois import prime_divisors, totient
+from .galois import totient
 from .groups import ElementId, FiniteGroup
 
 
@@ -50,13 +50,6 @@ BOUND: ContextVar[int] = ContextVar("brute_force_bound", default=BRUTE_FORCE_BOU
 
 class GroupTooLargeError(Exception):
     """The group exceeds the configured brute-force bound."""
-
-
-def _check_size(group: FiniteGroup) -> None:
-    if group.order > (bound := BOUND.get()):
-        raise GroupTooLargeError(
-            f"{group.name} has order {group.order} > brute-force bound {bound}"
-        )
 
 
 class SubgroupClass(NamedTuple):
@@ -250,54 +243,11 @@ _CENSUS: WeakKeyDictionary[FiniteGroup, ClassCensus] = WeakKeyDictionary()
 
 def conjugacy_classes(group: FiniteGroup) -> ClassCensus:
     """The census of the whole group, made once per group and kept while the group lives."""
-    _check_size(group)
+    if group.order > (bound := BOUND.get()):
+        raise GroupTooLargeError(
+            f"{group.name} has order {group.order} > brute-force bound {bound}"
+        )
     census = _CENSUS.get(group)
     if census is None:
         census = _CENSUS[group] = _build_census(group)
     return census
-
-
-def check_p2_condition(group: FiniteGroup) -> bool:
-    """No subgroup Z_p x Z_p for any prime p dividing the order."""
-    _check_size(group)
-    mul = group.mul
-    for p in prime_divisors(group.order):
-        stratum = group.elements_of_orders(frozenset((p,)))
-        for x in stratum:
-            gen = {group.power(x, i) for i in range(p)}
-            for z in stratum:
-                if z not in gen and mul(x, z) == mul(z, x):
-                    return False
-    return True
-
-
-def check_2p_condition(group: FiniteGroup) -> bool:
-    """Every subgroup of order 2p (p a prime divisor of |G|) is cyclic.
-
-    A non-cyclic group of order 2p is generated by an order-p element that is
-    inverted by an order-2 element outside its span, so scanning those pairs
-    is exhaustive.
-    """
-    _check_size(group)
-    involutions = group.elements_of_orders(frozenset((2,)))
-    for p in prime_divisors(group.order):
-        for a in group.elements_of_orders(frozenset((p,))):
-            span = {group.power(a, i) for i in range(p)}
-            a_inv = group.inv(a)
-            for b in involutions:
-                if b not in span and group.conj(b, a) == a_inv:
-                    return False
-    return True
-
-
-def check_milnor(group: FiniteGroup) -> bool:
-    """At most one element of order 2."""
-    _check_size(group)
-    count = 0
-    for g in group.elements:
-        if group.order_of(g) == 2:
-            count += 1
-            if count > 1:
-                return False
-    return True
-

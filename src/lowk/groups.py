@@ -131,7 +131,6 @@ class FiniteGroup:
     then against `order`, which every builder states.
     The element tuple is filled in on first use, so no result depends on
     the order of calls.
-    `elements_of_orders` scans that tuple.
     """
 
     def __init__(
@@ -183,9 +182,6 @@ class FiniteGroup:
     def conj(self, a: ElementId, g: ElementId) -> ElementId:
         """a * g * a^-1."""
         return self.mul(self.mul(a, g), self.inv(a))
-
-    def elements_of_orders(self, orders: frozenset[int]) -> list[ElementId]:
-        return [g for g in self.elements if self.order_of(g) in orders]
 
     def __len__(self) -> int:
         return self._order

@@ -2,9 +2,8 @@
 
 Whitehead rank (pair classes minus cyclic-subgroup classes, with per-family
 closed forms), the Carter rank of K_-1 from Witt-Berman counts, rule-based
-K_-1 torsion, the Swan lookup table for reduced K_0, symbolic Wedderburn
-shapes of Q[G] for every dicyclic and binary polyhedral group, and the
-Bass-Heller-Swan splitting.
+K_-1 torsion, the Swan lookup table for reduced K_0, and symbolic
+Wedderburn shapes of Q[G] for every dicyclic and binary polyhedral group.
 
 Each rule states the path it took (census, closed form, family rule or
 lookup table) where it takes it; inside a `provenance()` block those lines
@@ -429,22 +428,3 @@ def wedderburn_shape(group: FiniteGroup) -> tuple[WedderburnComponent, ...]:
         comps += [_field("Q(i)") if d == 2 else _skew(d) for d in (o << (e + 1) for o in odd)]
     _record("wedderburn: rational group algebra decomposition table")
     return tuple(comps)
-
-
-_BHS_INPUTS = {1: ("wh", "k0", "nk1"), 0: ("k0", "kminus1", "nk0")}
-
-
-def bhs_decompose(values: dict[str, AbelianGroupExpr], i: int) -> AbelianGroupExpr:
-    """Bass-Heller-Swan splitting for G x Z in reduced degree i (0 or 1).
-
-    i=1: Wh(G x Z) = Wh(G) (+) K0~(Z[G]) (+) 2 NK_1(Z[G]);
-    i=0: K0~(Z[G x Z]) = K0~(Z[G]) (+) K_-1(Z[G]) (+) 2 NK_0(Z[G]).
-    """
-    if i not in _BHS_INPUTS:
-        raise ValueError(f"degree must be 0 or 1, got {i}")
-    keys = _BHS_INPUTS[i]
-    missing = [k for k in keys if k not in values]
-    if missing:
-        raise KeyError(f"missing summand values {missing} for degree {i}")
-    a, b, nk = (values[k] for k in keys)
-    return a + b + nk.times(2)

@@ -37,7 +37,6 @@ from lowk.b4 import (
     verify_suite,
     _gamma_model,
     _sym3,
-    _STANDARD_TRANSVERSAL,
 )
 from lowk.cli import main
 from lowk.groups import (
@@ -285,7 +284,7 @@ def test_pi_tilde():
 
 
 def test_reidemeister_schreier_sym3():
-    rs = reidemeister_schreier(_sym3(), (2, 0, 1), (2, 1, 0), _STANDARD_TRANSVERSAL)
+    rs = reidemeister_schreier(_sym3(), (2, 0, 1), (2, 1, 0))
     assert rs.index == 6
     assert rs.rank == 2
     gens = set(rs.generators)
@@ -294,7 +293,7 @@ def test_reidemeister_schreier_sym3():
 
 
 def test_reidemeister_schreier_abelianized():
-    rs = reidemeister_schreier(build_cyclic(6), 4, 3, _STANDARD_TRANSVERSAL)
+    rs = reidemeister_schreier(build_cyclic(6), 4, 3)
     assert rs.index == 6
     assert rs.rank == 2
     gens = set(rs.generators)
@@ -306,10 +305,63 @@ def test_reidemeister_schreier_abelianized():
     assert present(FreeProductWord(("b", "a2", "b", "a")))   # [b, a^2]
 
 
+def _compose(p, q):
+    return tuple(p[i] for i in q)
+
+
+def _mobius_psl27(f):
+    # a Moebius map on the projective line over F_7, with 7 standing for infinity
+    return tuple(f(z) for z in range(8))
+
+
+def _psl27_a(z):  # z -> -1/(z + 1), of order 3
+    return 0 if z == 7 else 7 if z == 6 else -pow(z + 1, 5, 7) % 7
+
+
+def _psl27_b(z):  # z -> -1/z, of order 2
+    return 0 if z == 7 else 7 if z == 0 else -pow(z, 5, 7) % 7
+
+
+# (quotient generators, quotient order, image of a, image of b, index): the
+# images are permutations, a of order 3 and b of order 2; in A4_in_S4 they
+# generate A4 inside S4, so the index is the image's order, not the quotient's
+_RS_PERMUTATION_QUOTIENTS = {
+    "A4": (None, 12, (1, 2, 0, 3), (1, 0, 3, 2), 12),
+    "S4": (None, 24, (1, 2, 0, 3), (0, 1, 3, 2), 24),
+    "A4_in_S4": (((1, 2, 0, 3), (0, 1, 3, 2)), 24, (1, 2, 0, 3), (1, 0, 3, 2), 12),
+    "A5": (None, 60, (1, 2, 0, 3, 4), (3, 4, 2, 0, 1), 60),
+    "PSL2_7": (None, 168, _mobius_psl27(_psl27_a), _mobius_psl27(_psl27_b), 168),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RS_PERMUTATION_QUOTIENTS))
+def test_reidemeister_schreier_finds_its_transversal_past_index_6(name):
+    generators, order, a, b, index = _RS_PERMUTATION_QUOTIENTS[name]
+    identity = tuple(range(len(a)))
+    quotient = FiniteGroup.from_closure(name=name, generators=generators or (a, b),
+                                        mul=_compose, identity=identity, expect_order=order)
+    images = {"a": a, "a2": _compose(a, a), "b": b}
+    rs = reidemeister_schreier(quotient, a, b)
+    assert rs.index == len(closure(identity, (a, b), _compose)) == index
+    assert rs.rank == 1 + index // 6
+    assert all(reduce(_compose, (images[t] for t in g.letters), identity) == identity
+               for g in rs.generators)
+    assert len(set(rs.generators)) == len(rs.generators)
+
+
 def test_reidemeister_schreier_rejects_torsion_kernel():
     # sending a to an order-3 image but b to the identity collapses a factor
     with pytest.raises(ValueError):
-        reidemeister_schreier(build_cyclic(6), 2, 0, _STANDARD_TRANSVERSAL)
+        reidemeister_schreier(build_cyclic(6), 2, 0)
+
+
+@pytest.mark.parametrize("a_image, b_image", [(0, 3), (1, 3), (3, 3), (2, 2), (2, 1)],
+                         ids=["a_order_1", "a_order_6", "a_order_2", "b_order_3", "b_order_6"])
+def test_reidemeister_schreier_refuses_images_of_the_wrong_order(a_image, b_image):
+    # in Z_6, 2 has order 3 and 3 has order 2; any other image of a or b
+    # leaves torsion in the kernel
+    with pytest.raises(ValueError, match="images of a and b must have orders 3 and 2"):
+        reidemeister_schreier(build_cyclic(6), a_image, b_image)
 
 
 def test_check_ids_are_unique_and_carry_their_suite():

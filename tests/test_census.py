@@ -6,9 +6,6 @@ import pytest
 from lowk import census as census_module
 from lowk.census import (
     GroupTooLargeError,
-    check_2p_condition,
-    check_milnor,
-    check_p2_condition,
     conjugacy_classes,
 )
 from lowk.fconj import r_f
@@ -22,7 +19,6 @@ from lowk.groups import (
 
 from helpers import (
     brute_force_bound,
-    build_abelian,
     build_affine,
     centralizer,
     class_of,
@@ -89,84 +85,6 @@ def test_centralizers_cyclic_above_order_two(group):
             assert any(group.order_of(c) == len(cen) for c in cen)
 
 
-def two_generated_subgroups(group):
-    """Oracle: all subgroups generated by at most two elements, as frozensets."""
-    seen = set()
-    els = group.elements
-    for a in els:
-        for b in els:
-            sub = {group.identity}
-            frontier = [group.identity]
-            while frontier:
-                x = frontier.pop()
-                for gen in (a, b):
-                    y = group.mul(x, gen)
-                    if y not in sub:
-                        sub.add(y)
-                        frontier.append(y)
-            seen.add(frozenset(sub))
-    return seen
-
-
-def is_cyclic_subgroup(group, sub):
-    return any(
-        {group.power(g, i) for i in range(group.order_of(g))} == sub for g in sub
-    )
-
-
-@pytest.mark.parametrize(
-    "group,expected",
-    [
-        (build_dicyclic(2), True),
-        (build_abelian([2, 2]), False),
-        (build_dicyclic(5), True),
-    ],
-    ids=["Q8", "Z2xZ2", "Dic_20"],
-)
-def test_periodicity_conditions_against_subgroup_scan(group, expected):
-    # oracle: every group of order p^2 or 2p is generated by <= 2 elements,
-    # so an exhaustive two-generator scan sees all of them
-    from lowk.galois import prime_divisors
-
-    p2_ok = True
-    tp_ok = True
-    for sub in two_generated_subgroups(group):
-        n = len(sub)
-        for p in prime_divisors(group.order):
-            if n == p * p and not is_cyclic_subgroup(group, sub):
-                p2_ok = False
-            if n == 2 * p and not is_cyclic_subgroup(group, sub):
-                tp_ok = False
-    assert check_p2_condition(group) == p2_ok == expected
-    assert check_2p_condition(group) == tp_ok == expected
-
-
-def test_milnor_condition():
-    assert check_milnor(build_dicyclic(2))
-    assert check_milnor(build_dicyclic(7))
-    assert check_milnor(build_binary_polyhedral("I*"))
-    assert not check_milnor(build_abelian([2, 2]))
-    assert check_milnor(build_cyclic(3))
-
-
-def test_every_periodicity_check_refuses_past_the_bound():
-    # a refused group never sorts its elements, so no order drives the memory
-    group = build_cyclic(10**8)
-    for check in (check_p2_condition, check_2p_condition, check_milnor):
-        with pytest.raises(GroupTooLargeError, match="Z_100000000 has order 100000000"):
-            check(group)
-    assert "elements" not in vars(group)
-
-
-def test_all_three_conditions_on_families():
-    for group in (build_dicyclic(2), build_dicyclic(5), build_dicyclic(8),
-                  generalized_quaternion(5), build_binary_polyhedral("T*"),
-                  build_binary_polyhedral("O*"), build_binary_polyhedral("I*")):
-        assert check_p2_condition(group)
-        assert check_2p_condition(group)
-        assert check_milnor(group)
-
-
 def test_pair_equals_subgroup_count_small_orders():
     groups = [build_cyclic(m) for m in (1, 2, 6, 12, 30)]
     groups += [build_dicyclic(m) for m in range(2, 16)]
@@ -211,6 +129,17 @@ def test_subgroup_counts_match_set_oracle():
 def test_size_guard():
     with brute_force_bound(5000), pytest.raises(GroupTooLargeError):
         conjugacy_classes(build_dicyclic(2000))
+
+
+@pytest.mark.parametrize("query", [conjugacy_classes,
+                                   lambda group: r_f(group, FieldDescriptor.rational())],
+                         ids=["conjugacy_classes", "r_f"])
+def test_a_refused_group_never_lists_its_elements(query):
+    # the bound is checked on the order alone, so no order drives the memory
+    group = build_cyclic(10**8)
+    with pytest.raises(GroupTooLargeError, match="Z_100000000 has order 100000000"):
+        query(group)
+    assert "elements" not in vars(group)
 
 
 def test_field_count_is_guarded_by_the_census():

@@ -18,7 +18,6 @@ from lowk.lowerk import (
     ConsistencyError,
     UnsupportedFamilyError,
     Z2_INF,
-    bhs_decompose,
     carter_rank,
     delta,
     k0_tilde_lookup,
@@ -381,37 +380,3 @@ def test_wedderburn_unsupported():
         wedderburn_shape(build_cyclic(5))
     with pytest.raises(UnsupportedFamilyError):
         wedderburn_shape(build_abelian([2, 2]))
-
-
-# -- Bass-Heller-Swan ------------------------------------------------------------
-
-def test_bhs_q8_degree_one():
-    values = {
-        "wh": AbelianGroupExpr.zero(),
-        "k0": AbelianGroupExpr.torsion_group(2),
-        "nk1": AbelianGroupExpr.summand(Z2_INF),
-    }
-    assert bhs_decompose(values, 1) == AbelianGroupExpr(
-        0, (2,), ((Z2_INF, 2),)
-    )
-
-
-def test_bhs_q8_degree_zero():
-    values = {
-        "k0": AbelianGroupExpr.torsion_group(2),
-        "kminus1": AbelianGroupExpr.zero(),
-        "nk0": AbelianGroupExpr.summand(Z2_INF),
-    }
-    assert bhs_decompose(values, 0) == AbelianGroupExpr(0, (2,), ((Z2_INF, 2),))
-
-
-def test_bhs_trivial_group():
-    zero = AbelianGroupExpr.zero()
-    assert bhs_decompose({"wh": zero, "k0": zero, "nk1": zero}, 1).is_zero
-
-
-def test_bhs_missing_inputs():
-    with pytest.raises(KeyError):
-        bhs_decompose({"wh": AbelianGroupExpr.zero()}, 1)
-    with pytest.raises(ValueError):
-        bhs_decompose({}, 2)

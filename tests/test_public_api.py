@@ -21,11 +21,6 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "lowk"
 PERFBENCH = ROOT / "perfbench"
 
-# Exported ahead of their caller: the periodicity checks wait for the
-# classification lists checked as data (ROADMAP item 6), bhs_decompose for
-# the lower K-theory of the virtually cyclic subgroups (ROADMAP item 5).
-AWAITING_CALLER = {"check_p2_condition", "check_2p_condition", "check_milnor", "bhs_decompose"}
-
 # Every option lowk takes: `module.function(parameter)` for each defaulted
 # parameter of a public library function (a public class's constructor and
 # public methods included), and `command option` for each option a CLI
@@ -130,13 +125,8 @@ def unused_exports():
 
 
 def test_every_exported_name_has_a_caller():
-    unused = unused_exports() - AWAITING_CALLER
+    unused = unused_exports()
     assert not unused, f"exported, but only tests use them: {sorted(unused)}"
-
-
-def test_names_awaiting_a_caller_are_exported_and_still_unused():
-    assert AWAITING_CALLER <= unused_exports()
-
 
 
 def test_no_module_imports_another_modules_private_names():
