@@ -12,6 +12,13 @@ to a normal form is one lookup and multiplies no factor elements.  A split
 holds the letter (side, rep) itself, and the spec makes one such tuple per
 coset rep, so every normal form of a spec shares its letters with the table
 and appending a letter allocates nothing.
+
+Next to the step table each spec keeps a conjugation table: for every
+nontrivial coset rep t and core element f, the core element c with
+emb(c) = t emb(f) t^-1.  Building it is the normality check (a conjugate
+outside the image means the core is not normal, and the table is None), and
+with it `conjugate_subgroup` walks a normal form's letters through lookups
+instead of building words.
 """
 
 from __future__ import annotations
@@ -65,7 +72,8 @@ class AmalgamSpec:
         )
         self._split = (self._split_table(0), self._split_table(1))
         self._step = (self._step_table(0), self._step_table(1))
-        self.core_is_normal = self._core_normal()
+        self._conj = self._conj_table()
+        self.core_is_normal = self._conj is not None
 
     # -- validation ---------------------------------------------------------
 
@@ -122,15 +130,23 @@ class AmalgamSpec:
                 table[last, f] = {x: split[g.mul(prefix, x)] for x in g.elements}
         return table
 
-    def _core_normal(self) -> bool:
+    def _conj_table(self) -> tuple[dict[ElementId, dict[ElementId, ElementId]], ...] | None:
+        """Per side, t -> {f: c} with emb(c) = t emb(f) t^-1 for each nontrivial rep t.
+
+        None when some conjugate leaves the image of the core.  Every g = t f'
+        gives g F g^-1 = t F t^-1, so the reps alone decide normality.
+        """
+        tables = []
         for side in (0, 1):
-            g = self.factors[side]
-            image = set(self.embeddings[side].values())
-            for gen in g.generators:
-                for f in image:
-                    if g.conj(gen, f) not in image:
-                        return False
-        return True
+            g, emb, unembed = self.factors[side], self.embeddings[side], self._unembed[side]
+            table = {
+                t: {f: unembed.get(g.conj(t, emb[f])) for f in self.core.elements}
+                for t in self.transversals[side] if t != g.identity
+            }
+            if any(None in row.values() for row in table.values()):
+                return None
+            tables.append(table)
+        return tuple(tables)
 
     # -- helpers used by the arithmetic --------------------------------------
 
@@ -263,15 +279,23 @@ def has_finite_order(a: AmalgamElement) -> bool:
 def conjugate_subgroup(
     a: AmalgamElement, subset: Iterable[ElementId]
 ) -> frozenset[ElementId]:
-    """a S a^-1 for a subset S of the core; requires the core to be normal."""
+    """a S a^-1 for a subset S of the core; requires the core to be normal.
+
+    For a = t_1 ... t_k f0 each s goes to f0 s f0^-1 in the core, then through
+    the conjugation table of t_k, ..., t_1: no words are built.
+    """
     spec = a.spec
-    if not spec.core_is_normal:
+    conj = spec._conj
+    if conj is None:
         raise AmalgamError(f"{spec.name}: core is not normal in both factors")
-    a_inv = invert(a)
+    core = spec.core
+    rows = [conj[side - 1][t] for side, t in reversed(a.letters)]
     out = set()
     for s in subset:
-        conj = multiply(multiply(a, spec.from_core(s)), a_inv)
-        if conj.letters:
-            raise AmalgamError("conjugate left the core despite normality")
-        out.add(conj.core)
+        if s not in core:
+            raise AmalgamError(f"{s!r} is not a core element")
+        c = core.conj(a.core, s)
+        for row in rows:
+            c = row[c]
+        out.add(c)
     return frozenset(out)

@@ -281,8 +281,9 @@ def psi(model: B4Model, g: AmalgamElement) -> tuple[int, int, int]:
     Each Hi = <qi> is cyclic and conjugation by g is an automorphism of the
     normal core, so g Hi g^-1 = <g qi g^-1>.  The Hi pairwise meet only in
     <-1>, so the order-4 element g qi g^-1 lies in exactly one Hj, and that
-    Hj is g Hi g^-1: one conjugate per subgroup, not four.  A conjugate in
-    no Hj, or in more than one, raises AmalgamError naming g.
+    Hj is g Hi g^-1: one conjugate per subgroup, not four, each read from the
+    spec's conjugation table with no product or inverse.  A conjugate in no
+    Hj, or in more than one, raises AmalgamError naming g.
     """
     images = []
     for q in H_GENERATORS:

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 from functools import cache
 from typing import NamedTuple
 
-from lowk.amalgam import conjugate_subgroup
+from lowk.amalgam import invert, multiply
 from lowk.census import BOUND
 from lowk.fconj import r_f
 from lowk.galois import FieldDescriptor, generated_subgroup, prime_divisors
@@ -425,9 +425,18 @@ def table_automizers(group, classes, index, tables):
 
 
 def psi_by_whole_subgroups(model, g):
-    """psi of the B4 model by conjugating all four elements of each H subgroup.
+    """psi of the B4 model by conjugating all four elements of each H subgroup
+    with `multiply` and `invert`, not through the spec's conjugation table.
 
     The index (from 1) of each g Hi g^-1 among H1, H2, H3; ValueError when a
-    conjugate is none of them.
+    conjugate leaves the core or is none of them.
     """
-    return tuple(model.h_subgroups.index(conjugate_subgroup(g, h)) + 1 for h in model.h_subgroups)
+    g_inv = invert(g)
+
+    def conjugate(h):
+        conjugates = [multiply(multiply(g, model.spec.from_core(q)), g_inv) for q in h]
+        if any(c.letters for c in conjugates):
+            raise ValueError(f"a conjugate of {sorted(h)} by {g!r} leaves the core")
+        return frozenset(c.core for c in conjugates)
+
+    return tuple(model.h_subgroups.index(conjugate(h)) + 1 for h in model.h_subgroups)

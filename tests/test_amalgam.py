@@ -179,6 +179,24 @@ def test_core_normal_in_all_specs(spec):
         assert s.core_is_normal
 
 
+@pytest.mark.parametrize("s", SPECS, ids=SPEC_IDS)
+def test_conjugation_table_matches_the_normal_form_arithmetic(s):
+    # every nontrivial rep t and core f: t f t^-1 through `multiply` is the table's entry
+    assert s._conj is not None
+    for side in (1, 2):
+        g, table = s.factors[side - 1], s._conj[side - 1]
+        reps = {t for t in s.transversals[side - 1] if t != g.identity}
+        assert set(table) == reps
+        for t in reps:
+            rep = s.from_factor(side, t)
+            rep_inv = invert(rep)
+            assert set(table[t]) == set(s.core.elements)
+            for f in s.core.elements:
+                conj = multiply(multiply(rep, s.from_core(f)), rep_inv)
+                assert conj.letters == ()
+                assert conj.core == table[t][f]
+
+
 def test_letter_validation(spec):
     with pytest.raises(AmalgamError):
         reduce_word(spec, [(1, (0, 0, 0, 7))])
@@ -352,6 +370,7 @@ def test_non_normal_core_builds_but_cannot_conjugate():
         transversal1=reps, transversal2=(0,), letter_names={}, core_names={},
     )
     assert not spec.core_is_normal
+    assert spec._conj is None
     a = reduce_word(spec, [(1, (2, 0, 1)), (2, 1)])
     assert multiply(a, invert(a)).is_identity
     with pytest.raises(AmalgamError, match="core is not normal"):

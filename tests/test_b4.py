@@ -11,9 +11,18 @@ import pytest
 import lowk.amalgam
 import lowk.b4
 from helpers import psi_by_whole_subgroups
-from lowk.amalgam import AmalgamError, AmalgamSpec, has_finite_order, invert, multiply, power
+from lowk.amalgam import (
+    AmalgamError,
+    AmalgamSpec,
+    conjugate_subgroup,
+    has_finite_order,
+    invert,
+    multiply,
+    power,
+)
 from lowk.b4 import (
     ACTION_ROWS,
+    H_GENERATORS,
     KERNEL_ROWS,
     QUATERNION_NAMES,
     R2_REP,
@@ -178,20 +187,29 @@ def conjugation_calls(monkeypatch):
     return calls
 
 
-def test_psi_conjugates_one_generator_per_subgroup(model, conjugation_calls):
+def test_psi_conjugates_one_generator_per_subgroup(model, conjugation_calls, monkeypatch):
+    subsets = []
+
+    def recorded(g, subset):
+        subsets.append(tuple(subset))
+        return conjugate_subgroup(g, subsets[-1])
+
+    monkeypatch.setattr(lowk.b4, "conjugate_subgroup", recorded)
     for name in ("sigma1", "alpha1", "z"):
         conjugation_calls.update(multiply=0, invert=0)
+        subsets.clear()
         psi(model, model[name])
-        assert conjugation_calls == {"multiply": 6, "invert": 3}
+        assert conjugation_calls == {"multiply": 0, "invert": 0}
+        assert subsets == [(q,) for q in H_GENERATORS]
 
 
 def test_psi_homomorphism_sample_cost(model, conjugation_calls):
     row = next(row for row in KERNEL_ROWS if row[0] == "kernel.psi_homomorphism_sample")
     assert check_row(row, model).ok
-    # 1500 psi calls at (6, 3); the 1000 words of 1-8 letters, the 500
-    # products g h and the 6 pool inverses take the rest
-    assert conjugation_calls["invert"] == 1500 * 3 + 6
-    assert conjugation_calls["multiply"] <= 1500 * 6 + 8000 + 500
+    # the 1500 psi calls make none; the 1000 words of 1-8 letters, the 500
+    # products g h and the 6 pool inverses are all there is
+    assert conjugation_calls["invert"] == 6
+    assert conjugation_calls["multiply"] <= 8000 + 500
 
 
 def test_pi_values(model):
