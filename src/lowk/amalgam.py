@@ -175,24 +175,17 @@ class AmalgamSpec:
         return "*".join(parts)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AmalgamElement:
-    """Unique normal form: alternating coset letters, then a core element."""
+    """Unique normal form: alternating coset letters, then a core element.
+
+    Compared and hashed as (spec, letters, core); specs compare by identity,
+    so equal normal forms of two specs are different elements.
+    """
 
     spec: AmalgamSpec
     letters: tuple[Letter, ...]
     core: ElementId
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, AmalgamElement)
-            and self.spec is other.spec
-            and self.letters == other.letters
-            and self.core == other.core
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.spec), self.letters, self.core))
 
     @property
     def syllable_length(self) -> int:

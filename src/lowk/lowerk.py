@@ -55,13 +55,6 @@ class ConsistencyError(Exception):
 class Unknown:
     """First-class 'no known value' result, e.g. K0 beyond the lookup tables."""
 
-    _instance: "Unknown | None" = None
-
-    def __new__(cls) -> "Unknown":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self) -> str:
         return "Unknown"
 
@@ -71,7 +64,7 @@ class Unknown:
     render = to_json
 
 
-UNKNOWN = Unknown()
+UNKNOWN = Unknown()  # the only instance: results are compared to it with `is`
 
 _LINES: ContextVar[list[str] | None] = ContextVar("provenance", default=None)
 

@@ -210,6 +210,30 @@ def test_cross_spec_multiplication_rejected(spec):
         multiply(spec.identity(), g1.identity())
 
 
+def test_equality_tells_specs_apart():
+    # Gamma1 and Gamma2 share their factors, letter ids and core ids, so the
+    # same factor element has the same letters and core in both
+    gamma1, gamma2 = build_gamma_specs()
+    a1, a2 = gamma1.from_factor(1, (1, 0)), gamma2.from_factor(1, (1, 0))
+    assert (a1.letters, a1.core) == (a2.letters, a2.core)
+    assert a1 != a2
+    assert len({a1, a2}) == 2
+
+
+def test_equal_normal_forms_of_one_spec_are_equal_and_hash_equal(spec):
+    x = spec.from_factor(1, (1, 0))
+    same = multiply(multiply(x, x), invert(x))
+    assert same is not x
+    assert same == x and hash(same) == hash(x)
+    assert len({x, same}) == 1
+
+
+def test_an_element_never_equals_a_non_element(spec):
+    x = spec.from_factor(1, (1, 0))
+    for other in (None, x.letters, x.core, (x.spec, x.letters, x.core), spec):
+        assert x != other
+
+
 # a well-formed B4 spec, for the refusal table to break one argument at a time
 def _b4_arguments():
     core = generalized_quaternion(3)

@@ -132,6 +132,36 @@ def test_rho_is_a_homomorphism_sample(model):
         assert rho(model, multiply(g, h)) == rho(model, g) * rho(model, h)
 
 
+def test_rho_builds_a_reduced_word(model):
+    rng = random.Random(31)
+    pool = [model[f"sigma{i}"] for i in (1, 2, 3)]
+    pool += [invert(g) for g in pool]
+    identity = model.spec.identity()
+    for _ in range(300):
+        g = reduce(multiply, (rng.choice(pool) for _ in range(rng.randint(0, 12))), identity)
+        word = rho(model, g)
+        assert FreeProductWord.from_tokens(word.letters) == word
+
+
+def test_perm_cycles_matches_the_cycles_of_every_permutation_of_three_points():
+    for perm in itertools.permutations((1, 2, 3)):
+        cycles, seen = [], set()
+        for start in (1, 2, 3):
+            cycle, point = [], start
+            while point not in seen:
+                seen.add(point)
+                cycle.append(point)
+                point = perm[point - 1]
+            if len(cycle) > 1:
+                cycles.append("(" + ",".join(map(str, cycle)) + ")")
+        assert perm_cycles(perm) == ("".join(cycles) or "id")
+
+
+def test_perm_cycles_refuses_a_non_permutation():
+    with pytest.raises(KeyError):
+        perm_cycles((2, 2, 3))
+
+
 def test_sigma_images_infinite(model):
     assert len(rho(model, model["sigma1"]).letters) == 2
     assert not has_finite_order(model["sigma1"])
@@ -365,6 +395,37 @@ def test_reidemeister_schreier_finds_its_transversal_past_index_6(name):
     assert all(reduce(_compose, (images[t] for t in g.letters), identity) == identity
                for g in rs.generators)
     assert len(set(rs.generators)) == len(rs.generators)
+
+
+def _disjoint_cycles(rng, degree, length):
+    """A product of 1 to degree // length disjoint cycles of `length` points."""
+    points = rng.sample(range(degree), degree)
+    image = list(range(degree))
+    for i in range(rng.randint(1, degree // length)):
+        cycle = points[length * i:length * (i + 1)]
+        for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+            image[x] = y
+    return tuple(image)
+
+
+def test_reidemeister_schreier_generators_are_distinct_on_random_quotients():
+    # a is a product of disjoint 3-cycles and b of disjoint transpositions,
+    # on 3 to 7 points; the generators are never filtered for repeats
+    rng = random.Random(37)
+    for _ in range(60):
+        degree = rng.randint(3, 7)
+        a, b = _disjoint_cycles(rng, degree, 3), _disjoint_cycles(rng, degree, 2)
+        identity = tuple(range(degree))
+        index = len(closure(identity, (a, b), _compose))
+        quotient = FiniteGroup.from_closure(name="P", generators=(a, b), mul=_compose,
+                                            identity=identity, expect_order=index)
+        images = {"a": a, "a2": _compose(a, a), "b": b}
+        rs = reidemeister_schreier(quotient, a, b)
+        assert rs.index == index and index % 6 == 0
+        assert rs.rank == 1 + index // 6
+        assert all(reduce(_compose, (images[t] for t in g.letters), identity) == identity
+                   for g in rs.generators)
+        assert len(set(rs.generators)) == len(rs.generators)
 
 
 def test_reidemeister_schreier_rejects_torsion_kernel():
