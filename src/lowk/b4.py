@@ -43,17 +43,17 @@ from .groups import (
 
 # -- the factors, from lowk.groups -------------------------------------------
 
-# Q8 = generalized_quaternion(3) = Dic_8 with ids (a, b) = x^a y^b; the unit
-# quaternions i and j are x and y.
+# Q8 = generalized_quaternion(3) = Dic_8 with ids 2a + b for x^a y^b; the
+# unit quaternions i and j are x = 2 and y = 1.
 QUATERNION_NAMES = {
-    (0, 0): "1", (2, 0): "-1",
-    (1, 0): "i", (3, 0): "-i",
-    (0, 1): "j", (2, 1): "-j",
-    (1, 1): "k", (3, 1): "-k",
+    0: "1", 4: "-1",
+    2: "i", 6: "-i",
+    1: "j", 5: "-j",
+    3: "k", 7: "-k",
 }
-I_UNIT, J_UNIT, K_UNIT, MINUS_ONE = (1, 0), (0, 1), (1, 1), (2, 0)
+I_UNIT, J_UNIT, K_UNIT, MINUS_ONE = 2, 1, 3, 4
 H_GENERATORS = (J_UNIT, I_UNIT, K_UNIT)  # H1 = <j>, H2 = <i>, H3 = <k>
-Q8_IN_Q16 = MappingProxyType({I_UNIT: (2, 0), J_UNIT: (0, 1)})  # i -> x^2, j -> y in Q16
+Q8_IN_Q16 = MappingProxyType({I_UNIT: 4, J_UNIT: 1})  # i -> x^2, j -> y in Q16
 
 # T* = SL(2, 3) with flat matrices (a, b, c, d).  i and j go to matrices
 # squaring to -1 and anticommuting; r = -(1+i+j+k)/2 (order 3, conjugation
@@ -75,9 +75,9 @@ def build_b4_spec() -> AmalgamSpec:
         core=core,
         embed1=Q8_IN_Q16,
         embed2={I_UNIT: TSTAR_I, J_UNIT: TSTAR_J},
-        transversal1=((0, 0), (1, 0)),
+        transversal1=(0, 2),
         transversal2=(tstar.identity, R_REP, R2_REP),
-        letter_names={(1, (1, 0)): "u", (2, R_REP): "r", (2, R2_REP): "r2"},
+        letter_names={(1, 2): "u", (2, R_REP): "r", (2, R2_REP): "r2"},
         core_names=QUATERNION_NAMES,
     )
 
@@ -183,7 +183,7 @@ def build_b4() -> B4Model:
     spec = build_b4_spec()
     ft = spec.from_core(MINUS_ONE)
     named = {
-        "alpha0": invert(spec.from_factor(1, (1, 0))),
+        "alpha0": invert(spec.from_factor(1, 2)),
         "alpha1": multiply(ft, invert(spec.from_factor(2, R_REP))),
         "delta4": spec.from_core(J_UNIT),
         "ft": ft,
@@ -253,7 +253,7 @@ class FreeProductWord:
         )
 
 
-_RHO_TOKEN = {(1, (1, 0)): "b", (2, R2_REP): "a", (2, R_REP): "a2"}
+_RHO_TOKEN = {(1, 2): "b", (2, R2_REP): "a", (2, R_REP): "a2"}
 _PI_TILDE = {"a": 4, "a2": 2, "b": 3}
 
 
@@ -472,7 +472,7 @@ def _xy_words_distinct(model: B4Model) -> tuple[bool, str]:
 
 def _core_is_normal(model: B4Model) -> tuple[bool, str]:
     # conjugates through `multiply`, so the check also tests the normal forms
-    for side, gen in ((1, (1, 0)), (2, R_REP)):
+    for side, gen in ((1, 2), (2, R_REP)):
         g = model.spec.from_factor(side, gen)
         g_inv = invert(g)
         if any(multiply(multiply(g, q), g_inv).letters for q in _core(model)):
@@ -543,19 +543,19 @@ def build_gamma_specs() -> tuple[AmalgamSpec, AmalgamSpec]:
             core=core,
             embed1=Q8_IN_Q16,
             embed2=embed2,
-            transversal1=((0, 0), (1, 0)),
-            transversal2=((0, 0), (1, 0)),
-            letter_names={(1, (1, 0)): "a", (2, (1, 0)): "x"},
+            transversal1=(0, 2),
+            transversal2=(0, 2),
+            letter_names={(1, 2): "a", (2, 2): "x"},
             core_names=QUATERNION_NAMES,
         )
 
-    return gamma("Gamma1", Q8_IN_Q16), gamma("Gamma2", {J_UNIT: (2, 0), K_UNIT: (0, 1)})
+    return gamma("Gamma1", Q8_IN_Q16), gamma("Gamma2", {J_UNIT: 4, K_UNIT: 1})
 
 
 def _gamma_model(i: int) -> B4Model:
     """Gamma1 (i = 0) or Gamma2 (i = 1) with its letters a, x and b = j in the core."""
     spec = build_gamma_specs()[i]
-    return B4Model(spec, {"a": spec.from_factor(1, (1, 0)), "x": spec.from_factor(2, (1, 0)),
+    return B4Model(spec, {"a": spec.from_factor(1, 2), "x": spec.from_factor(2, 2),
                           "b": spec.from_core(J_UNIT)})
 
 

@@ -1,9 +1,10 @@
 """Exact models of finite group families: cyclic, dicyclic, binary polyhedral.
 
 Element ids are canonical hashable values (ints or int tuples) and equality is
-structural, so hashing and output ordering are reproducible.  Multiplication,
-inversion and element orders are closed-form wherever the family allows it,
-and no group keeps a multiplication table.  A group stores its order as an
+structural, so hashing and output ordering are reproducible; x^a y^b in
+Dic_4m or Q_{2^k} is the int 2a + b, which sorts as the pair (a, b) does.
+Multiplication, inversion and element orders are closed-form wherever the
+family allows it, and no group keeps a multiplication table.  A group stores its order as an
 integer; its sorted element list is materialised only when something reads
 it, such as a class census.  So a closed-form answer for Z_m, Dic_4m or
 Q_{2^k} costs nothing proportional to the group order.  `closure` is the one
@@ -267,36 +268,34 @@ def build_cyclic(m: int) -> FiniteGroup:
 
 
 def _dicyclic(name: str, m: int, family: FamilyTag) -> FiniteGroup:
-    two_m = 2 * m
+    """Dic_{4m} with x^a y^b (0 <= a < 2m, b in {0, 1}) as the int 2a + b.
+
+    The id sorts as the pair (a, b) does.  x^a y^b x^c y^d is x^(a+c) y^d for
+    b = 0, x^(a-c) y for d = 0 and x^(a-c+m) otherwise, so a product is one
+    sum or difference modulo 4m.
+    """
+    two_m, four_m = 2 * m, 4 * m
 
     def mul(g, h):
-        a, b = g
-        c, d = h
-        if b == 0:
-            return ((a + c) % two_m, d)
-        if d == 0:
-            return ((a - c) % two_m, 1)
-        return ((a - c + m) % two_m, 0)
+        if not g & 1:
+            return (g + h) % four_m
+        if not h & 1:
+            return (g - h) % four_m
+        return (g - h + two_m) % four_m
 
     def inv(g):
-        a, b = g
-        if b == 0:
-            return (-a % two_m, 0)
-        return ((a + m) % two_m, 1)
+        return (g + two_m) % four_m if g & 1 else -g % four_m
 
     def order_of(g):
-        a, b = g
-        if b:
-            return 4
-        return two_m // math.gcd(a, two_m)
+        return 4 if g & 1 else four_m // math.gcd(g, four_m)
 
     return FiniteGroup(
         name=name,
         family=family,
-        elements=((a, b) for a in range(two_m) for b in (0, 1)),
-        order=2 * two_m,
-        identity=(0, 0),
-        generators=((1, 0), (0, 1)),
+        elements=range(four_m),
+        order=four_m,
+        identity=0,
+        generators=(2, 1),
         mul=mul,
         inv=inv,
         order_of=order_of,
@@ -304,14 +303,14 @@ def _dicyclic(name: str, m: int, family: FamilyTag) -> FiniteGroup:
 
 
 def build_dicyclic(m: int) -> FiniteGroup:
-    """Dic_{4m} = <x, y | x^m = y^2, yxy^-1 = x^-1> with normal forms (a, b) = x^a y^b."""
+    """Dic_{4m} = <x, y | x^m = y^2, yxy^-1 = x^-1>; x^a y^b is 2a + b, sorted like (a, b)."""
     if m < 2:
         raise ValueError(f"dicyclic parameter must be >= 2, got {m}")
     return _dicyclic(f"Dic_{4 * m}", m, FamilyTag(DICYCLIC, m))
 
 
 def generalized_quaternion(k: int) -> FiniteGroup:
-    """Q_{2^k} = Dic_{4 * 2^(k-2)} for k >= 3."""
+    """Q_{2^k} = Dic_{4 * 2^(k-2)} for k >= 3, with the same ids 2a + b."""
     if k < 3:
         raise ValueError(f"generalized quaternion index must be >= 3, got {k}")
     return _dicyclic(f"Q_{2 ** k}", 2 ** (k - 2), FamilyTag(GENERALIZED_QUATERNION, k))

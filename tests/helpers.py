@@ -60,6 +60,45 @@ def build_abelian(factors):
     )
 
 
+def build_dicyclic_pairs(m):
+    """Dic_4m with x^a y^b as the pair (a, b) (family `custom`), by the
+    relations x^m = y^2 and y x y^-1 = x^-1; lowk's dicyclic id is 2a + b."""
+    two_m = 2 * m
+
+    def mul(g, h):
+        a, b = g
+        c, d = h
+        if b == 0:
+            return ((a + c) % two_m, d)
+        if d == 0:
+            return ((a - c) % two_m, 1)
+        return ((a - c + m) % two_m, 0)
+
+    def inv(g):
+        a, b = g
+        if b == 0:
+            return (-a % two_m, 0)
+        return ((a + m) % two_m, 1)
+
+    def order_of(g):
+        a, b = g
+        if b:
+            return 4
+        return two_m // math.gcd(a, two_m)
+
+    return FiniteGroup(
+        name=f"Dic_{4 * m} (pairs)",
+        family=FamilyTag(CUSTOM),
+        elements=((a, b) for a in range(two_m) for b in (0, 1)),
+        order=2 * two_m,
+        identity=(0, 0),
+        generators=((1, 0), (0, 1)),
+        mul=mul,
+        inv=inv,
+        order_of=order_of,
+    )
+
+
 def build_affine(p, k):
     """The affine maps x -> a x + b of Z_p with a in the order-k subgroup of
     (Z/p)^*, p prime, k | p - 1: the group Z_p x| Z_k of order p k (family

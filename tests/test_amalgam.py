@@ -60,7 +60,7 @@ def test_identity_and_trivial_words(spec):
 def test_defining_relations(spec):
     # v u v^-1 u = 1 and r^3 = 1 in the glued group
     q16 = spec.factors[0]
-    u, v = (1, 0), (0, 1)
+    u, v = 2, 1  # x and y
     w = reduce_word(spec, [(1, v), (1, u), (1, q16.inv(v)), (1, u)])
     assert w.is_identity
     assert reduce_word(spec, [(2, R_REP)] * 3).is_identity
@@ -68,9 +68,9 @@ def test_defining_relations(spec):
 
 def test_glueing_relations(spec):
     # u^2 = p and v = q become core elements
-    u_sq = reduce_word(spec, [(1, (1, 0)), (1, (1, 0))])
+    u_sq = reduce_word(spec, [(1, 2), (1, 2)])
     assert u_sq.letters == () and u_sq.core == I_UNIT
-    v = reduce_word(spec, [(1, (0, 1))])
+    v = reduce_word(spec, [(1, 1)])
     assert v.letters == () and v.core == J_UNIT
 
 
@@ -201,7 +201,7 @@ def test_letter_validation(spec):
     with pytest.raises(AmalgamError):
         reduce_word(spec, [(1, (0, 0, 0, 7))])
     with pytest.raises(AmalgamError):
-        reduce_word(spec, [(3, (0, 0))])
+        reduce_word(spec, [(3, 0)])
 
 
 def test_cross_spec_multiplication_rejected(spec):
@@ -214,14 +214,14 @@ def test_equality_tells_specs_apart():
     # Gamma1 and Gamma2 share their factors, letter ids and core ids, so the
     # same factor element has the same letters and core in both
     gamma1, gamma2 = build_gamma_specs()
-    a1, a2 = gamma1.from_factor(1, (1, 0)), gamma2.from_factor(1, (1, 0))
+    a1, a2 = gamma1.from_factor(1, 2), gamma2.from_factor(1, 2)
     assert (a1.letters, a1.core) == (a2.letters, a2.core)
     assert a1 != a2
     assert len({a1, a2}) == 2
 
 
 def test_equal_normal_forms_of_one_spec_are_equal_and_hash_equal(spec):
-    x = spec.from_factor(1, (1, 0))
+    x = spec.from_factor(1, 2)
     same = multiply(multiply(x, x), invert(x))
     assert same is not x
     assert same == x and hash(same) == hash(x)
@@ -229,7 +229,7 @@ def test_equal_normal_forms_of_one_spec_are_equal_and_hash_equal(spec):
 
 
 def test_an_element_never_equals_a_non_element(spec):
-    x = spec.from_factor(1, (1, 0))
+    x = spec.from_factor(1, 2)
     for other in (None, x.letters, x.core, (x.spec, x.letters, x.core), spec):
         assert x != other
 
@@ -241,27 +241,27 @@ def _b4_arguments():
     return dict(
         name="bogus", g1=generalized_quaternion(4), g2=tstar, core=core,
         embed1=Q8_IN_Q16, embed2={I_UNIT: TSTAR_I, J_UNIT: TSTAR_J},
-        transversal1=((0, 0), (1, 0)), transversal2=(tstar.identity, R_REP, R2_REP),
+        transversal1=(0, 2), transversal2=(tstar.identity, R_REP, R2_REP),
         letter_names={}, core_names={},
     )
 
 
 def test_transversal_validation_catches_bad_cosets():
     arguments = _b4_arguments()
-    arguments["transversal1"] = ((0, 0), (2, 0))  # (2,0) lies in the core image
+    arguments["transversal1"] = (0, 4)  # 4 = x^2 lies in the core image
     with pytest.raises(AmalgamError, match="bogus: transversal 1 misses"):
         AmalgamSpec(**arguments)
 
 
 @pytest.mark.parametrize("argument, value, message", [
     # j i j^-1 = i^-1 fails on the images: x^2 is not x^-2 in Q16
-    ("embed1", {I_UNIT: (2, 0), J_UNIT: (2, 0)}, "embedding 1: the images define no homomorphism"),
+    ("embed1", {I_UNIT: 4, J_UNIT: 4}, "embedding 1: the images define no homomorphism"),
     ("embed2", {I_UNIT: TSTAR_I}, "embedding 2: the generator images do not generate Q_8"),
-    ("embed1", {I_UNIT: (4, 0), J_UNIT: (4, 0)}, "embedding 1: the homomorphism .* not injective"),
+    ("embed1", {I_UNIT: 8, J_UNIT: 8}, "embedding 1: the homomorphism .* not injective"),
     ("transversal2", ((0, 0), R_REP), "transversal 2 must hold 3 coset reps"),
-    ("transversal1", ((1, 0), (3, 0)), "transversal 1 must hold 2 coset reps"),
-    # (1, 7) is no element of Q16, whose ids are (a, b) with b in {0, 1}
-    ("transversal1", ((0, 0), (1, 7)), "transversal 1 must hold 2 coset reps from factor 1"),
+    ("transversal1", (2, 6), "transversal 1 must hold 2 coset reps"),
+    # 16 is no element of Q16, whose ids are 0..15
+    ("transversal1", (0, 16), "transversal 1 must hold 2 coset reps from factor 1"),
 ], ids=["not_a_homomorphism", "not_generating", "not_injective", "wrong_size",
         "no_identity", "outside_the_factor"])
 def test_malformed_specs_are_refused_by_name(argument, value, message):
@@ -377,7 +377,7 @@ def test_append_calls_no_factor_multiplication(spec, monkeypatch):
 
 def test_conjugate_subgroup_rejects_a_subset_outside_the_core(spec):
     with pytest.raises(AmalgamError, match="is not a core element"):
-        conjugate_subgroup(spec.from_factor(1, (1, 0)), [I_UNIT, (5, 0)])
+        conjugate_subgroup(spec.from_factor(1, 2), [I_UNIT, 10])  # Q8's ids are 0..7
 
 
 def test_non_normal_core_builds_but_cannot_conjugate():
@@ -405,7 +405,7 @@ def test_has_finite_order_raises_when_cyclic_reduction_does_not_shorten(spec, mo
     # a product that returns its longer argument unchanged never shortens
     monkeypatch.setattr(lowk.amalgam, "multiply",
                         lambda x, y: max(x, y, key=lambda e: e.syllable_length))
-    b = reduce_word(spec, [(1, (1, 0)), (2, R_REP), (1, (1, 0))])
+    b = reduce_word(spec, [(1, 2), (2, R_REP), (1, 2)])
     with pytest.raises(AmalgamError, match="did not shorten"):
         has_finite_order(b)
 

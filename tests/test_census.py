@@ -20,6 +20,7 @@ from lowk.groups import (
 from helpers import (
     brute_force_bound,
     build_affine,
+    build_dicyclic_pairs,
     centralizer,
     class_of,
     relabel,
@@ -29,9 +30,29 @@ from helpers import (
 def test_dicyclic_rotation_classes_are_inverse_pairs():
     g = build_dicyclic(5)
     census = conjugacy_classes(g)
-    x = (1, 0)
-    assert class_of(census, x) == ((1, 0), (9, 0))  # {x, x^-1}
-    assert class_of(census, (2, 0)) == ((2, 0), (8, 0))
+    x = 2  # x^a y^b has id 2a + b
+    assert class_of(census, x) == (2, 18)  # {x, x^-1}
+    assert class_of(census, 4) == (4, 16)
+
+
+def assert_census_matches_the_pairs(group, m):
+    # ids 2a + b sort as the pairs (a, b), so the census walks the same
+    # elements in the same order and finds the same records in the same order
+    census, oracle = conjugacy_classes(group), conjugacy_classes(build_dicyclic_pairs(m))
+    assert census.subgroups == oracle.subgroups, group.name
+    assert census.r1_by_order == oracle.r1_by_order, group.name
+    assert census.r2_by_order == oracle.r2_by_order, group.name
+    assert census.classes == tuple(tuple(2 * a + b for a, b in cls) for cls in oracle.classes)
+
+
+def test_dicyclic_census_matches_the_pair_oracle():
+    for m in range(2, 300):
+        assert_census_matches_the_pairs(build_dicyclic(m), m)
+
+
+@pytest.mark.parametrize("k", range(3, 11))
+def test_quaternion_census_matches_the_pair_oracle(k):
+    assert_census_matches_the_pairs(generalized_quaternion(k), 2 ** (k - 2))
 
 
 def test_ostar_pair_and_subgroup_counts():

@@ -11,7 +11,7 @@ from lowk.groups import (
     generalized_quaternion,
 )
 
-from helpers import build_abelian, center, order_census
+from helpers import build_abelian, build_dicyclic_pairs, center, order_census
 
 
 def brute_order(group, g):
@@ -154,6 +154,21 @@ def test_quaternion_matches_dicyclic_census(k):
     assert order_census(q) == order_census(d)
 
 
+@pytest.mark.parametrize("m", range(2, 25))
+def test_dicyclic_ids_re_encode_the_pairs(m):
+    # x^a y^b is the pair (a, b) in the oracle and 2a + b in lowk
+    group, pairs = build_dicyclic(m), build_dicyclic_pairs(m)
+    code = {g: 2 * g[0] + g[1] for g in pairs.elements}
+    assert [code[g] for g in pairs.elements] == list(group.elements)
+    assert code[pairs.identity] == group.identity
+    assert [code[g] for g in pairs.generators] == list(group.generators)
+    for g in pairs.elements:
+        assert code[pairs.inv(g)] == group.inv(code[g])
+        assert pairs.order_of(g) == group.order_of(code[g])
+        for h in pairs.elements:
+            assert code[pairs.mul(g, h)] == group.mul(code[g], code[h])
+
+
 def test_closure_size_guard(monkeypatch):
     from lowk import groups
 
@@ -252,17 +267,20 @@ def assert_embeds_by(sub, group, images, formula):
 
 @pytest.mark.parametrize("k", range(2, 20))
 def test_dicyclic_family_inclusions_are_embeddings(k):
+    def xy(a, b):  # the id of x^a y^b
+        return 2 * a + b
+
     dic = build_dicyclic(k)
     for a in range(2, k + 1):
         if k % a == 0:
             # Dic_4a -> Dic_4k: x -> x^(k/a), y -> y
-            assert_embeds_by(build_dicyclic(a), dic, {(1, 0): (k // a, 0), (0, 1): (0, 1)},
-                             lambda g: (g[0] * (k // a), g[1]))
+            assert_embeds_by(build_dicyclic(a), dic, {xy(1, 0): xy(k // a, 0), xy(0, 1): xy(0, 1)},
+                             lambda g: xy(g // 2 * (k // a), g % 2))
     # Z_2k -> Dic_4k: 1 -> x
-    assert_embeds_by(build_cyclic(2 * k), dic, {1: (1, 0)}, lambda n: (n, 0))
+    assert_embeds_by(build_cyclic(2 * k), dic, {1: xy(1, 0)}, lambda n: xy(n, 0))
     # Z_4 -> Dic_4k: 1 -> y, with y^2 = x^k
-    assert_embeds_by(build_cyclic(4), dic, {1: (0, 1)},
-                     lambda n: ((n // 2) * k, n % 2))
+    assert_embeds_by(build_cyclic(4), dic, {1: xy(0, 1)},
+                     lambda n: xy((n // 2) * k, n % 2))
 
 
 @pytest.mark.parametrize("b", range(1, 25))
@@ -287,11 +305,12 @@ def test_cyclic_inclusions_exist_exactly_when_the_order_divides(b):
 
 
 @pytest.mark.parametrize("images, message", [
+    # ids are 2a + b for x^a y^b: i = 2 and j = 1 in Q8, x^2 = 4 and x^4 = 8 in Q16
     # j i j^-1 = i^-1 fails on the images: x^2 is not x^-2 in Q16
-    ({(1, 0): (2, 0), (0, 1): (2, 0)}, "the images define no homomorphism Q_8 -> Q_16"),
-    ({(1, 0): (2, 0)}, "the generator images do not generate Q_8"),
+    ({2: 4, 1: 4}, "the images define no homomorphism Q_8 -> Q_16"),
+    ({2: 4}, "the generator images do not generate Q_8"),
     # i, j -> x^4 = -1 sends Q8 onto the centre of Q16
-    ({(1, 0): (4, 0), (0, 1): (4, 0)}, "the homomorphism Q_8 -> Q_16 is not injective"),
+    ({2: 8, 1: 8}, "the homomorphism Q_8 -> Q_16 is not injective"),
 ], ids=["not_a_homomorphism", "not_generating", "not_injective"])
 def test_embedding_rejects_bad_generator_maps(images, message):
     q8, q16 = generalized_quaternion(3), generalized_quaternion(4)
