@@ -17,8 +17,16 @@ Next to the step table each spec keeps a conjugation table: for every
 nontrivial coset rep t and core element f, the core element c with
 emb(c) = t emb(f) t^-1.  Building it is the normality check (a conjugate
 outside the image means the core is not normal, and the table is None), and
-with it `conjugate_subgroup` walks a normal form's letters through lookups
-instead of building words.
+with it `conjugates` walks a normal form's letters through lookups instead
+of building words.
+
+Every element the arithmetic builds comes from one private factory,
+`_element`, not from the dataclass `__init__`.  `AmalgamElement` is a frozen
+dataclass, so its generated `__init__` goes through `object.__setattr__`
+once per field, and that was about 40 % of a `multiply`.  The factory
+writes the three slots through their descriptors instead.  It checks
+nothing: the arithmetic hands it normal forms it has just reduced.  The
+element stays frozen, and assignment still raises `FrozenInstanceError`.
 """
 
 from __future__ import annotations
@@ -151,7 +159,7 @@ class AmalgamSpec:
     # -- helpers used by the arithmetic --------------------------------------
 
     def identity(self) -> "AmalgamElement":
-        return AmalgamElement(self, (), self.core.identity)
+        return _element(self, (), self.core.identity)
 
     def from_factor(self, side: int, x: ElementId) -> "AmalgamElement":
         return reduce_word(self, [(side, x)])
@@ -159,7 +167,7 @@ class AmalgamSpec:
     def from_core(self, f: ElementId) -> "AmalgamElement":
         if f not in self.core:
             raise AmalgamError(f"{f!r} is not a core element")
-        return AmalgamElement(self, (), f)
+        return _element(self, (), f)
 
     def format_element(self, el: "AmalgamElement") -> str:
         def core_str(f: ElementId) -> str:
@@ -175,12 +183,15 @@ class AmalgamSpec:
         return "*".join(parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AmalgamElement:
     """Unique normal form: alternating coset letters, then a core element.
 
     Compared and hashed as (spec, letters, core); specs compare by identity,
-    so equal normal forms of two specs are different elements.
+    so equal normal forms of two specs are different elements.  Frozen, with
+    slots and no `__dict__`.  The arithmetic builds elements through
+    `_element`, which sets the slots without the generated `__init__`; calling
+    `AmalgamElement(spec, letters, core)` gives an equal element.
     """
 
     spec: AmalgamSpec
@@ -197,6 +208,25 @@ class AmalgamElement:
 
     def __repr__(self) -> str:
         return f"<{self.spec.format_element(self)}>"
+
+
+_new = object.__new__
+_set_spec, _set_letters, _set_core = (
+    AmalgamElement.__dict__[name].__set__ for name in ("spec", "letters", "core")
+)
+
+
+def _element(spec: AmalgamSpec, letters: tuple[Letter, ...], core: ElementId) -> AmalgamElement:
+    """The element (spec, letters, core), its slots set through their descriptors.
+
+    A slot descriptor's `__set__` does not go through the frozen
+    `__setattr__`, so this skips `__init__` and leaves the element frozen.
+    """
+    el = _new(AmalgamElement)
+    _set_spec(el, spec)
+    _set_letters(el, letters)
+    _set_core(el, core)
+    return el
 
 
 def _append(
@@ -223,7 +253,7 @@ def reduce_word(spec: AmalgamSpec, word: Word) -> AmalgamElement:
         if x not in spec.factors[side - 1]:
             raise AmalgamError(f"{x!r} is not an element of factor {side}")
         core = _append(spec, letters, core, side, x)
-    return AmalgamElement(spec, tuple(letters), core)
+    return _element(spec, tuple(letters), core)
 
 
 def multiply(a: AmalgamElement, b: AmalgamElement) -> AmalgamElement:
@@ -235,7 +265,7 @@ def multiply(a: AmalgamElement, b: AmalgamElement) -> AmalgamElement:
     for side, t in b.letters:
         core = _append(spec, letters, core, side, t)
     core = spec.core.mul(core, b.core)
-    return AmalgamElement(spec, tuple(letters), core)
+    return _element(spec, tuple(letters), core)
 
 
 def invert(a: AmalgamElement) -> AmalgamElement:
@@ -245,7 +275,7 @@ def invert(a: AmalgamElement) -> AmalgamElement:
     for side, t in reversed(a.letters):
         g = spec.factors[side - 1]
         core = _append(spec, letters, core, side, g.inv(t))
-    return AmalgamElement(spec, tuple(letters), core)
+    return _element(spec, tuple(letters), core)
 
 
 def power(a: AmalgamElement, k: int) -> AmalgamElement:
@@ -269,26 +299,36 @@ def has_finite_order(a: AmalgamElement) -> bool:
     return b.syllable_length <= 1
 
 
-def conjugate_subgroup(
-    a: AmalgamElement, subset: Iterable[ElementId]
-) -> frozenset[ElementId]:
-    """a S a^-1 for a subset S of the core; requires the core to be normal.
+def conjugates(a: AmalgamElement, elements: Iterable[ElementId]) -> list[ElementId]:
+    """[a s a^-1 for s in elements], in order, for core elements s; requires
+    the core to be normal.
 
     For a = t_1 ... t_k f0 each s goes to f0 s f0^-1 in the core, then through
-    the conjugation table of t_k, ..., t_1: no words are built.
+    the conjugation table of t_k, ..., t_1: no words are built.  The rows and
+    f0^-1 are looked up once for all of `elements`.
     """
     spec = a.spec
     conj = spec._conj
     if conj is None:
         raise AmalgamError(f"{spec.name}: core is not normal in both factors")
     core = spec.core
+    mul = core.mul
     rows = [conj[side - 1][t] for side, t in reversed(a.letters)]
-    out = set()
-    for s in subset:
+    f0, f0_inv = a.core, core.inv(a.core)
+    out = []
+    for s in elements:
         if s not in core:
             raise AmalgamError(f"{s!r} is not a core element")
-        c = core.conj(a.core, s)
+        c = mul(mul(f0, s), f0_inv)
         for row in rows:
             c = row[c]
-        out.add(c)
-    return frozenset(out)
+        out.append(c)
+    return out
+
+
+def conjugate_subgroup(
+    a: AmalgamElement, subset: Iterable[ElementId]
+) -> frozenset[ElementId]:
+    """a S a^-1 for a subset S of the core, as the set of `conjugates(a, S)`;
+    requires the core to be normal."""
+    return frozenset(conjugates(a, subset))

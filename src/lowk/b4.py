@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cache, reduce
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -27,7 +27,7 @@ from .amalgam import (
     AmalgamElement,
     AmalgamError,
     AmalgamSpec,
-    conjugate_subgroup,
+    conjugates,
     has_finite_order,
     invert,
     multiply,
@@ -286,13 +286,13 @@ def psi(model: B4Model, g: AmalgamElement) -> tuple[int, int, int]:
     Each Hi = <qi> is cyclic and conjugation by g is an automorphism of the
     normal core, so g Hi g^-1 = <g qi g^-1>.  The Hi pairwise meet only in
     <-1>, so the order-4 element g qi g^-1 lies in exactly one Hj, and that
-    Hj is g Hi g^-1: one conjugate per subgroup, not four, each read from the
-    spec's conjugation table with no product or inverse.  A conjugate in no
-    Hj, or in more than one, raises AmalgamError naming g.
+    Hj is g Hi g^-1: one conjugate per subgroup, not four, all three read in
+    one `conjugates` walk of g's letters through the spec's conjugation table,
+    with no product or inverse.  A conjugate in no Hj, or in more than one,
+    raises AmalgamError naming g.
     """
     images = []
-    for q in H_GENERATORS:
-        (conj,) = conjugate_subgroup(g, (q,))
+    for q, conj in zip(H_GENERATORS, conjugates(g, H_GENERATORS)):
         holders = [n for n, h in enumerate(model.h_subgroups, 1) if conj in h]
         if len(holders) != 1:
             raise AmalgamError(
@@ -334,7 +334,13 @@ class CheckResult:
         return self.status == "pass"
 
     def to_json(self) -> dict:
-        return asdict(self)  # in field order, the key order b4_verify.json pins
+        """The four fields in field order, the key order b4_verify.json pins."""
+        return {
+            "check_id": self.check_id,
+            "statement": self.statement,
+            "status": self.status,
+            "witness_normal_form": self.witness_normal_form,
+        }
 
 
 # quotient maps a row may apply to a word, with how their values print

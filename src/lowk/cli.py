@@ -8,6 +8,9 @@ its command, so building the parser loads none of the three.
 Each subcommand returns its answer and `main` writes it, in the one format
 asked for, so a command writes stdout only once it has its whole answer; a
 command that fails writes nothing there, and one `error:` line to stderr.
+`write_json` writes JSON as `json.dumps(..., indent=2, ensure_ascii=False)`
+does, but builds no closures, so an answer leaves no reference cycles for
+the garbage collector.
 `main` runs each command in a copy of the current context, so the census
 bound `group --max-brute-force` sets (`census.BOUND`, at most
 `groups.MAX_CLOSURE_SIZE`) ends with the command.
@@ -21,6 +24,7 @@ import contextvars
 import functools
 import json
 import sys
+from json.encoder import encode_basestring
 from typing import NamedTuple, NoReturn
 
 from .census import BOUND, BRUTE_FORCE_BOUND, GroupTooLargeError
@@ -194,12 +198,66 @@ def _cmd_b4_report(args: argparse.Namespace) -> tuple[KReport, int]:
     return b4_lower_k_report(), 0
 
 
+def _scalar(value: object) -> str:
+    """JSON text of a value that is not a string or a container."""
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return json.dumps(value)  # a float, or the TypeError json raises
+
+
+def _write(value: object, indent: str, out: list[str]) -> None:
+    """Append the JSON text of `value`, nested at `indent`, to `out`."""
+    if isinstance(value, str):
+        out.append(encode_basestring(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, item in value.items():
+            out.append(sep)
+            out.append(encode_basestring(key if isinstance(key, str) else _scalar(key)))
+            out.append(": ")
+            _write(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    else:
+        out.append(_scalar(value))
+
+
+def write_json(value: object) -> str:
+    """`json.dumps(value, indent=2, ensure_ascii=False)`, written by a plain
+    recursive function: the stdlib's pure-Python indenting encoder leaves
+    its nested closures as cyclic garbage on every call."""
+    out: list[str] = []
+    _write(value, "", out)
+    return "".join(out)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         answer, code = contextvars.copy_context().run(args.run, args)
         if args.format == "json":
-            out = json.dumps(answer.to_json(), indent=2, ensure_ascii=False)
+            out = write_json(answer.to_json())
         else:
             out = answer.render_text()
     except (UnsupportedParameterError, GroupTooLargeError, ValueError) as exc:

@@ -1,13 +1,16 @@
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, strategies as st
 
 import lowk.amalgam
 from lowk.amalgam import (
+    AmalgamElement,
     AmalgamError,
     AmalgamSpec,
     conjugate_subgroup,
+    conjugates,
     has_finite_order,
     invert,
     multiply,
@@ -195,6 +198,51 @@ def test_conjugation_table_matches_the_normal_form_arithmetic(s):
                 conj = multiply(multiply(rep, s.from_core(f)), rep_inv)
                 assert conj.letters == ()
                 assert conj.core == table[t][f]
+
+
+@pytest.mark.parametrize("s", SPECS, ids=SPEC_IDS)
+def test_conjugates_are_the_word_conjugates_in_input_order(s):
+    rng = random.Random(35)
+    core = list(s.core.elements)
+    for _ in range(200):
+        a = reduce_word(s, random_word(s, rng, rng.randint(0, 12)))
+        a_inv = invert(a)
+        qs = rng.sample(core, len(core))
+        expected = [multiply(multiply(a, s.from_core(q)), a_inv).core for q in qs]
+        assert conjugates(a, qs) == expected
+        assert conjugate_subgroup(a, qs) == frozenset(expected)
+
+
+def _built_by_every_path(s):
+    """One element from each way lowk builds one, and from the class itself."""
+    t1, t2 = (trans[-1] for trans in s.transversals)  # a nontrivial coset rep per side
+    a = reduce_word(s, [(1, t1), (2, t2), (1, t1)])
+    return {
+        "identity": s.identity(),
+        "from_core": s.from_core(I_UNIT),
+        "from_factor": s.from_factor(2, t2),
+        "reduce_word": a,
+        "multiply": multiply(a, a),
+        "invert": invert(a),
+        "power": power(a, -3),
+        "class": AmalgamElement(s, a.letters, a.core),
+    }
+
+
+@pytest.mark.parametrize("s", SPECS, ids=SPEC_IDS)
+def test_every_built_element_is_frozen_and_has_no_dict(s):
+    for path, el in _built_by_every_path(s).items():
+        for field in ("spec", "letters", "core"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(el, field, getattr(el, field))
+        assert not hasattr(el, "__dict__"), path
+
+
+@pytest.mark.parametrize("s", SPECS, ids=SPEC_IDS)
+def test_built_elements_equal_and_hash_as_the_class_builds_them(s):
+    for path, el in _built_by_every_path(s).items():
+        same = AmalgamElement(el.spec, el.letters, el.core)
+        assert el == same and hash(el) == hash(same), path
 
 
 def test_letter_validation(spec):

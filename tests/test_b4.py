@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import re
+from dataclasses import asdict
 from functools import reduce
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from helpers import psi_by_whole_subgroups
 from lowk.amalgam import (
     AmalgamError,
     AmalgamSpec,
-    conjugate_subgroup,
+    conjugates,
     has_finite_order,
     invert,
     multiply,
@@ -218,19 +219,20 @@ def conjugation_calls(monkeypatch):
 
 
 def test_psi_conjugates_one_generator_per_subgroup(model, conjugation_calls, monkeypatch):
-    subsets = []
+    # one `conjugates` walk per psi, over H_GENERATORS in order
+    calls = []
 
-    def recorded(g, subset):
-        subsets.append(tuple(subset))
-        return conjugate_subgroup(g, subsets[-1])
+    def recorded(g, elements):
+        calls.append(tuple(elements))
+        return conjugates(g, calls[-1])
 
-    monkeypatch.setattr(lowk.b4, "conjugate_subgroup", recorded)
+    monkeypatch.setattr(lowk.b4, "conjugates", recorded)
     for name in ("sigma1", "alpha1", "z"):
         conjugation_calls.update(multiply=0, invert=0)
-        subsets.clear()
+        calls.clear()
         psi(model, model[name])
         assert conjugation_calls == {"multiply": 0, "invert": 0}
-        assert subsets == [(q,) for q in H_GENERATORS]
+        assert calls == [H_GENERATORS]
 
 
 def test_psi_homomorphism_sample_cost(model, conjugation_calls):
@@ -590,6 +592,13 @@ def test_false_row_fails_with_both_sides(model):
         "status": "fail",
         "witness_normal_form": f"lhs={fmt(model['sigma1'])} rhs={fmt(model['sigma2'])}",
     }
+
+
+def test_to_json_is_asdict_in_field_order():
+    rows = [row for suite in verify_all().values() for row in suite]
+    assert len(rows) == 77
+    for row in rows:
+        assert list(row.to_json().items()) == list(asdict(row).items())
 
 
 def test_prose_row_evaluates_its_equation(model):

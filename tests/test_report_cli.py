@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import resource
@@ -7,10 +8,11 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import lowk
 from lowk import census, lowerk, report as report_module
-from lowk.cli import main
+from lowk.cli import main, write_json
 from lowk.lowerk import UNKNOWN, AbelianGroupExpr, Z2_INF, W_NAME
 from lowk.galois import FieldDescriptor
 from lowk.report import (
@@ -565,6 +567,43 @@ def test_json_answer_runs_no_text_renderer(monkeypatch, capsys, argv):
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0
     assert json.loads(out)["schema"] == "lowk/1"
+
+
+_JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.text()
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(), inner),
+    max_leaves=30,
+)
+
+
+@given(_JSON_VALUES)
+@example({"Q₁₆ ∗ T*": ["", [], {}, (), "é\n\"\u2028"], "": {"x": None, "y": [True, -7]}})
+def test_write_json_is_json_dumps_indented(value):
+    assert write_json(value) == json.dumps(value, indent=2, ensure_ascii=False)
+
+
+@pytest.mark.parametrize("argv", (
+    ["lambda", "--m", "7"],
+    ["group", "dicyclic", "--m", "5"],
+    ["classify", "--n", "4", "--vc"],
+    ["b4", "report"],
+))
+def test_a_json_answer_leaves_no_cyclic_garbage(capsys, argv):
+    argv = [*argv, "--format", "json"]
+    main(argv)  # loads what the command loads and fills its caches
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        main(argv)
+        gc.collect()
+        garbage = list(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    capsys.readouterr()
+    assert garbage == []
 
 
 def test_module_entry_point_prints_the_golden_report():
