@@ -20,6 +20,13 @@ outside the image means the core is not normal, and the table is None), and
 with it `conjugates` walks a normal form's letters through lookups instead
 of building words.
 
+Three more tables, filled from the groups' own `mul` and `inv`, hold the
+rest of what the arithmetic needs: the core's multiplication table
+(f -> {g: f g}, 64 entries for Q8), the inverse of each core element, and
+per side the inverse of each factor element.  So `multiply`, `invert` and
+`conjugates` call no group operation: each letter is one step-table lookup
+in the kernel's own loop, and each core product or inverse one dict lookup.
+
 Every element the arithmetic builds comes from one private factory,
 `_element`, not from the dataclass `__init__`.  `AmalgamElement` is a frozen
 dataclass, so its generated `__init__` goes through `object.__setattr__`
@@ -52,6 +59,16 @@ class AmalgamSpec:
     `groups.embedding`.  `transversal1`/`transversal2` are left-coset
     representatives (t F), with the identity representing F itself.  Compared
     by identity; specs are immutable after validation.
+
+    Construction builds the tables the arithmetic reads, each indexed by
+    side 0 or 1 where it has one:
+    - `_split[side]`: factor element g -> (letter or None, f) with g = t f;
+    - `_step[side]`: (last coset rep or None, core f) -> {x: split of last f x};
+    - `_conj[side]`: rep t -> {f: c} with emb(c) = t emb(f) t^-1, or None
+      for the whole table when the core is not normal;
+    - `_core_mul`: core f -> {g: f g};
+    - `_core_inv`: core f -> f^-1;
+    - `_inv[side]`: factor element x -> x^-1.
     """
 
     def __init__(
@@ -82,6 +99,10 @@ class AmalgamSpec:
         self._step = (self._step_table(0), self._step_table(1))
         self._conj = self._conj_table()
         self.core_is_normal = self._conj is not None
+        elements = core.elements
+        self._core_mul = {f: {g: core.mul(f, g) for g in elements} for f in elements}
+        self._core_inv = {f: core.inv(f) for f in elements}
+        self._inv = tuple({x: g.inv(x) for x in g.elements} for g in self.factors)
 
     # -- validation ---------------------------------------------------------
 
@@ -229,52 +250,73 @@ def _element(spec: AmalgamSpec, letters: tuple[Letter, ...], core: ElementId) ->
     return el
 
 
-def _append(
-    spec: AmalgamSpec, letters: list[Letter], core: ElementId, side: int, x: ElementId
-) -> ElementId:
-    """Multiply the normal form (letters, core) by the factor element x on the right.
-
-    Mutates `letters`, returns the new core.
-    """
-    last = letters.pop()[1] if letters and letters[-1][0] == side else None
-    letter, f = spec._step[side - 1][last, core][x]
-    if letter is not None:
-        letters.append(letter)
-    return f
-
-
 def reduce_word(spec: AmalgamSpec, word: Word) -> AmalgamElement:
-    """Normal form of a word of factor elements tagged by side (1 or 2)."""
-    letters: list[Letter] = []
-    core = spec.core.identity
+    """Normal form of a word of factor elements tagged by side (1 or 2).
+
+    Each factor element costs one step-table lookup.  One on the side of
+    the last letter merges with it, so that letter is popped and handed to
+    the step.
+    """
+    word = tuple(word)  # read twice: validated whole, then reduced
     for side, x in word:
         if side not in (1, 2):
             raise AmalgamError(f"letter side must be 1 or 2, got {side!r}")
         if x not in spec.factors[side - 1]:
             raise AmalgamError(f"{x!r} is not an element of factor {side}")
-        core = _append(spec, letters, core, side, x)
+    step = spec._step
+    letters: list[Letter] = []
+    core = spec.core.identity
+    for side, x in word:
+        last = letters.pop()[1] if letters and letters[-1][0] == side else None
+        letter, core = step[side - 1][last, core][x]
+        if letter is not None:
+            letters.append(letter)
     return _element(spec, tuple(letters), core)
 
 
 def multiply(a: AmalgamElement, b: AmalgamElement) -> AmalgamElement:
+    """a b: b's letters run through the step table after a's normal form, then
+    b's core multiplies on the right, by a lookup in the core's table.
+
+    Only at the junction can a letter merge: while b's letters cancel into
+    the core, each next one lies on the side of a's last remaining letter.
+    Once one yields a letter, the rest alternate sides after it and none
+    lies in the core, so each yields one letter with no merge or test.
+    """
     if a.spec is not b.spec:
         raise AmalgamError("cannot multiply elements of different amalgams")
     spec = a.spec
+    step = spec._step
     letters = list(a.letters)
     core = a.core
-    for side, t in b.letters:
-        core = _append(spec, letters, core, side, t)
-    core = spec.core.mul(core, b.core)
-    return _element(spec, tuple(letters), core)
+    rest = iter(b.letters)
+    for side, t in rest:
+        last = letters.pop()[1] if letters and letters[-1][0] == side else None
+        letter, core = step[side - 1][last, core][t]
+        if letter is not None:
+            letters.append(letter)
+            break
+    for side, t in rest:
+        letter, core = step[side - 1][None, core][t]
+        letters.append(letter)
+    return _element(spec, tuple(letters), spec._core_mul[core][b.core])
 
 
 def invert(a: AmalgamElement) -> AmalgamElement:
+    """(t_1 ... t_k f)^-1 = f^-1 t_k^-1 ... t_1^-1, every inverse looked up.
+
+    Consecutive letters of a normal form lie in different factors and none
+    lies in the core, so no t_i^-1 merges with the letter before it or
+    leaves a coset of the core: each step starts from no trailing letter and
+    yields one letter, and the loop needs neither a pop nor a test.
+    """
     spec = a.spec
+    step, inv = spec._step, spec._inv
     letters: list[Letter] = []
-    core = spec.core.inv(a.core)
+    core = spec._core_inv[a.core]
     for side, t in reversed(a.letters):
-        g = spec.factors[side - 1]
-        core = _append(spec, letters, core, side, g.inv(t))
+        letter, core = step[side - 1][None, core][inv[side - 1][t]]
+        letters.append(letter)
     return _element(spec, tuple(letters), core)
 
 
@@ -288,8 +330,8 @@ def has_finite_order(a: AmalgamElement) -> bool:
     """True iff the cyclic reduction of `a` has at most one syllable."""
     b = a
     while b.syllable_length >= 2 and b.letters[0][0] == b.letters[-1][0]:
-        side, t = b.letters[0]
-        first = b.spec.from_factor(side, t)
+        # a coset rep's normal form is its letter and the core identity
+        first = _element(b.spec, b.letters[:1], b.spec.core.identity)
         shorter = multiply(multiply(invert(first), b), first)
         if shorter.syllable_length >= b.syllable_length:
             raise AmalgamError(
@@ -303,23 +345,24 @@ def conjugates(a: AmalgamElement, elements: Iterable[ElementId]) -> list[Element
     """[a s a^-1 for s in elements], in order, for core elements s; requires
     the core to be normal.
 
-    For a = t_1 ... t_k f0 each s goes to f0 s f0^-1 in the core, then through
-    the conjugation table of t_k, ..., t_1: no words are built.  The rows and
-    f0^-1 are looked up once for all of `elements`.
+    For a = t_1 ... t_k f0 each s goes to f0 s f0^-1, two lookups in the
+    core's multiplication table, then through the conjugation table of
+    t_k, ..., t_1: no words are built and no group operation is called.  The
+    rows, f0's row of products and f0^-1 are looked up once for all of
+    `elements`.
     """
     spec = a.spec
     conj = spec._conj
     if conj is None:
         raise AmalgamError(f"{spec.name}: core is not normal in both factors")
-    core = spec.core
-    mul = core.mul
     rows = [conj[side - 1][t] for side, t in reversed(a.letters)]
-    f0, f0_inv = a.core, core.inv(a.core)
+    core_mul = spec._core_mul
+    left, f0_inv = core_mul[a.core], spec._core_inv[a.core]
     out = []
     for s in elements:
-        if s not in core:
+        if s not in left:
             raise AmalgamError(f"{s!r} is not a core element")
-        c = mul(mul(f0, s), f0_inv)
+        c = core_mul[left[s]][f0_inv]
         for row in rows:
             c = row[c]
         out.append(c)

@@ -4,14 +4,15 @@ Builds the amalgam with the braid generators named inside it, then verifies
 the braid presentation, the conjugation tables, the quotient maps rho (to
 Z3 * Z2), psi (permutation of the three order-4 core subgroups) and pi (the
 abelianisation onto Z/6), the two Q16 *_{Q8} Q16 amalgams, and the
-Reidemeister-Schreier bases of the two finite-index kernels.  The factors
-come from `lowk.groups`.  Every check is a row of its suite's table whose
-check is an equation (the statement itself, or one standing for a prose
-statement), parsed as words over the named elements and compared by normal
-form, or, where no equation states the claim (every core element, a seeded
-sample, an infinite order, a count), a function of the model returning
-(holds, witness).  `check_row` alone turns a row into a result, and every
-claim is reported as pass/fail, never assumed.
+Reidemeister-Schreier bases of the two finite-index kernels; an opt-in
+suite, left out of `verify_all`, checks that the braid generators map onto
+the amalgam.  The factors come from `lowk.groups`.  Every check is a row of
+its suite's table whose check is an equation (the statement itself, or one
+standing for a prose statement), parsed as words over the named elements
+and compared by normal form, or, where no equation states the claim (every
+core element, a seeded sample, an infinite order, a count), a function of
+the model returning (holds, witness).  `check_row` alone turns a row into a
+result, and every claim is reported as pass/fail, never assumed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
@@ -34,6 +35,7 @@ from .amalgam import (
     power,
 )
 from .groups import (
+    ElementId,
     FiniteGroup,
     build_binary_polyhedral,
     build_cyclic,
@@ -136,7 +138,13 @@ def evaluate_word(
 
 @dataclass(frozen=True, eq=False)
 class B4Model:
-    """An amalgam with named elements; for B4 also its order-4 core subgroups."""
+    """An amalgam with named elements; for B4 also its order-4 core subgroups.
+
+    `h_holders` maps each core element to the numbers j (from 1) of the
+    subgroups in `h_subgroups` that hold it, so `psi` reads a conjugate's
+    subgroup with one lookup.  It is derived from `h_subgroups` on first use
+    and kept, so a model built with other subgroups gets its own table.
+    """
 
     spec: AmalgamSpec
     named: Mapping[str, AmalgamElement]
@@ -144,6 +152,13 @@ class B4Model:
 
     def __getitem__(self, name: str) -> AmalgamElement:
         return self.named[name]
+
+    @cached_property
+    def h_holders(self) -> Mapping[ElementId, tuple[int, ...]]:
+        return MappingProxyType({
+            q: tuple(j for j, h in enumerate(self.h_subgroups, 1) if q in h)
+            for q in self.spec.core.elements
+        })
 
 
 def _element_order(a: AmalgamElement) -> int | None:
@@ -288,12 +303,14 @@ def psi(model: B4Model, g: AmalgamElement) -> tuple[int, int, int]:
     <-1>, so the order-4 element g qi g^-1 lies in exactly one Hj, and that
     Hj is g Hi g^-1: one conjugate per subgroup, not four, all three read in
     one `conjugates` walk of g's letters through the spec's conjugation table,
-    with no product or inverse.  A conjugate in no Hj, or in more than one,
-    raises AmalgamError naming g.
+    with no product or inverse, and each conjugate's Hj read from the model's
+    `h_holders` table.  A conjugate in no Hj, or in more than one, raises
+    AmalgamError naming g.
     """
+    holders_of = model.h_holders
     images = []
     for q, conj in zip(H_GENERATORS, conjugates(g, H_GENERATORS)):
-        holders = [n for n, h in enumerate(model.h_subgroups, 1) if conj in h]
+        holders = holders_of[conj]
         if len(holders) != 1:
             raise AmalgamError(
                 f"psi({g!r}): the conjugate {QUATERNION_NAMES.get(conj, conj)} of "
@@ -527,6 +544,41 @@ KERNEL_ROWS = (
 )
 
 
+# -- phi is onto ---------------------------------------------------------------
+
+def _generates(side: int, *words: str):
+    """Row check: the words' values generate exactly the factor on `side`.
+
+    Their closure under `multiply`, cut off past the factor's order, must be
+    the set of the factor's elements as elements of the amalgam.
+    """
+    def check(model: B4Model) -> tuple[bool, str]:
+        spec = model.spec
+        factor = spec.factors[side - 1]
+        gens = [evaluate_word(w, spec, model.named) for w in words]
+        found = closure(spec.identity(), gens, multiply, limit=factor.order)
+        size = len(found) if len(found) <= factor.order else f"more than {factor.order}"
+        return found == {spec.from_factor(side, x) for x in factor.elements}, f"{size} elements"
+
+    return check
+
+
+# The braid suite gives a homomorphism phi from B4(S2) to the amalgam, with
+# phi(sigma_i) the model's sigma_i.  These rows show that phi is onto: alpha0,
+# alpha1 and delta4 are words in the sigma_i, alpha0 and delta4 generate
+# Q16, alpha1 and delta4 generate T*, and the two factors generate the
+# amalgam.  `--suite all` leaves them out, since b4_verify.json pins it.
+ISO_ROWS = (
+    ("iso.alpha0", "alpha0 = sigma1 sigma2 sigma3"),
+    ("iso.alpha1", "alpha1 = sigma1 sigma2 sigma3^2"),
+    ("iso.delta4", "delta4 = sigma1 sigma2 sigma3 sigma1 sigma2 sigma1"),
+    ("iso.q16_generated", "alpha0 and delta4 generate the Q16 factor",
+     _generates(1, "alpha0", "delta4")),
+    ("iso.tstar_generated", "alpha1 and delta4 generate the T* factor",
+     _generates(2, "alpha1", "delta4")),
+)
+
+
 # -- the two Q16 *_{Q8} Q16 amalgams ------------------------------------------
 
 @cache
@@ -725,13 +777,18 @@ _SUITE_TABLE = {
     "gamma": ((lambda: _gamma_model(0), GAMMA1_ROWS), (lambda: _gamma_model(1), GAMMA2_ROWS)),
     "kernel": ((lambda: build_b4(), KERNEL_ROWS),),
     "rs": tuple(_rs_part(*kernel) for kernel in _RS_KERNELS),
+    "iso": ((lambda: build_b4(), ISO_ROWS),),
 }
-SUITES = tuple(_SUITE_TABLE)
+# suites `verify_all` leaves out, so `--suite all` keeps its golden output
+OPT_IN_SUITES = ("iso",)
+SUITES = tuple(name for name in _SUITE_TABLE if name not in OPT_IN_SUITES)
 
 
 def verify_suite(name: str) -> list[CheckResult]:
     if name not in _SUITE_TABLE:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITES} or 'all'")
+        raise ValueError(
+            f"unknown suite {name!r}; choose from {SUITES + OPT_IN_SUITES} or 'all'"
+        )
     checks = []
     for build, rows in _SUITE_TABLE[name]:
         model = build()
@@ -740,4 +797,5 @@ def verify_suite(name: str) -> list[CheckResult]:
 
 
 def verify_all() -> dict[str, list[CheckResult]]:
+    """Every suite but the opt-in ones, by name."""
     return {name: verify_suite(name) for name in SUITES}

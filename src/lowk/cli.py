@@ -43,8 +43,10 @@ from .report import (
     order_too_long_to_print,
 )
 
-# `b4.SUITES`, spelled out so that building the parser does not load lowk.b4
+# `b4.SUITES` and `b4.OPT_IN_SUITES`, spelled out so that building the parser
+# does not load lowk.b4
 B4_SUITES = ("braid", "actions", "gamma", "kernel", "rs")
+B4_OPT_IN_SUITES = ("iso",)
 
 
 def _bound(text: str) -> int:
@@ -102,7 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
     b4_p = sub.add_parser("b4", help="the four-strand amalgam model")
     b4_sub = b4_p.add_subparsers(dest="b4_command", required=True)
     verify_p = b4_sub.add_parser("verify", help="run the verification checks")
-    verify_p.add_argument("--suite", choices=B4_SUITES + ("all",), default="all")
+    verify_p.add_argument(
+        "--suite", choices=B4_SUITES + B4_OPT_IN_SUITES + ("all",), default="all",
+        help="braid relations, actions, gamma (the Q16 *_Q8 Q16 amalgams), kernel "
+             "(the quotient maps), rs (Reidemeister-Schreier), or all of these; "
+             "iso (phi onto the amalgam) runs only when named",
+    )
     report_p = b4_sub.add_parser("report", help="assembled lower K-theory report")
 
     for command, run in ((group_p, _cmd_group), (lambda_p, _cmd_lambda),

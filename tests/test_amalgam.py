@@ -406,6 +406,49 @@ def test_normal_forms_share_the_specs_letter_tuples(spec):
             assert all(letter is letters[letter] for letter in el.letters)
 
 
+# -- the core and inverse tables and the kernels that read them ----------------------
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_core_and_inverse_tables_are_the_group_operations(spec):
+    core = spec.core
+    assert set(spec._core_mul) == set(spec._core_inv) == set(core.elements)
+    for f in core.elements:
+        assert spec._core_mul[f] == {g: core.mul(f, g) for g in core.elements}
+        assert spec._core_inv[f] == core.inv(f)
+    assert len(spec._inv) == 2
+    for side, g in enumerate(spec.factors):
+        assert spec._inv[side] == {x: g.inv(x) for x in g.elements}
+
+
+def element_word(el):
+    """The normal form as a word: its letters, then its core element in factor 1."""
+    return [*el.letters, (1, el.spec.embeddings[0][el.core])]
+
+
+def inverse_word(spec, word):
+    """The word of the inverses in reverse order, by the factors' own `inv`."""
+    return [(side, spec.factors[side - 1].inv(x)) for side, x in reversed(word)]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_kernels_agree_with_reducing_the_whole_word(spec):
+    rng = random.Random(36)
+    emb = spec.embeddings[0]
+    for i in range(200):
+        a = reduce_word(spec, random_word(spec, rng, rng.randint(0, 12)))
+        a_word = element_word(a)
+        cancels = i % 4 == 0
+        if cancels:  # b = a^-1 f for a core element f: every letter of a cancels
+            b_word = inverse_word(spec, a_word) + [(1, emb[rng.choice(spec.core.elements)])]
+        else:
+            b_word = random_word(spec, rng, rng.randint(0, 12))
+        b = reduce_word(spec, b_word)
+        product = multiply(a, b)
+        assert product == reduce_word(spec, a_word + element_word(b))
+        assert invert(a) == reduce_word(spec, inverse_word(spec, a_word))
+        assert not (cancels and product.letters)
+
+
 def test_append_calls_no_factor_multiplication(spec, monkeypatch):
     calls = []
     for g in spec.factors:

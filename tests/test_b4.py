@@ -24,7 +24,9 @@ from lowk.amalgam import (
 from lowk.b4 import (
     ACTION_ROWS,
     H_GENERATORS,
+    ISO_ROWS,
     KERNEL_ROWS,
+    OPT_IN_SUITES,
     QUATERNION_NAMES,
     R2_REP,
     R_REP,
@@ -46,6 +48,7 @@ from lowk.b4 import (
     verify_all,
     verify_suite,
     _gamma_model,
+    _generates,
     _sym3,
 )
 from lowk.cli import main
@@ -491,8 +494,37 @@ def test_a_failing_self_check_names_its_equation(monkeypatch):
 
 def test_verify_suite_dispatch():
     assert all(c.ok for c in verify_suite("braid"))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="choose from .*'rs', 'iso'.* or 'all'"):
         verify_suite("nope")
+
+
+# -- phi is onto ------------------------------------------------------------------
+
+def test_iso_rows_pass_and_stay_out_of_all():
+    checks = verify_suite("iso")
+    assert [c.check_id for c in checks] == [row[0] for row in ISO_ROWS]
+    assert all(c.ok for c in checks)
+    assert [c.witness_normal_form for c in checks[3:]] == ["16 elements", "24 elements"]
+    assert OPT_IN_SUITES == ("iso",) and "iso" not in SUITES
+    assert "iso" not in verify_all()
+
+
+@pytest.mark.parametrize("check_id, changed, witness", [
+    ("iso.alpha0", "alpha0 = sigma1 sigma2 sigma3^2", None),
+    ("iso.alpha1", "alpha1 = sigma1 sigma2 sigma3", None),
+    ("iso.delta4", "delta4 = sigma1 sigma2 sigma3 sigma1 sigma2", None),
+    # alpha0^2 and delta4 generate the core Q8
+    ("iso.q16_generated", _generates(1, "alpha0^2", "delta4"), "8 elements"),
+    # alpha0 lies outside T*, and with alpha1 generates an infinite group
+    ("iso.tstar_generated", _generates(2, "alpha1", "alpha0"), "more than 24 elements"),
+], ids=["alpha0", "alpha1", "delta4", "q16", "tstar"])
+def test_each_iso_row_fails_when_its_word_is_changed(model, check_id, changed, witness):
+    row = next(row for row in ISO_ROWS if row[0] == check_id)
+    assert check_row(row, model).ok
+    # an equation row's statement is its check; a generation row's check is last
+    result = check_row((*row[:-1], changed), model)
+    assert result.status == "fail"
+    assert witness is None or result.witness_normal_form == witness
 
 
 # -- one model per process -----------------------------------------------------

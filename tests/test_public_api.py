@@ -24,7 +24,8 @@ PERFBENCH = ROOT / "perfbench"
 # Every option lowk takes: `module.function(parameter)` for each defaulted
 # parameter of a public library function (a public class's constructor and
 # public methods included), and `command option` for each option a CLI
-# subcommand declares.  Adding or removing an option means editing this set.
+# subcommand declares, with `{choice,...}` after an option of fixed choices.
+# Adding or removing an option or a choice means editing this set.
 OPTIONS = {
     "census.count_blocks(exponents)",
     "cli.main(argv)",
@@ -39,15 +40,15 @@ OPTIONS = {
     "group --invariants",
     "group --field",
     "group --max-brute-force",
-    "group --format",
+    "group --format {json,text}",
     "lambda --m",
-    "lambda --format",
+    "lambda --format {json,text}",
     "classify --n",
     "classify --vc",
-    "classify --format",
-    "b4 verify --suite",
-    "b4 verify --format",
-    "b4 report --format",
+    "classify --format {json,text}",
+    "b4 verify --suite {braid,actions,gamma,kernel,rs,iso,all}",
+    "b4 verify --format {json,text}",
+    "b4 report --format {json,text}",
 }
 
 
@@ -202,7 +203,8 @@ def test_every_library_option_is_set_outside_the_tests():
 
 
 def cli_options(parser=None, command=""):
-    """`command option` for each option the parser and its subparsers declare."""
+    """`command option` for each option the parser and its subparsers declare,
+    followed by `{choice,...}` for an option with fixed choices."""
     parser = parser or build_parser()
     out = set()
     for action in parser._actions:
@@ -210,7 +212,10 @@ def cli_options(parser=None, command=""):
             for name, sub in action.choices.items():
                 out |= cli_options(sub, f"{command} {name}".strip())
         elif action.option_strings and not isinstance(action, argparse._HelpAction):
-            out.add(f"{command or 'lowk'} {max(action.option_strings, key=len)}")
+            option = f"{command or 'lowk'} {max(action.option_strings, key=len)}"
+            if action.choices:
+                option += " {" + ",".join(action.choices) + "}"
+            out.add(option)
     return out
 
 

@@ -669,6 +669,28 @@ def test_cli_suite_choices_are_the_b4_suites():
     from lowk import b4, cli
 
     assert cli.B4_SUITES == b4.SUITES
+    assert cli.B4_OPT_IN_SUITES == b4.OPT_IN_SUITES
+
+
+# each JSON answer must be the same bytes under any string-hash seed: dicts
+# keyed by element ids, sets and frozensets must not leak their hash order
+_HASH_SEED_COMMANDS = (
+    "b4 verify --suite all",
+    "b4 report",
+    "group ostar --invariants wh,k0,kminus1,rf,wedderburn --field Qp:2",
+)
+
+
+@pytest.mark.parametrize("command", _HASH_SEED_COMMANDS)
+def test_json_output_is_the_same_bytes_under_every_hash_seed(command):
+    argv = [sys.executable, "-m", "lowk.cli", *command.split(), "--format", "json"]
+    outputs = set()
+    for seed in ("0", "1", "2"):
+        env = {**os.environ, "PYTHONPATH": SRC, "PYTHONHASHSEED": seed}
+        done = subprocess.run(argv, capture_output=True, timeout=60, env=env)
+        assert done.returncode == 0, done.stderr
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
 
 
 # a name of lowk's read for the first time while perfbench's tracer is installed
