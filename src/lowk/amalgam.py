@@ -255,7 +255,8 @@ def reduce_word(spec: AmalgamSpec, word: Word) -> AmalgamElement:
 
     Each factor element costs one step-table lookup.  One on the side of
     the last letter merges with it, so that letter is popped and handed to
-    the step.
+    the step.  Raises AmalgamError, naming the letter, for a side other
+    than 1 or 2 or a value that is no element of its factor.
     """
     word = tuple(word)  # read twice: validated whole, then reduced
     for side, x in word:

@@ -10,18 +10,25 @@ takes the exponent -1, r2 is the number of records of each order, and
 `lowk.fconj` picks the records and the Galois image of each F-conjugacy
 count.
 
-The census walks each cyclic subgroup once, from the first of its
-generators in the sorted element order; an element's order is taken only
-when it starts a walk.  The walk g, g^2, ..., g^(d-1) of <g> names exactly
-its phi(d) generators g^t, gcd(t, d) = 1, so every element is named once,
-as a unit power of its own subgroup's generator.  The walks take
-sum_C (|C| - 2) products over the cyclic subgroups C of order at least 2,
-a group invariant whatever the element order.  Only the subgroups'
+A cyclic group G = <g>, told by no generator moving another and one of
+them having order |G|, has one subgroup of each order d | |G|, its own
+class with H = {1}.  Its records are read off the divisors of |G|, with
+no element listed and no product taken past the commutation check, and
+its singleton classes come from the powers of g on first read.  Any other
+group walks each cyclic subgroup once, from the first of its generators
+in the sorted element order; an element's order is taken only when it
+starts a walk.  The walk
+g, g^2, ..., g^(d-1) of <g> names exactly its phi(d) generators g^t,
+gcd(t, d) = 1, so every element is named once, as a unit power of its own
+subgroup's generator; when phi(d) = 2 (d = 3, 4, 6) the second generator
+is g^-1, named with no product.  The walks take sum_C (|C| - 2) products
+over the cyclic subgroups C of order at least 2 other than 3, 4 and 6, a
+group invariant whatever the element order.  Only the subgroups'
 generators are conjugated, by each non-central group generator, and a
 search over the subgroups finds the classes; each edge that closes a loop
-gives one generator of H.  When every generator is central, as for Z_m, no
-product is taken: a cyclic subgroup is its own class and H = {1}.  The
-element classes are derived from the records on first read.
+gives one generator of H.  When every generator is central, nothing is
+conjugated: a cyclic subgroup is its own class and H = {1}.  The element
+classes are derived on first read.
 `conjugacy_classes` is the one way in: it checks the brute-force bound,
 builds the census of the whole group once and keeps it while the group
 lives.  The bound is the context variable `BOUND`, a resource limit set per
@@ -36,10 +43,10 @@ from collections import Counter, defaultdict
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Collection, Iterable, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 from weakref import WeakKeyDictionary
 
-from .galois import totient
+from .galois import divisors, totient
 from .groups import ElementId, FiniteGroup
 
 
@@ -126,12 +133,13 @@ class ClassCensus:
     `_transport_power[S]`) says g_S^e is conjugate to g, the generator of
     the i-th record's subgroup.  So x ~ g^(t/e), and x's class is the coset
     of t/e modulo that record's automizer.  With no walk (`_position` None)
-    every generator is central, every class a singleton, and `_by_order`
-    lists the elements by order.
+    the group is cyclic, every class a singleton, and `_generator` holds a
+    generator g and the product, whose powers list the elements; the census
+    holds no reference to the group itself.
     """
 
     subgroups: tuple[SubgroupClass, ...]
-    _by_order: dict[int, list[ElementId]] | None = field(repr=False)
+    _generator: tuple[ElementId, Callable] | None = field(repr=False)
     _position: dict[ElementId, tuple[int, int]] | None = field(repr=False)
     _transport: list[int] = field(repr=False)
     _transport_power: list[int] = field(repr=False)
@@ -140,8 +148,16 @@ class ClassCensus:
     def classes(self) -> tuple[tuple[ElementId, ...], ...]:
         """Conjugacy classes sorted by (element order, least element), each sorted."""
         if self._position is None:
-            assert self._by_order is not None
-            return tuple((g,) for d in sorted(self._by_order) for g in self._by_order[d])
+            assert self._generator is not None
+            # the records are the subgroups of G = <g>, the last one G itself,
+            # and g^k has order n / gcd(k, n)
+            g, mul = self._generator
+            n = self.subgroups[-1].order
+            x, keyed = g, [(n, g)]
+            for k in range(2, n + 1):
+                x = mul(x, g)
+                keyed.append((n // math.gcd(k, n), x))
+            return tuple((x,) for _, x in sorted(keyed))
         records = self.subgroups
         inverse = [
             (i, pow(e, -1, records[i].order))
@@ -172,24 +188,20 @@ def _build_census(group: FiniteGroup) -> ClassCensus:
         (a, inv(a)) for a in gens if any(mul(a, b) != mul(b, a) for b in gens if b != a)
     ]
     if not movers:
-        by_order: dict[int, list[ElementId]] = defaultdict(list)
-        for g in group.elements:
-            by_order[order_of(g)].append(g)
-        by_order = dict(sorted(by_order.items()))
-        subgroups = tuple(
-            SubgroupClass(d, (1 % d,), phi)
-            for d, elems in by_order.items()
-            for phi in (totient(d),)
-            for _ in range(len(elems) // phi)
-        )
-        return ClassCensus(subgroups, by_order, None, [], [])
+        n = group.order
+        g = next((g for g in gens if order_of(g) == n), None)
+        if g is not None:
+            # G = <g> has one subgroup of each order d | n, its own class
+            subgroups = tuple(SubgroupClass(d, (1 % d,), totient(d)) for d in divisors(n))
+            return ClassCensus(subgroups, (g, mul), None, [], [])
 
     # Walk each cyclic subgroup once, from the first of its generators in
     # sorted order.  An unnamed g starts a walk g, g^2, ..., g^(d-1) that
     # names g^t as (S, t) exactly when gcd(t, d) = 1, so S names its own
     # phi(d) generators and nothing else; every other power generates a
-    # smaller subgroup, walked when met.  The walks take sum_C (|C| - 2)
-    # products over the cyclic subgroups C of order at least 2.
+    # smaller subgroup, walked when met.  For phi(d) = 2 the walk is g^-1
+    # alone.  The walks take sum_C (|C| - 2) products over the cyclic
+    # subgroups C of order at least 2 other than 3, 4 and 6.
     position: dict[ElementId, tuple[int, int]] = {}
     generators: list[ElementId] = []
     sub_order: list[int] = []
@@ -201,6 +213,9 @@ def _build_census(group: FiniteGroup) -> ClassCensus:
         position[g] = (s, 1 % d)
         generators.append(g)
         sub_order.append(d)
+        if d in (3, 4, 6):
+            position[inv(g)] = (s, d - 1)
+            continue
         x = g
         for t in range(2, d):
             x = mul(x, g)

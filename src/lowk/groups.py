@@ -191,7 +191,10 @@ class FiniteGroup:
         return iter(self.elements)
 
     def __contains__(self, g: ElementId) -> bool:
-        return g in self._element_set
+        try:
+            return g in self._element_set
+        except TypeError:  # unhashable, so no element id
+            return False
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"

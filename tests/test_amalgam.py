@@ -250,6 +250,11 @@ def test_letter_validation(spec):
         reduce_word(spec, [(1, (0, 0, 0, 7))])
     with pytest.raises(AmalgamError):
         reduce_word(spec, [(3, 0)])
+    # an unhashable value is no element either, not a TypeError
+    with pytest.raises(AmalgamError, match=r"\[1\] is not an element of factor 1"):
+        reduce_word(spec, [(1, [1])])
+    with pytest.raises(AmalgamError, match=r"\[1\] is not a core element"):
+        spec.from_core([1])
 
 
 def test_cross_spec_multiplication_rejected(spec):

@@ -9,7 +9,7 @@ from lowk.census import (
     conjugacy_classes,
 )
 from lowk.fconj import r_f
-from lowk.galois import FieldDescriptor
+from lowk.galois import FieldDescriptor, totient
 from lowk.groups import (
     build_binary_polyhedral,
     build_cyclic,
@@ -19,10 +19,12 @@ from lowk.groups import (
 
 from helpers import (
     brute_force_bound,
+    build_abelian,
     build_affine,
     build_dicyclic_pairs,
     centralizer,
     class_of,
+    order_census,
     relabel,
 )
 
@@ -202,28 +204,69 @@ def count_products(group, monkeypatch):
     return census, len(calls)
 
 
-def test_abelian_partition_makes_constant_products(monkeypatch):
-    # the one generator of Z_m is central, so the census conjugates nothing,
-    # walks no subgroup, and the only products are the commutation check's
-    for m in (30, 1024, 3000):
+def abelian_oracle(group):
+    """The census of a group with every element central, from its element
+    orders: n_d / phi(d) records (d, (1 % d,), phi(d)) for each order d, and
+    the singleton classes sorted by (order, element)."""
+    records = [(d, (1 % d,), totient(d))
+               for d, n in order_census(group).items() for _ in range(n // totient(d))]
+    by_order = sorted(group.elements, key=lambda g: (group.order_of(g), g))
+    return records, tuple((g,) for g in by_order)
+
+
+def test_cyclic_census_matches_the_order_oracle():
+    # Z_m's records are read off the divisors of m, with no element listed
+    for m in range(1, 2001):
         group = build_cyclic(m)
-        census, products = count_products(group, monkeypatch)
-        assert products <= 2
-        by_order = sorted(group.elements, key=lambda g: (group.order_of(g), g))
-        assert census.classes == tuple((g,) for g in by_order)
+        census = conjugacy_classes(group)
+        records, classes = abelian_oracle(group)
+        assert list(census.subgroups) == records, m
+        assert census.classes == classes, m
+
+
+@pytest.mark.parametrize("factors", [[2, 2], [2, 4], [3, 3], [2, 3]], ids=str)
+def test_abelian_census_matches_the_order_oracle(factors):
+    # no generator has order |G| (Z_2 x Z_3 is cyclic, but neither generator
+    # shows it), so these take the walk, with nothing to conjugate by
+    group = build_abelian(factors)
+    census = conjugacy_classes(group)
+    records, classes = abelian_oracle(group)
+    assert sorted(census.subgroups) == records
+    assert census.classes == classes
+
+
+def test_abelian_partition_makes_constant_products(monkeypatch):
+    # the one generator of Z_m has order m, so the census takes no product,
+    # takes the generator's order alone and lists no element: its records
+    # are read off the divisors of m, its classes derived when first read
+    for m in (1, 30, 1024, 3000):
+        group = build_cyclic(m)
+        products, orders = [], []
+        mul, order_of = group.mul, group.order_of
+        monkeypatch.setattr(group, "mul", lambda a, b: products.append((a, b)) or mul(a, b))
+        monkeypatch.setattr(group, "order_of", lambda g: orders.append(g) or order_of(g))
+        census = conjugacy_classes(group)
+        census.r1_by_order, census.r2_by_order
+        assert products == []
+        assert orders == list(group.generators)
+        assert "elements" not in vars(group)
+        classes = census.classes
+        by_order = sorted(group.elements, key=lambda g: (order_of(g), g))
+        assert classes == tuple((g,) for g in by_order)
         assert all(class_of(census, g) == (g,) for g in group.elements)
 
 
 @pytest.mark.parametrize(
     "group,per_element",
-    [(build_dicyclic(899), 3), (build_dicyclic(1000), 3), (build_dicyclic(7), 3),
-     (generalized_quaternion(10), 3), (generalized_quaternion(5), 3),
-     (build_binary_polyhedral("T*"), 4), (build_binary_polyhedral("O*"), 4),
-     (build_binary_polyhedral("I*"), 4)],
+    [(build_dicyclic(899), 2.5), (build_dicyclic(1000), 2.5), (build_dicyclic(7), 2.5),
+     (generalized_quaternion(10), 2.5), (generalized_quaternion(5), 2.5),
+     (build_binary_polyhedral("T*"), 3), (build_binary_polyhedral("O*"), 3),
+     (build_binary_polyhedral("I*"), 3)],
     ids=lambda x: getattr(x, "name", str(x)),
 )
 def test_census_products_are_linear(group, per_element, monkeypatch):
-    # each cyclic subgroup is walked once and only its generator conjugated
+    # each cyclic subgroup is walked once and only its generator conjugated;
+    # one of order 3, 4 or 6 is walked with no product
     _, products = count_products(group, monkeypatch)
     assert products <= per_element * group.order
 
@@ -234,8 +277,9 @@ def test_census_products_are_linear(group, per_element, monkeypatch):
     ids=lambda g: g.name,
 )
 def test_census_takes_one_order_per_walk(group, monkeypatch):
-    # only an element that starts a walk has its order taken
-    group.elements
+    # only an element that starts a walk has its order taken, and a walk
+    # starts once per cyclic subgroup, which has phi(d) generators
+    walks = sum(n // totient(d) for d, n in order_census(group).items())
     census_module._CENSUS.pop(group, None)
     calls = []
     order_of = group.order_of
@@ -245,8 +289,8 @@ def test_census_takes_one_order_per_walk(group, monkeypatch):
         return order_of(g)
 
     monkeypatch.setattr(group, "order_of", counting)
-    census = conjugacy_classes(group)
-    assert 0 < len(calls) <= len(census._transport)
+    conjugacy_classes(group)
+    assert len(calls) == walks
 
 
 def census_shape(group, monkeypatch):
@@ -261,12 +305,13 @@ def census_shape(group, monkeypatch):
     "group",
     [build_binary_polyhedral("T*"), build_binary_polyhedral("O*"),
      build_binary_polyhedral("I*"), build_dicyclic(15), generalized_quaternion(5),
-     build_affine(7, 3)],
+     build_affine(7, 3), build_cyclic(24), build_abelian([2, 4])],
     ids=lambda g: g.name,
 )
 def test_census_does_not_depend_on_the_element_order(group, monkeypatch):
-    # every cyclic subgroup C is walked once, in |C| - 2 products, whichever
-    # of its generators comes first
+    # every cyclic subgroup C is walked once, in |C| - 2 products or none,
+    # whichever of its generators comes first; a relabelled Z_24 is of the
+    # custom family, and is still read off the divisors of 24 with no product
     own = census_shape(group, monkeypatch)
     for seed in (1, 2, 3):
         assert census_shape(relabel(group, seed), monkeypatch) == own, seed

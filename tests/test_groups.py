@@ -205,6 +205,7 @@ def test_lazy_elements_match_the_stored_order(group):
     assert group.order == len(group) == len(els)
     assert list(els) == sorted(set(els))
     assert all(g in group for g in els)
+    assert [0] not in group and (0, [0]) not in group  # unhashable: no element
 
 
 def test_family_groups_build_no_element_list():

@@ -453,6 +453,22 @@ def test_closed_form_reports_leave_elements_unbuilt(monkeypatch):
         assert "elements" not in vars(group)
 
 
+def test_cyclic_census_report_leaves_elements_unbuilt(monkeypatch):
+    # below the bound Z_m is answered by its census, read off the divisors of m
+    built = []
+    build = report_module._build_group
+
+    def capture(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(report_module, "_build_group", capture)
+    report = group_report("cyclic", m=1030, invariants=("wh", "k0", "kminus1", "rf"),
+                          field_descriptor=FieldDescriptor.p_adic(2))
+    assert report.provenance[0].startswith("wh: class census")
+    assert "elements" not in vars(built[0])
+
+
 CHILD_ADDRESS_SPACE = 1 << 30
 
 
