@@ -11,6 +11,11 @@ command that fails writes nothing there, and one `error:` line to stderr.
 `write_json` writes JSON as `json.dumps(..., indent=2, ensure_ascii=False)`
 does, but builds no closures, so an answer leaves no reference cycles for
 the garbage collector.
+`build_parser` declares every command, and records each command's own
+parser by the words that name it; `main` hands an argv that starts with a
+command's words to that parser, so a command line is parsed once, and any
+other argv (empty, `-h`, an unknown command, an option before the command,
+`b4` alone) to the top-level parser, which parses it as it always would.
 `main` runs each command in a copy of the current context, so the census
 bound `group --max-brute-force` sets (`census.BOUND`, at most
 `groups.MAX_CLOSURE_SIZE`) ends with the command.
@@ -67,12 +72,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+# each command's own parser, by the words that name it, with the namespace
+# fields (`command`, `b4_command`) that the subparser actions set on the way
+# to it; filled by `build_parser`
+_COMMANDS: dict[tuple[str, ...], tuple[argparse.ArgumentParser, dict[str, str]]] = {}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `lowk` argument parser, built once per process.
 
     `parse_args` fills a fresh namespace on every call, so one parser serves
-    every `main` call.
+    every `main` call.  Building it also records each command's parser in
+    `_COMMANDS`, where `_parse` finds it.
     """
     parser = _Parser(
         prog="lowk",
@@ -112,9 +124,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report_p = b4_sub.add_parser("report", help="assembled lower K-theory report")
 
-    for command, run in ((group_p, _cmd_group), (lambda_p, _cmd_lambda),
-                         (classify_p, _cmd_classify), (verify_p, _cmd_b4_verify),
-                         (report_p, _cmd_b4_report)):
+    for words, command, run in ((("group",), group_p, _cmd_group),
+                                (("lambda",), lambda_p, _cmd_lambda),
+                                (("classify",), classify_p, _cmd_classify),
+                                (("b4", "verify"), verify_p, _cmd_b4_verify),
+                                (("b4", "report"), report_p, _cmd_b4_report)):
+        _COMMANDS[words] = command, dict(zip((sub.dest, b4_sub.dest), words))
         command.set_defaults(run=run)
         command.add_argument("--format", choices=("json", "text"), default="text",
                              help="output format (default: text)")
@@ -259,8 +274,27 @@ def write_json(value: object) -> str:
     return "".join(out)
 
 
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, with a command's arguments parsed
+    by that command's parser alone.
+
+    Through the top-level parser, argparse parses a command line once per
+    level: the subparser action of `lowk`, then of `b4`, each runs the next
+    parser on what is left.
+    """
+    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    for n in (1, 2):
+        found = _COMMANDS.get(tuple(argv[:n]))
+        if found is not None:
+            command, fields = found
+            return command.parse_args(argv[n:], argparse.Namespace(**fields))
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     try:
         answer, code = contextvars.copy_context().run(args.run, args)
         if args.format == "json":

@@ -689,11 +689,14 @@ def test_cli_suite_choices_are_the_b4_suites():
 
 
 # each JSON answer must be the same bytes under any string-hash seed: dicts
-# keyed by element ids, sets and frozensets must not leak their hash order
+# keyed by element ids, sets and frozensets must not leak their hash order;
+# one command of each kind, so each is parsed from sys.argv
 _HASH_SEED_COMMANDS = (
     "b4 verify --suite all",
     "b4 report",
     "group ostar --invariants wh,k0,kminus1,rf,wedderburn --field Qp:2",
+    "lambda --m 8191",
+    "classify --n 7 --vc",
 )
 
 
