@@ -96,41 +96,43 @@ def evaluate_word(
 
     A word is a product of factors; a factor is a name, 1 or a parenthesised
     word, optionally raised to an integer power ^k (k may be negative).
-    Unknown names and unbalanced parentheses raise ValueError.
+    Unknown names and unbalanced parentheses raise ValueError.  One loop
+    keeps a stack of partial products, None while empty: '(' pushes one,
+    and ')' pops it as a factor.  An empty product is reported before an
+    unbalanced parenthesis, at ')' and at the end.
     """
     tokens = _WORD_TOKEN.findall(text)
+    stack: list[AmalgamElement | None] = [None]
     pos = 0
-
-    def product() -> AmalgamElement:
-        nonlocal pos
-        value = None
-        while pos < len(tokens) and tokens[pos] != ")":
-            tok = tokens[pos]
-            pos += 1
-            if tok == "(":
-                factor = product()
-                if pos == len(tokens):
-                    raise ValueError(f"unbalanced '(' in {text!r}")
-                pos += 1
-            elif tok == "1":
-                factor = spec.identity()
-            elif tok in named:
-                factor = named[tok]
-            else:
-                raise ValueError(f"unknown name {tok!r} in {text!r}")
-            if pos < len(tokens) and tokens[pos] == "^":
-                if pos + 1 == len(tokens) or not tokens[pos + 1].lstrip("-").isdigit():
-                    raise ValueError(f"'^' needs an integer exponent in {text!r}")
-                factor = power(factor, int(tokens[pos + 1]))
-                pos += 2
-            value = factor if value is None else multiply(value, factor)
-        if value is None:
-            raise ValueError(f"empty word in {text!r}")
-        return value
-
-    value = product()
-    if pos != len(tokens):
-        raise ValueError(f"unbalanced ')' in {text!r}")
+    while pos < len(tokens):
+        tok = tokens[pos]
+        pos += 1
+        if tok == "(":
+            stack.append(None)
+            continue
+        if tok == ")":
+            factor = stack.pop()
+            if factor is None:
+                raise ValueError(f"empty word in {text!r}")
+            if not stack:
+                raise ValueError(f"unbalanced ')' in {text!r}")
+        elif tok == "1":
+            factor = spec.identity()
+        elif tok in named:
+            factor = named[tok]
+        else:
+            raise ValueError(f"unknown name {tok!r} in {text!r}")
+        if pos < len(tokens) and tokens[pos] == "^":
+            if pos + 1 == len(tokens) or not tokens[pos + 1].lstrip("-").isdigit():
+                raise ValueError(f"'^' needs an integer exponent in {text!r}")
+            factor = power(factor, int(tokens[pos + 1]))
+            pos += 2
+        stack[-1] = factor if stack[-1] is None else multiply(stack[-1], factor)
+    value = stack.pop()
+    if value is None:
+        raise ValueError(f"empty word in {text!r}")
+    if stack:
+        raise ValueError(f"unbalanced '(' in {text!r}")
     return value
 
 
@@ -159,16 +161,6 @@ class B4Model:
             q: tuple(j for j, h in enumerate(self.h_subgroups, 1) if q in h)
             for q in self.spec.core.elements
         })
-
-
-def _element_order(a: AmalgamElement) -> int | None:
-    """The order of `a` if it is at most 64, else None."""
-    x = a
-    for n in range(1, 65):
-        if x.is_identity:
-            return n
-        x = multiply(x, a)
-    return None
 
 
 # each braid element is a word in the elements named before it
@@ -206,7 +198,7 @@ def build_b4() -> B4Model:
     for name, word in _DEFINITIONS:
         named[name] = evaluate_word(word, spec, named)
     for name, n in _ORDERS.items():
-        if _element_order(named[name]) != n:
+        if len(closure(spec.identity(), [named[name]], multiply, limit=n)) != n:
             raise AmalgamError(f"{name} does not have order {n}")
     model = B4Model(
         spec=spec,
@@ -226,6 +218,9 @@ def build_b4() -> B4Model:
 # -- the quotient Z3 * Z2 -----------------------------------------------------
 
 _A_INV = {"a": "a2", "a2": "a", "b": "b"}
+# the reduced form of two adjacent tokens that merge: a power of a, or nothing
+_MERGE = {("a", "a"): ("a2",), ("a", "a2"): (), ("a2", "a"): (), ("a2", "a2"): ("a",),
+          ("b", "b"): ()}
 
 
 @dataclass(frozen=True)
@@ -236,20 +231,17 @@ class FreeProductWord:
 
     @classmethod
     def from_tokens(cls, tokens: Iterable[str]) -> "FreeProductWord":
+        """Reduce by a stack: a token that merges with the top letter replaces
+        it by `_MERGE`'s letters; any other token is pushed."""
         stack: list[str] = []
         for tok in tokens:
-            if tok not in ("a", "a2", "b"):
+            if tok not in _A_INV:
                 raise ValueError(f"bad token {tok!r}")
-            if stack and (stack[-1] == "b") == (tok == "b"):
-                if tok == "b":
-                    stack.pop()
-                else:
-                    exp = (1 if stack[-1] == "a" else 2) + (1 if tok == "a" else 2)
-                    stack.pop()
-                    if exp % 3:
-                        stack.append("a" if exp % 3 == 1 else "a2")
-            else:
+            merged = _MERGE.get((stack[-1], tok)) if stack else None
+            if merged is None:
                 stack.append(tok)
+            else:
+                stack[-1:] = merged
         return cls(tuple(stack))
 
     def __mul__(self, other: "FreeProductWord") -> "FreeProductWord":

@@ -91,7 +91,7 @@ def _index(u: int, subgroup: Collection[int], d: int) -> int:
 
 
 def count_blocks(
-    subgroups: Iterable[SubgroupClass], exponents: Sequence[int] | None = None
+    subgroups: Iterable[SubgroupClass], exponents: Sequence[int] | None
 ) -> dict[int, int]:
     """Blocks of the merge class(c) ~ class(c^t), t in <exponents>, per element order.
 
@@ -178,7 +178,7 @@ class ClassCensus:
 
     @cached_property
     def r2_by_order(self) -> dict[int, int]:
-        return count_blocks(self.subgroups)
+        return count_blocks(self.subgroups, None)
 
 
 def _build_census(group: FiniteGroup) -> ClassCensus:

@@ -9,7 +9,7 @@ emitted in a fixed sorted order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .galois import divisors
 
@@ -30,18 +30,16 @@ _FINITE = {
     "istar": (lambda m: "I*", lambda m: 120),
 }
 _RANK = {kind: rank for rank, kind in enumerate((*_FINITE, "type_I", "type_II"))}
-_JSON_KEYS = ("kind", "name", "m", "order", "finite_part", "action_order",
-              "factors", "core", "maximal", "notes")
 
 
 @dataclass(frozen=True)
 class SubgroupDescriptor:
-    """One isomorphism class of subgroups, finite or virtually cyclic."""
+    """One isomorphism class of subgroups, finite or virtually cyclic; fields in JSON order."""
 
     kind: str  # cyclic | dicyclic | tstar | ostar | istar | type_I | type_II
     name: str
-    order: int | None = None                # finite kinds only
     m: int | None = None                    # Z_m, or Dic_{4m}
+    order: int | None = None                # finite kinds only
     finite_part: str | None = None          # type I: torsion subgroup name
     action_order: int | None = None         # type I: order of the Z-action
     factors: tuple[str, str] | None = None  # type II
@@ -61,16 +59,16 @@ class SubgroupDescriptor:
 
     def to_json(self) -> dict:
         out: dict = {}
-        for key in _JSON_KEYS:
-            value = getattr(self, key)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if value is not None and value != ():
-                out[key] = list(value) if isinstance(value, tuple) else value
+                out[f.name] = list(value) if isinstance(value, tuple) else value
         return out
 
 
 def _finite(kind: str, m: int | None = None, **kw) -> SubgroupDescriptor:
     name, order = _FINITE[kind]
-    return SubgroupDescriptor(kind, name(m), order(m), m=m, **kw)
+    return SubgroupDescriptor(kind, name(m), m, order(m), **kw)
 
 
 def _type_i(finite_part: str, action_order: int, **kw) -> SubgroupDescriptor:
@@ -142,16 +140,14 @@ def virtually_cyclic_classes_odd(n: int) -> list[SubgroupDescriptor]:
         for m in divisors(2 * (n - 1)):
             if m != 2 * (n - 1):
                 found.add(_type_i(f"Z_{m}", 1))
-        for i in (0, 2):
-            for m in divisors(n - i):
-                if m >= 3 and m != n - i:
-                    found.add(_type_i(_dicyclic_name(m), 1))
         for q in divisors((n - 1) // 2):
             found.add(_type_ii(f"Z_{4 * q}", f"Z_{4 * q}", f"Z_{2 * q}"))
         for i in (0, 2):
             for q in divisors(n - i):
                 if 2 <= q < n - i:
                     found.add(_type_ii(_dicyclic_name(q), _dicyclic_name(q), f"Z_{2 * q}"))
+                    if q >= 3:
+                        found.add(_type_i(_dicyclic_name(q), 1))
 
     return sorted(found, key=SubgroupDescriptor.sort_key)
 

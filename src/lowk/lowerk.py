@@ -280,6 +280,9 @@ def _census_or_closed_form(group: FiniteGroup, name: str, closed: int | None,
 def whitehead_rank(group: FiniteGroup) -> int:
     """Rank of the Whitehead group: sum over orders of r1(d) - r2(d).
 
+    r2(d) counts the census records of order d, so the census gives it as
+    r_R - r_Q: the sum of r1 less the number of records.
+
     When a family closed form exists and the group is small enough for the
     census, both are computed and must agree.
     """
@@ -289,8 +292,7 @@ def whitehead_rank(group: FiniteGroup) -> int:
         line += ", cross-checked against the family closed form"
     return _census_or_closed_form(
         group, "whitehead rank", closed, (line, "wh: family closed form"),
-        lambda census: sum(census.r1_by_order[d] - census.r2_by_order[d]
-                           for d in census.r1_by_order),
+        lambda census: sum(census.r1_by_order.values()) - len(census.subgroups),
     )
 
 

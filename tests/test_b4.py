@@ -8,6 +8,7 @@ from functools import reduce
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import lowk.amalgam
 import lowk.b4
@@ -20,6 +21,7 @@ from lowk.amalgam import (
     invert,
     multiply,
     power,
+    reduce_word,
 )
 from lowk.b4 import (
     ACTION_ROWS,
@@ -67,13 +69,12 @@ def model():
 
 
 def test_named_element_orders(model):
-    from lowk.b4 import _element_order
-
-    assert _element_order(model["alpha0"]) == 8
-    assert _element_order(model["alpha1"]) == 6
-    assert _element_order(model["delta4"]) == 4
-    assert _element_order(model["ft"]) == 2
-    assert _element_order(model["sigma1"]) is None  # infinite
+    # <a> has ord(a) elements; sigma1 has infinite order, so its closure
+    # passes any limit
+    identity = model.spec.identity()
+    for name, n in (("alpha0", 8), ("alpha1", 6), ("delta4", 4), ("ft", 2)):
+        assert len(closure(identity, [model[name]], multiply)) == n, name
+    assert len(closure(identity, [model["sigma1"]], multiply, limit=64)) == 65
 
 
 def test_half_twist_inverts_alpha0(model):
@@ -648,6 +649,27 @@ def test_function_row_reports_what_its_check_returns(model):
     assert (bad.statement, bad.status, bad.witness_normal_form) == ("tau is named", "fail", "no tau")
 
 
+def test_free_product_word_reduction_matches_the_amalgam_kernel():
+    # Z3 * Z2 as an amalgam over the trivial group: its normal forms are the
+    # reduced words, computed by the step tables and not by `_MERGE`
+    spec = AmalgamSpec(
+        name="Z3 * Z2", g1=build_cyclic(3), g2=build_cyclic(2), core=build_cyclic(1),
+        embed1={0: 0}, embed2={0: 0}, transversal1=(0, 1, 2), transversal2=(0, 1),
+        letter_names={}, core_names={},
+    )
+    letter = {"a": (1, 1), "a2": (1, 2), "b": (2, 1)}
+    token = {v: k for k, v in letter.items()}
+    words = 0
+    for k in range(9):
+        for tokens in itertools.product(letter, repeat=k):
+            word = FreeProductWord.from_tokens(tokens)
+            normal = reduce_word(spec, [letter[t] for t in tokens])
+            assert word.letters == tuple(token[x] for x in normal.letters), tokens
+            assert word.inverse().letters == tuple(token[x] for x in invert(normal).letters)
+            words += 1
+    assert words == 9841
+
+
 def test_quotient_row_compares_printed_values(model):
     ok = check_row(("t.psi", "psi(sigma1) = (1,2)"), model)
     bad = check_row(("t.psi", "psi(sigma1) = (2,3)"), model)
@@ -669,13 +691,75 @@ def test_word_powers_and_parentheses(model):
             assert evaluate_word(f"({word})^{k}", spec, named) == power(base, k), (word, k)
 
 
-@pytest.mark.parametrize("word", [
-    "sigma4", "sigma1 q", "(sigma1 sigma2", "sigma1 sigma2)", "()", "", "sigma1^",
-    "sigma1^x", "2",
+# a word tree is a list of factors (atom, exponent or None); an atom is a
+# name, "1" or a word tree in parentheses
+_ATOMS = st.sampled_from(("1", "alpha0", "alpha1", "delta4", "ft",
+                          "sigma1", "sigma2", "sigma3", "x", "y", "z"))
+_EXPONENTS = st.none() | st.integers(-5, 5)
+_WORD_TREES = st.recursive(
+    st.lists(st.tuples(_ATOMS, _EXPONENTS), min_size=1, max_size=4),
+    lambda inner: st.lists(st.tuples(_ATOMS | inner, _EXPONENTS), min_size=1, max_size=4),
+    max_leaves=12,
+)
+
+
+def _render(tree):
+    return " ".join(
+        (atom if isinstance(atom, str) else f"({_render(atom)})")
+        + ("" if k is None else f"^{k}")
+        for atom, k in tree
+    )
+
+
+def _tree_value(tree, model):
+    factors = []
+    for atom, k in tree:
+        if isinstance(atom, str):
+            value = model.spec.identity() if atom == "1" else model[atom]
+        else:
+            value = _tree_value(atom, model)
+        factors.append(value if k is None else power(value, k))
+    return reduce(multiply, factors)
+
+
+@given(_WORD_TREES)
+def test_word_value_is_the_product_of_its_tree(tree):
+    model = build_b4()
+    text = _render(tree)
+    assert evaluate_word(text, model.spec, model.named) == _tree_value(tree, model), text
+
+
+# the exact messages: an empty product is reported before an unbalanced
+# parenthesis, and every error at the first token that shows it
+@pytest.mark.parametrize("word, message", [
+    ("sigma4", "unknown name 'sigma4' in 'sigma4'"),
+    ("sigma1 q", "unknown name 'q' in 'sigma1 q'"),
+    ("2", "unknown name '2' in '2'"),
+    ("^2 x", "unknown name '^' in '^2 x'"),
+    ("x^2^3", "unknown name '^' in 'x^2^3'"),
+    ("x tau )", "unknown name 'tau' in 'x tau )'"),
+    ("", "empty word in ''"),
+    ("()", "empty word in '()'"),
+    (")", "empty word in ')'"),
+    (") x", "empty word in ') x'"),
+    ("x (", "empty word in 'x ('"),
+    ("x () y", "empty word in 'x () y'"),
+    ("(x ()", "empty word in '(x ()'"),
+    ("x )", "unbalanced ')' in 'x )'"),
+    ("sigma1 sigma2)", "unbalanced ')' in 'sigma1 sigma2)'"),
+    ("x ) (", "unbalanced ')' in 'x ) ('"),
+    ("(x", "unbalanced '(' in '(x'"),
+    ("(sigma1 sigma2", "unbalanced '(' in '(sigma1 sigma2'"),
+    ("((x) y", "unbalanced '(' in '((x) y'"),
+    ("x ^", "'^' needs an integer exponent in 'x ^'"),
+    ("sigma1^", "'^' needs an integer exponent in 'sigma1^'"),
+    ("sigma1^x", "'^' needs an integer exponent in 'sigma1^x'"),
+    ("(x)^y", "'^' needs an integer exponent in '(x)^y'"),
 ])
-def test_malformed_words_raise(model, word):
-    with pytest.raises(ValueError):
+def test_malformed_words_raise(model, word, message):
+    with pytest.raises(ValueError) as raised:
         evaluate_word(word, model.spec, model.named)
+    assert str(raised.value) == message
 
 
 def test_malformed_rows_raise(model):

@@ -27,7 +27,6 @@ PERFBENCH = ROOT / "perfbench"
 # subcommand declares, with `{choice,...}` after an option of fixed choices.
 # Adding or removing an option or a choice means editing this set.
 OPTIONS = {
-    "census.count_blocks(exponents)",
     "cli.main(argv)",
     "groups.FiniteGroup.from_closure(family)",
     "groups.closure(limit)",

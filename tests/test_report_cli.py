@@ -605,6 +605,8 @@ def test_write_json_is_json_dumps_indented(value):
     ["group", "dicyclic", "--m", "5"],
     ["classify", "--n", "4", "--vc"],
     ["b4", "report"],
+    ["b4", "verify", "--suite", "all"],
+    ["b4", "verify", "--suite", "iso"],
 ))
 def test_a_json_answer_leaves_no_cyclic_garbage(capsys, argv):
     argv = [*argv, "--format", "json"]
