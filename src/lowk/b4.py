@@ -123,7 +123,9 @@ def evaluate_word(
         else:
             raise ValueError(f"unknown name {tok!r} in {text!r}")
         if pos < len(tokens) and tokens[pos] == "^":
-            if pos + 1 == len(tokens) or not tokens[pos + 1].lstrip("-").isdigit():
+            # ASCII digits only: str.isdigit also takes '²', and int() reads '٣' as 3
+            digits = tokens[pos + 1].lstrip("-") if pos + 1 < len(tokens) else ""
+            if not (digits.isascii() and digits.isdigit()):
                 raise ValueError(f"'^' needs an integer exponent in {text!r}")
             factor = power(factor, int(tokens[pos + 1]))
             pos += 2

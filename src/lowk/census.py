@@ -14,21 +14,26 @@ A cyclic group G = <g>, told by no generator moving another and one of
 them having order |G|, has one subgroup of each order d | |G|, its own
 class with H = {1}.  Its records are read off the divisors of |G|, with
 no element listed and no product taken past the commutation check, and
-its singleton classes come from the powers of g on first read.  Any other
-group walks each cyclic subgroup once, from the first of its generators
-in the sorted element order; an element's order is taken only when it
-starts a walk.  The walk
-g, g^2, ..., g^(d-1) of <g> names exactly its phi(d) generators g^t,
-gcd(t, d) = 1, so every element is named once, as a unit power of its own
-subgroup's generator; when phi(d) = 2 (d = 3, 4, 6) the second generator
-is g^-1, named with no product.  The walks take sum_C (|C| - 2) products
-over the cyclic subgroups C of order at least 2 other than 3, 4 and 6, a
-group invariant whatever the element order.  Only the subgroups'
-generators are conjugated, by each non-central group generator, and a
-search over the subgroups finds the classes; each edge that closes a loop
-gives one generator of H.  When every generator is central, nothing is
-conjugated: a cyclic subgroup is its own class and H = {1}.  The element
-classes are derived on first read.
+its singleton classes come from the powers of g on first read.  Dic_4m
+and Q_2^k, told by `groups.dicyclic_parameter`, are read off the divisors
+of 2m with no element listed, no product taken and no order asked: one
+record (d, {1, -1}) per subgroup of <x>, and the order-4 subgroups
+<x^a y>, one class with H = {1} for m odd and two (a even, a odd) with
+H = {1, 3} for m even; their classes come from the ids 2a + b on first
+read.  Any other group (T*, O*, I*, or one of family `custom`) walks
+each cyclic subgroup once, from the first of its generators in the
+sorted element order; an element's order is taken only when it starts a
+walk.  The walk g, g^2, ..., g^(d-1) of <g> names exactly its phi(d)
+generators g^t, gcd(t, d) = 1, so every element is named once, as a unit
+power of its own subgroup's generator; when phi(d) = 2 (d = 3, 4, 6)
+the second generator is g^-1, named with no product.  The walks take
+sum_C (|C| - 2) products over the cyclic subgroups C of order at least 2
+other than 3, 4 and 6, a group invariant whatever the element order.
+Only the subgroups' generators are conjugated, by each non-central group
+generator, and a search over the subgroups finds the classes; each edge
+that closes a loop gives one generator of H.  When every generator is
+central, nothing is conjugated: a cyclic subgroup is its own class and
+H = {1}.  The element classes are derived on first read.
 `conjugacy_classes` is the one way in: it checks the brute-force bound,
 builds the census of the whole group once and keeps it while the group
 lives.  The bound is the context variable `BOUND`, a resource limit set per
@@ -42,12 +47,12 @@ import math
 from collections import Counter, defaultdict
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 from weakref import WeakKeyDictionary
 
 from .galois import divisors, totient
-from .groups import ElementId, FiniteGroup
+from .groups import ElementId, FiniteGroup, dicyclic_parameter
 
 
 # the largest group order the census machinery brute-forces by default
@@ -133,13 +138,13 @@ class ClassCensus:
     `_transport_power[S]`) says g_S^e is conjugate to g, the generator of
     the i-th record's subgroup.  So x ~ g^(t/e), and x's class is the coset
     of t/e modulo that record's automizer.  With no walk (`_position` None)
-    the group is cyclic, every class a singleton, and `_generator` holds a
-    generator g and the product, whose powers list the elements; the census
-    holds no reference to the group itself.
+    the records were read off the divisors of the order (Z_m, Dic_4m,
+    Q_2^k), and `_derive_classes` is a zero-argument function that derives
+    the classes; it holds no reference to the group.
     """
 
     subgroups: tuple[SubgroupClass, ...]
-    _generator: tuple[ElementId, Callable] | None = field(repr=False)
+    _derive_classes: Callable[[], tuple[tuple[ElementId, ...], ...]] | None = field(repr=False)
     _position: dict[ElementId, tuple[int, int]] | None = field(repr=False)
     _transport: list[int] = field(repr=False)
     _transport_power: list[int] = field(repr=False)
@@ -148,16 +153,8 @@ class ClassCensus:
     def classes(self) -> tuple[tuple[ElementId, ...], ...]:
         """Conjugacy classes sorted by (element order, least element), each sorted."""
         if self._position is None:
-            assert self._generator is not None
-            # the records are the subgroups of G = <g>, the last one G itself,
-            # and g^k has order n / gcd(k, n)
-            g, mul = self._generator
-            n = self.subgroups[-1].order
-            x, keyed = g, [(n, g)]
-            for k in range(2, n + 1):
-                x = mul(x, g)
-                keyed.append((n // math.gcd(k, n), x))
-            return tuple((x,) for _, x in sorted(keyed))
+            assert self._derive_classes is not None
+            return self._derive_classes()
         records = self.subgroups
         inverse = [
             (i, pow(e, -1, records[i].order))
@@ -181,7 +178,54 @@ class ClassCensus:
         return count_blocks(self.subgroups, None)
 
 
+def _cyclic_classes(g: ElementId, mul: Callable, n: int) -> tuple[tuple[ElementId], ...]:
+    """The singleton classes of G = <g> of order n, listed as the powers of g."""
+    # g^k has order n / gcd(k, n)
+    x, keyed = g, [(n, g)]
+    for k in range(2, n + 1):
+        x = mul(x, g)
+        keyed.append((n // math.gcd(k, n), x))
+    return tuple((x,) for _, x in sorted(keyed))
+
+
+def _dicyclic_records(m: int) -> tuple[SubgroupClass, ...]:
+    """The census of Dic_4m, x^a y^b the id 2a + b, in the order a walk finds it.
+
+    y inverts x, so each subgroup <x^(2m/d)> of <x> is its own class with
+    H = {1, -1}.  Conjugation by x and y maps <x^a y> to <x^(a+2) y> and
+    <x^-a y>, a taken modulo m: one class for m odd, two (a even, a odd)
+    for m even.  The conjugates of x^a y are the x^(a+2k) y, so its inverse
+    x^(a+m) y is one of them, and H = {1, 3}, only when m is even.  A walk
+    finds each class at the least generator id of its first subgroup: 0
+    for d = 1, 1 and (m even) 3 for the <x^a y>, and 4m/d for d | 2m
+    otherwise.
+    """
+    four_m = 4 * m
+    first = {0: SubgroupClass(1, (0,), 1)}
+    for d in divisors(2 * m)[1:]:
+        automizer = tuple(sorted({1, d - 1}))
+        first[four_m // d] = SubgroupClass(d, automizer, totient(d) // len(automizer))
+    if m % 2:
+        first[1] = SubgroupClass(4, (1,), 2)
+    else:
+        first[1] = first[3] = SubgroupClass(4, (1, 3), 1)
+    return tuple(record for _, record in sorted(first.items()))
+
+
+def _dicyclic_classes(m: int) -> tuple[tuple[int, ...], ...]:
+    """The classes of Dic_4m from the ids 2a + b: {1}, {x^m}, the pairs
+    {x^a, x^-a} and the x^a y split by the parity of a."""
+    four_m = 4 * m
+    keyed = [(1, (0,)), (2, (2 * m,)), (4, tuple(range(1, four_m, 4))),
+             (4, tuple(range(3, four_m, 4)))]
+    keyed += [(four_m // math.gcd(g, four_m), (g, four_m - g)) for g in range(2, 2 * m, 2)]
+    return tuple(c for _, c in sorted(keyed))
+
+
 def _build_census(group: FiniteGroup) -> ClassCensus:
+    m = dicyclic_parameter(group)
+    if m is not None:
+        return ClassCensus(_dicyclic_records(m), partial(_dicyclic_classes, m), None, [], [])
     mul, inv, order_of = group.mul, group.inv, group.order_of
     gens = group.generators
     movers = [
@@ -193,7 +237,7 @@ def _build_census(group: FiniteGroup) -> ClassCensus:
         if g is not None:
             # G = <g> has one subgroup of each order d | n, its own class
             subgroups = tuple(SubgroupClass(d, (1 % d,), totient(d)) for d in divisors(n))
-            return ClassCensus(subgroups, (g, mul), None, [], [])
+            return ClassCensus(subgroups, partial(_cyclic_classes, g, mul, n), None, [], [])
 
     # Walk each cyclic subgroup once, from the first of its generators in
     # sorted order.  An unnamed g starts a walk g, g^2, ..., g^(d-1) that

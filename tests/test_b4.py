@@ -755,6 +755,8 @@ def test_word_value_is_the_product_of_its_tree(tree):
     ("sigma1^", "'^' needs an integer exponent in 'sigma1^'"),
     ("sigma1^x", "'^' needs an integer exponent in 'sigma1^x'"),
     ("(x)^y", "'^' needs an integer exponent in '(x)^y'"),
+    ("x^\u00b2", "'^' needs an integer exponent in 'x^\u00b2'"),
+    ("x^\u0663", "'^' needs an integer exponent in 'x^\u0663'"),
 ])
 def test_malformed_words_raise(model, word, message):
     with pytest.raises(ValueError) as raised:

@@ -9,7 +9,7 @@ from lowk.census import (
     conjugacy_classes,
 )
 from lowk.fconj import r_f
-from lowk.galois import FieldDescriptor, totient
+from lowk.galois import FieldDescriptor, prime_divisors, totient
 from lowk.groups import (
     build_binary_polyhedral,
     build_cyclic,
@@ -48,11 +48,12 @@ def assert_census_matches_the_pairs(group, m):
 
 
 def test_dicyclic_census_matches_the_pair_oracle():
-    for m in range(2, 300):
+    # Dic_4m is read off the divisors of 2m; the pairs, of family custom, walk
+    for m in range(2, 1001):
         assert_census_matches_the_pairs(build_dicyclic(m), m)
 
 
-@pytest.mark.parametrize("k", range(3, 11))
+@pytest.mark.parametrize("k", range(3, 13))
 def test_quaternion_census_matches_the_pair_oracle(k):
     assert_census_matches_the_pairs(generalized_quaternion(k), 2 ** (k - 2))
 
@@ -257,9 +258,42 @@ def test_abelian_partition_makes_constant_products(monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "group",
+    [build_dicyclic(2), build_dicyclic(3), build_dicyclic(899), build_dicyclic(1000),
+     generalized_quaternion(3), generalized_quaternion(12)],
+    ids=lambda g: g.name,
+)
+def test_dicyclic_census_makes_no_products(group, monkeypatch):
+    # Dic_4m and Q_2^k are read off the divisors of 2m and their classes
+    # off the ids 2a + b: no product, inverse or order, and no element list
+    calls = []
+    for name in ("mul", "inv", "order_of"):
+        op = getattr(group, name)
+        monkeypatch.setattr(group, name,
+                            lambda *args, name=name, op=op: calls.append(name) or op(*args))
+    census = conjugacy_classes(group)
+    census.r1_by_order, census.r2_by_order, census.classes
+    assert calls == []
+    assert "elements" not in vars(group)
+
+
+def test_dicyclic_field_counts_match_the_pairs():
+    for m in range(2, 201):
+        group, pairs = build_dicyclic(m), build_dicyclic_pairs(m)
+        fields = [FieldDescriptor.rational()]
+        for p in prime_divisors(4 * m):
+            fields += [FieldDescriptor.p_adic(p), FieldDescriptor.finite_prime(p)]
+        for field in fields:
+            assert r_f(group, field) == r_f(pairs, field), (m, field.label)
+
+
+# Dic_4m and Q_2^k are read off their divisors with no product, so the walk
+# is measured on their pair models, of family custom
+@pytest.mark.parametrize(
     "group,per_element",
-    [(build_dicyclic(899), 2.5), (build_dicyclic(1000), 2.5), (build_dicyclic(7), 2.5),
-     (generalized_quaternion(10), 2.5), (generalized_quaternion(5), 2.5),
+    [(build_dicyclic_pairs(899), 2.5), (build_dicyclic_pairs(1000), 2.5),
+     (build_dicyclic_pairs(7), 2.5), (build_dicyclic_pairs(256), 2.5),
+     (build_dicyclic_pairs(8), 2.5),
      (build_binary_polyhedral("T*"), 3), (build_binary_polyhedral("O*"), 3),
      (build_binary_polyhedral("I*"), 3)],
     ids=lambda x: getattr(x, "name", str(x)),
@@ -273,7 +307,7 @@ def test_census_products_are_linear(group, per_element, monkeypatch):
 
 @pytest.mark.parametrize(
     "group",
-    [build_dicyclic(899), generalized_quaternion(10), build_binary_polyhedral("I*")],
+    [build_dicyclic_pairs(899), build_dicyclic_pairs(256), build_binary_polyhedral("I*")],
     ids=lambda g: g.name,
 )
 def test_census_takes_one_order_per_walk(group, monkeypatch):
@@ -304,7 +338,7 @@ def census_shape(group, monkeypatch):
 @pytest.mark.parametrize(
     "group",
     [build_binary_polyhedral("T*"), build_binary_polyhedral("O*"),
-     build_binary_polyhedral("I*"), build_dicyclic(15), generalized_quaternion(5),
+     build_binary_polyhedral("I*"), build_dicyclic_pairs(15), build_dicyclic_pairs(8),
      build_affine(7, 3), build_cyclic(24), build_abelian([2, 4])],
     ids=lambda g: g.name,
 )

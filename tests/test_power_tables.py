@@ -2,7 +2,8 @@
 
 Each property draws a group from a roster (Z_m, Dic_4m, Q_2^k, T*, O*, I*,
 non-cyclic abelian groups, and affine groups Z_p x| Z_k, some with their
-element ids shuffled so the census walks them in another order).  It checks
+element ids shuffled so the census walks them in another order; the walk's
+positions are checked on the pair models of Dic_4m and Q_2^k).  It checks
 the records of `lowk.census` (one per class of cyclic subgroups, with its
 automizer H), the element classes derived from them and their block counts
 against the oracles in `helpers`: the orbit partition with one power table
@@ -31,6 +32,7 @@ from lowk.lowerk import carter_rank, whitehead_rank
 from helpers import (
     build_abelian,
     build_affine,
+    build_dicyclic_pairs,
     class_of,
     counts_by_order,
     exponent,
@@ -58,6 +60,8 @@ BUILDERS = {
     "cyclic": build_cyclic,
     "dicyclic": build_dicyclic,
     "quaternion": generalized_quaternion,
+    "dicyclic_pairs": build_dicyclic_pairs,
+    "quaternion_pairs": lambda k: build_dicyclic_pairs(2 ** (k - 2)),
     "polyhedral": build_binary_polyhedral,
     "abelian": build_abelian,
     "affine": _affine,
@@ -83,14 +87,23 @@ affine = st.tuples(st.just("affine"), st.builds(
     st.sampled_from(((7, 6), (11, 5), (19, 9), (29, 7))),
     st.integers(0, 3),
 ))
-roster = st.one_of(
-    st.tuples(st.just("cyclic"), st.integers(1, 200)),
-    st.tuples(st.just("dicyclic"), st.integers(2, 60)),
-    st.tuples(st.just("quaternion"), st.integers(3, 7)),
-    polyhedral,
-    abelian,
-    affine,
-).map(lambda key: _group(*key))
+
+
+def _roster(dicyclic, quaternion):
+    return st.one_of(
+        st.tuples(st.just("cyclic"), st.integers(1, 200)),
+        st.tuples(st.just(dicyclic), st.integers(2, 60)),
+        st.tuples(st.just(quaternion), st.integers(3, 7)),
+        polyhedral,
+        abelian,
+        affine,
+    ).map(lambda key: _group(*key))
+
+
+roster = _roster("dicyclic", "quaternion")
+# Dic_4m and Q_2^k are read off the divisors of 2m, with no walk; their
+# pair models, of family custom, take the walk
+walked_roster = _roster("dicyclic_pairs", "quaternion_pairs")
 wide_roster = st.one_of(
     st.tuples(st.just("cyclic"), st.integers(1, 400)),
     st.tuples(st.just("dicyclic"), st.integers(2, 400)),
@@ -125,7 +138,7 @@ def merged_counts(group, classes, exponents, p=0):
     return counts_by_order(group, blocks)
 
 
-@given(roster, st.data())
+@given(walked_roster, st.data())
 def test_positions_are_the_power_map(group, data):
     census = conjugacy_classes(group)
     classes, index, _ = oracle(group)
