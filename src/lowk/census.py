@@ -10,30 +10,16 @@ takes the exponent -1, r2 is the number of records of each order, and
 `lowk.fconj` picks the records and the Galois image of each F-conjugacy
 count.
 
-A cyclic group G = <g>, told by no generator moving another and one of
-them having order |G|, has one subgroup of each order d | |G|, its own
-class with H = {1}.  Its records are read off the divisors of |G|, with
-no element listed and no product taken past the commutation check, and
-its singleton classes come from the powers of g on first read.  Dic_4m
-and Q_2^k, told by `groups.dicyclic_parameter`, are read off the divisors
-of 2m with no element listed, no product taken and no order asked: one
-record (d, {1, -1}) per subgroup of <x>, and the order-4 subgroups
-<x^a y>, one class with H = {1} for m odd and two (a even, a odd) with
-H = {1, 3} for m even; their classes come from the ids 2a + b on first
-read.  Any other group (T*, O*, I*, or one of family `custom`) walks
-each cyclic subgroup once, from the first of its generators in the
-sorted element order; an element's order is taken only when it starts a
-walk.  The walk g, g^2, ..., g^(d-1) of <g> names exactly its phi(d)
-generators g^t, gcd(t, d) = 1, so every element is named once, as a unit
-power of its own subgroup's generator; when phi(d) = 2 (d = 3, 4, 6)
-the second generator is g^-1, named with no product.  The walks take
-sum_C (|C| - 2) products over the cyclic subgroups C of order at least 2
-other than 3, 4 and 6, a group invariant whatever the element order.
-Only the subgroups' generators are conjugated, by each non-central group
-generator, and a search over the subgroups finds the classes; each edge
-that closes a loop gives one generator of H.  When every generator is
-central, nothing is conjugated: a cyclic subgroup is its own class and
-H = {1}.  The element classes are derived on first read.
+Every census has the same shape: its records, and a function that derives
+the element classes on first read.  Three paths make them.  A cyclic group
+G = <g>, told by no generator moving another and one of them having order
+|G|, has its records read off the divisors of |G| and its singleton classes
+listed as the powers of g.  Dic_4m and Q_2^k, told by
+`groups.dicyclic_parameter`, have their records read off the divisors of
+2m and their classes off the ids 2a + b, with no element listed, no
+product taken and no order asked.  Any other group (T*, O*, I*, or one of
+family `custom`) is walked (`_walk`), and its classes come from the walk's
+positions.
 `conjugacy_classes` is the one way in: it checks the brute-force bound,
 builds the census of the whole group once and keeps it while the group
 lives.  The bound is the context variable `BOUND`, a resource limit set per
@@ -129,49 +115,21 @@ def count_blocks(
 
 @dataclass(frozen=True, eq=False)
 class ClassCensus:
-    """The classes of cyclic subgroups, the per-order pair/subgroup class
-    counts r1, r2, and the conjugacy classes derived from them.
+    """The records of a group, one per class of cyclic subgroups, the
+    per-order subgroup class counts r2, and the element classes.
 
-    `_position[x]` is (S, t) for x = g_S^t, t a unit modulo x's order: S
-    indexes the cyclic subgroups, <x> among them, and g_S is the generator
-    that started S's walk.  S's transport (i, e) = (`_transport[S]`,
-    `_transport_power[S]`) says g_S^e is conjugate to g, the generator of
-    the i-th record's subgroup.  So x ~ g^(t/e), and x's class is the coset
-    of t/e modulo that record's automizer.  With no walk (`_position` None)
-    the records were read off the divisors of the order (Z_m, Dic_4m,
-    Q_2^k), and `_derive_classes` is a zero-argument function that derives
-    the classes; it holds no reference to the group.
+    `_derive_classes` is a zero-argument function that derives the classes
+    on first read.  It holds no reference to the group, so a census kept
+    for its group does not keep the group alive.
     """
 
     subgroups: tuple[SubgroupClass, ...]
-    _derive_classes: Callable[[], tuple[tuple[ElementId, ...], ...]] | None = field(repr=False)
-    _position: dict[ElementId, tuple[int, int]] | None = field(repr=False)
-    _transport: list[int] = field(repr=False)
-    _transport_power: list[int] = field(repr=False)
+    _derive_classes: Callable[[], tuple[tuple[ElementId, ...], ...]] = field(repr=False)
 
     @cached_property
     def classes(self) -> tuple[tuple[ElementId, ...], ...]:
         """Conjugacy classes sorted by (element order, least element), each sorted."""
-        if self._position is None:
-            assert self._derive_classes is not None
-            return self._derive_classes()
-        records = self.subgroups
-        inverse = [
-            (i, pow(e, -1, records[i].order))
-            for i, e in zip(self._transport, self._transport_power)
-        ]
-        blocks = defaultdict(list)
-        for x, (s, t) in self._position.items():
-            i, e_inv = inverse[s]
-            d, automizer, _ = records[i]
-            u = t * e_inv % d
-            blocks[i, min(u * h % d for h in automizer)].append(x)
-        ordered = sorted((records[i].order, sorted(b)) for (i, _), b in blocks.items())
-        return tuple(tuple(b) for _, b in ordered)
-
-    @cached_property
-    def r1_by_order(self) -> dict[int, int]:
-        return count_blocks(self.subgroups, (-1,))
+        return self._derive_classes()
 
     @cached_property
     def r2_by_order(self) -> dict[int, int]:
@@ -222,23 +180,34 @@ def _dicyclic_classes(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(c for _, c in sorted(keyed))
 
 
-def _build_census(group: FiniteGroup) -> ClassCensus:
-    m = dicyclic_parameter(group)
-    if m is not None:
-        return ClassCensus(_dicyclic_records(m), partial(_dicyclic_classes, m), None, [], [])
-    mul, inv, order_of = group.mul, group.inv, group.order_of
-    gens = group.generators
-    movers = [
-        (a, inv(a)) for a in gens if any(mul(a, b) != mul(b, a) for b in gens if b != a)
-    ]
-    if not movers:
-        n = group.order
-        g = next((g for g in gens if order_of(g) == n), None)
-        if g is not None:
-            # G = <g> has one subgroup of each order d | n, its own class
-            subgroups = tuple(SubgroupClass(d, (1 % d,), totient(d)) for d in divisors(n))
-            return ClassCensus(subgroups, partial(_cyclic_classes, g, mul, n), None, [], [])
+def _walked_classes(records: tuple[SubgroupClass, ...], position: dict, transport: list[int],
+                    transport_power: list[int]) -> tuple[tuple[ElementId, ...], ...]:
+    """The classes of a walked group, from the bookkeeping `_walk` returns.
 
+    `position[x]` is (S, t) for x = g_S^t, t a unit modulo x's order: S
+    indexes the cyclic subgroups, <x> among them, and g_S is the generator
+    that started S's walk.  S's transport (i, e) = (`transport[S]`,
+    `transport_power[S]`) says g_S^e is conjugate to g, the generator of
+    the i-th record's subgroup.  So x ~ g^(t/e), and x's class is the coset
+    of t/e modulo that record's automizer.
+    """
+    inverse = [(i, pow(e, -1, records[i].order)) for i, e in zip(transport, transport_power)]
+    blocks = defaultdict(list)
+    for x, (s, t) in position.items():
+        i, e_inv = inverse[s]
+        d, automizer, _ = records[i]
+        u = t * e_inv % d
+        blocks[i, min(u * h % d for h in automizer)].append(x)
+    ordered = sorted((records[i].order, sorted(b)) for (i, _), b in blocks.items())
+    return tuple(tuple(b) for _, b in ordered)
+
+
+def _walk(group: FiniteGroup, movers: Sequence[tuple[ElementId, ElementId]]
+          ) -> tuple[tuple[SubgroupClass, ...], dict, list[int], list[int]]:
+    """The records of `group`, and the positions and transports that
+    `_walked_classes` reads, from a walk of its cyclic subgroups whose
+    generators are conjugated by each mover (a, a^-1)."""
+    mul, inv, order_of = group.mul, group.inv, group.order_of
     # Walk each cyclic subgroup once, from the first of its generators in
     # sorted order.  An unnamed g starts a walk g, g^2, ..., g^(d-1) that
     # names g^t as (S, t) exactly when gcd(t, d) = 1, so S names its own
@@ -294,7 +263,27 @@ def _build_census(group: FiniteGroup) -> ClassCensus:
         subgroups.append(
             SubgroupClass(d, tuple(sorted(automizer)), totient(d) // len(automizer))
         )
-    return ClassCensus(tuple(subgroups), None, position, record, power)
+    return tuple(subgroups), position, record, power
+
+
+def _build_census(group: FiniteGroup) -> ClassCensus:
+    m = dicyclic_parameter(group)
+    if m is not None:
+        return ClassCensus(_dicyclic_records(m), partial(_dicyclic_classes, m))
+    mul, inv, order_of = group.mul, group.inv, group.order_of
+    gens = group.generators
+    movers = [
+        (a, inv(a)) for a in gens if any(mul(a, b) != mul(b, a) for b in gens if b != a)
+    ]
+    if not movers:
+        n = group.order
+        g = next((g for g in gens if order_of(g) == n), None)
+        if g is not None:
+            # G = <g> has one subgroup of each order d | n, its own class
+            subgroups = tuple(SubgroupClass(d, (1 % d,), totient(d)) for d in divisors(n))
+            return ClassCensus(subgroups, partial(_cyclic_classes, g, mul, n))
+    records, *bookkeeping = _walk(group, movers)
+    return ClassCensus(records, partial(_walked_classes, records, *bookkeeping))
 
 
 _CENSUS: WeakKeyDictionary[FiniteGroup, ClassCensus] = WeakKeyDictionary()

@@ -58,8 +58,9 @@ def _bound(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    # a census lists every element of its group; past the most elements lowk
-    # closes for one group, a bound would let it list a group past memory
+    # a walked census (T*, O*, I* and family custom) lists every element of
+    # its group; past the most elements lowk closes for one group, a bound
+    # would let it list a group past memory
     if value > MAX_CLOSURE_SIZE:
         raise argparse.ArgumentTypeError(f"must be at most {MAX_CLOSURE_SIZE}, got {value}")
     return value

@@ -22,7 +22,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
-from .census import BOUND, ClassCensus, GroupTooLargeError, conjugacy_classes
+from .census import BOUND, GroupTooLargeError, SubgroupClass, conjugacy_classes, count_blocks
 from .fconj import singular_blocks
 from .galois import (
     divisors,
@@ -257,10 +257,12 @@ def _whitehead_closed_form(group: FiniteGroup) -> int | None:
 
 
 def _census_or_closed_form(group: FiniteGroup, name: str, closed: int | None,
-                           lines: tuple[str, str], count: Callable[[ClassCensus], int]) -> int:
-    """Within the census bound, `count` of the group's census, which must equal
-    the closed form if one applies; past the bound the closed form, or a
-    refusal.  `lines` are the provenance of the census and closed-form paths."""
+                           lines: tuple[str, str],
+                           count: Callable[[tuple[SubgroupClass, ...]], int]) -> int:
+    """Within the census bound, `count` of the group's census records, which
+    must equal the closed form if one applies; past the bound the closed
+    form, or a refusal.  `lines` are the provenance of the census and
+    closed-form paths."""
     if group.order > (bound := BOUND.get()):
         if closed is None:
             raise GroupTooLargeError(
@@ -268,7 +270,7 @@ def _census_or_closed_form(group: FiniteGroup, name: str, closed: int | None,
             )
         _record(lines[1])
         return closed
-    value = count(conjugacy_classes(group))
+    value = count(conjugacy_classes(group).subgroups)
     if closed is not None and closed != value:
         raise ConsistencyError(
             f"{name} mismatch for {group.name}: closed form {closed} != census {value}"
@@ -280,8 +282,9 @@ def _census_or_closed_form(group: FiniteGroup, name: str, closed: int | None,
 def whitehead_rank(group: FiniteGroup) -> int:
     """Rank of the Whitehead group: sum over orders of r1(d) - r2(d).
 
-    r2(d) counts the census records of order d, so the census gives it as
-    r_R - r_Q: the sum of r1 less the number of records.
+    r1(d) counts the blocks of each record under the exponent -1 and r2(d)
+    the records of order d, so the records give it as r_R - r_Q: the sum of
+    r1 less the number of records.
 
     When a family closed form exists and the group is small enough for the
     census, both are computed and must agree.
@@ -292,7 +295,7 @@ def whitehead_rank(group: FiniteGroup) -> int:
         line += ", cross-checked against the family closed form"
     return _census_or_closed_form(
         group, "whitehead rank", closed, (line, "wh: family closed form"),
-        lambda census: sum(census.r1_by_order.values()) - len(census.subgroups),
+        lambda records: sum(count_blocks(records, (-1,)).values()) - len(records),
     )
 
 
@@ -318,8 +321,7 @@ def carter_rank(group: FiniteGroup) -> int:
     m an odd prime, the closed form is lambda(m).
     """
 
-    def count(census: ClassCensus) -> int:
-        records = census.subgroups
+    def count(records: tuple[SubgroupClass, ...]) -> int:
         rank = 1 - len(records)
         rank += sum(singular_blocks(records, p) for p in prime_divisors(group.order))
         if rank < 0:

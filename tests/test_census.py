@@ -7,6 +7,7 @@ from lowk import census as census_module
 from lowk.census import (
     GroupTooLargeError,
     conjugacy_classes,
+    count_blocks,
 )
 from lowk.fconj import r_f
 from lowk.galois import FieldDescriptor, prime_divisors, totient
@@ -42,7 +43,8 @@ def assert_census_matches_the_pairs(group, m):
     # elements in the same order and finds the same records in the same order
     census, oracle = conjugacy_classes(group), conjugacy_classes(build_dicyclic_pairs(m))
     assert census.subgroups == oracle.subgroups, group.name
-    assert census.r1_by_order == oracle.r1_by_order, group.name
+    r1 = count_blocks(census.subgroups, (-1,))
+    assert r1 == count_blocks(oracle.subgroups, (-1,)), group.name
     assert census.r2_by_order == oracle.r2_by_order, group.name
     assert census.classes == tuple(tuple(2 * a + b for a, b in cls) for cls in oracle.classes)
 
@@ -60,15 +62,17 @@ def test_quaternion_census_matches_the_pair_oracle(k):
 
 def test_ostar_pair_and_subgroup_counts():
     census = conjugacy_classes(build_binary_polyhedral("O*"))
-    assert census.r1_by_order[8] == 2
+    r1 = count_blocks(census.subgroups, (-1,))
+    assert r1[8] == 2
     assert census.r2_by_order[8] == 1
-    assert census.r1_by_order[4] == census.r2_by_order[4] == 2
+    assert r1[4] == census.r2_by_order[4] == 2
 
 
 def test_istar_pair_and_subgroup_counts():
     census = conjugacy_classes(build_binary_polyhedral("I*"))
-    assert (census.r1_by_order[5], census.r2_by_order[5]) == (2, 1)
-    assert (census.r1_by_order[10], census.r2_by_order[10]) == (2, 1)
+    r1 = count_blocks(census.subgroups, (-1,))
+    assert (r1[5], census.r2_by_order[5]) == (2, 1)
+    assert (r1[10], census.r2_by_order[10]) == (2, 1)
 
 
 def test_class_sizes_partition_group():
@@ -116,8 +120,9 @@ def test_pair_equals_subgroup_count_small_orders():
     groups += [build_binary_polyhedral(k) for k in ("T*", "O*", "I*")]
     for group in groups:
         census = conjugacy_classes(group)
+        r1 = count_blocks(census.subgroups, (-1,))
         for d in (1, 2, 3, 4, 6):
-            assert census.r1_by_order.get(d, 0) == census.r2_by_order.get(d, 0), group.name
+            assert r1.get(d, 0) == census.r2_by_order.get(d, 0), group.name
 
 
 ORACLE_ROSTER = (
@@ -172,9 +177,20 @@ def test_field_count_is_guarded_by_the_census():
         r_f(build_dicyclic(2000), FieldDescriptor.rational())
 
 
-def test_census_is_kept_while_the_group_lives():
-    group = build_dicyclic(6)
+# one group per census path, built in the test so that nothing else holds
+# it: a class deriver that captured its group would keep it alive as a key
+@pytest.mark.parametrize("build", [
+    lambda: build_cyclic(30),
+    lambda: build_dicyclic(6),
+    lambda: generalized_quaternion(5),
+    lambda: build_dicyclic_pairs(6),
+    lambda: relabel(build_cyclic(24), 1),
+    lambda: build_abelian([2, 4]),
+], ids=["cyclic", "dicyclic", "quaternion", "walked pairs", "relabelled cyclic", "abelian"])
+def test_census_is_kept_while_the_group_lives(build):
+    group = build()
     census = conjugacy_classes(group)
+    census.classes
     assert conjugacy_classes(group) is census
     alive = weakref.ref(census)
     del group, census
@@ -201,7 +217,7 @@ def count_products(group, monkeypatch):
 
     monkeypatch.setattr(group, "mul", counting)
     census = conjugacy_classes(group)
-    census.r1_by_order, census.r2_by_order
+    count_blocks(census.subgroups, (-1,)), census.r2_by_order
     return census, len(calls)
 
 
@@ -247,7 +263,7 @@ def test_abelian_partition_makes_constant_products(monkeypatch):
         monkeypatch.setattr(group, "mul", lambda a, b: products.append((a, b)) or mul(a, b))
         monkeypatch.setattr(group, "order_of", lambda g: orders.append(g) or order_of(g))
         census = conjugacy_classes(group)
-        census.r1_by_order, census.r2_by_order
+        count_blocks(census.subgroups, (-1,)), census.r2_by_order
         assert products == []
         assert orders == list(group.generators)
         assert "elements" not in vars(group)
@@ -272,7 +288,7 @@ def test_dicyclic_census_makes_no_products(group, monkeypatch):
         monkeypatch.setattr(group, name,
                             lambda *args, name=name, op=op: calls.append(name) or op(*args))
     census = conjugacy_classes(group)
-    census.r1_by_order, census.r2_by_order, census.classes
+    count_blocks(census.subgroups, (-1,)), census.r2_by_order, census.classes
     assert calls == []
     assert "elements" not in vars(group)
 
@@ -332,7 +348,8 @@ def census_shape(group, monkeypatch):
     r2, the class sizes and the products the walk and search took."""
     census, products = count_products(group, monkeypatch)
     sizes = sorted(len(c) for c in census.classes)
-    return sorted(census.subgroups), census.r1_by_order, census.r2_by_order, sizes, products
+    r1 = count_blocks(census.subgroups, (-1,))
+    return sorted(census.subgroups), r1, census.r2_by_order, sizes, products
 
 
 @pytest.mark.parametrize(

@@ -692,13 +692,20 @@ def test_cli_suite_choices_are_the_b4_suites():
 
 # each JSON answer must be the same bytes under any string-hash seed: dicts
 # keyed by element ids, sets and frozensets must not leak their hash order;
-# one command of each kind, so each is parsed from sys.argv
+# one command of each kind, so each is parsed from sys.argv, then each census
+# path read off divisors (Z_4620, Dic_4000, Q_4096), and the outputs no golden
+# pins: the iso suite and a classify list past n = 20
 _HASH_SEED_COMMANDS = (
     "b4 verify --suite all",
     "b4 report",
     "group ostar --invariants wh,k0,kminus1,rf,wedderburn --field Qp:2",
     "lambda --m 8191",
     "classify --n 7 --vc",
+    "group cyclic --m 4620 --invariants wh,k0,kminus1,rf --field Qp:2",
+    "group dicyclic --m 1000 --invariants wh,k0,rf --field Qp:5",
+    "group quaternion --k 12 --invariants wh,k0,kminus1,rf --field Qp:2",
+    "b4 verify --suite iso",
+    "classify --n 61 --vc",
 )
 
 
